@@ -405,11 +405,9 @@ let print_compression_reports db =
         || r.Relsql.Table.r_merges > 0
       then
         Printf.printf
-          "  %-14s delta: %d rows (%dB), %d tombstones, %d merges, %dB \
-           re-encode deferred\n"
-          "" r.Relsql.Table.r_delta_rows r.Relsql.Table.r_delta_bytes
-          r.Relsql.Table.r_tombstones r.Relsql.Table.r_merges
-          r.Relsql.Table.r_deferred_bytes;
+          "  %-14s delta: %d rows (%dB), %d tombstones, %d merges\n" ""
+          r.Relsql.Table.r_delta_rows r.Relsql.Table.r_delta_bytes
+          r.Relsql.Table.r_tombstones r.Relsql.Table.r_merges;
       if r.Relsql.Table.r_posting_entries > 0 then
         Printf.printf "  %-14s postings: %d entries in %d words (%.2fx)\n" ""
           r.Relsql.Table.r_posting_entries r.Relsql.Table.r_posting_words

@@ -528,9 +528,9 @@ type snapshot = {
 
 (** Capture a snapshot. Taken under the writer lock, so it never
     observes a half-applied update statement. Capture freezes the live
-    tables (copy-on-write: the next write thaws them into private
-    storage), so the stamp is read from the snapshot's own tables,
-    whose versions never move again. *)
+    tables (copy-on-write: later writes land on their delta sides,
+    never in the shared packed images), so the stamp is read from the
+    snapshot's own tables, whose versions never move again. *)
 let snapshot t : snapshot =
   Mutex.protect t.lock (fun () ->
     let sdb = Relsql.Database.snapshot (Loader.database t.loader) in

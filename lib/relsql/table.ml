@@ -46,7 +46,7 @@ type t = {
          Rids are stable across freeze/thaw/merge — only {!set_cell}'s
          relocation of a packed row ever moves one. *)
   mutable enc_epoch : int;
-      (* bumped by every freeze/thaw: the encoding fingerprint scan-
+      (* bumped by every freeze/thaw/merge: the encoding fingerprint scan-
          cache keys embed (the data — and [version] — never change
          across an encoding switch, only the physical representation) *)
   mutable nrows : int;
@@ -66,15 +66,11 @@ type t = {
       (* number of times a mutation transparently thawed a frozen
          table back to boxed rows (reported by [rdfstore stats]) *)
   mutable merges : int;
-      (* delta-into-main merges performed (thaw + re-freeze cycles the
-         merge policy or [Engine.merge] triggered) *)
+      (* delta-into-main merges performed (re-packs the merge policy
+         or [Engine.merge] triggered) *)
   mutable tombs : int;
       (* tombstones punched into the frozen main since the last
          freeze/merge (reset when the packed image is rebuilt) *)
-  mutable deferred_bytes : int;
-      (* re-encoding bytes the delta path avoided: each write that
-         would previously have thawed + re-frozen adds the packed
-         image's size instead of paying it *)
 }
 
 let dummy_row : Value.t array = [||]
@@ -84,7 +80,7 @@ let create name schema =
     enc_epoch = 0; nrows = 0;
     alive = Bytes.make 64 '\001'; live_count = 0;
     indexes = Hashtbl.create 4; version = 0; delta_epoch = 0; thaws = 0;
-    merges = 0; tombs = 0; deferred_bytes = 0 }
+    merges = 0; tombs = 0 }
 
 let name t = t.name
 let schema t = t.schema
@@ -126,9 +122,6 @@ let main_tombstones t = t.tombs
 
 (** Delta-into-main merges performed on this table. *)
 let merge_count t = t.merges
-
-(** Cumulative re-encoding bytes the delta write path avoided. *)
-let deferred_bytes t = t.deferred_bytes
 
 (* Read one cell regardless of representation; no bounds check. *)
 let cell_unsafe t rid pos =
@@ -261,10 +254,9 @@ let index_unlink idx v =
   | Some p -> p.stale <- p.stale + 1
   | None -> ()
 
-(** Restore boxed row storage from the packed image (the first half of
-    a {!merge}, and still available to callers that want a boxed
-    table). Delta rows keep their rids — they shift down into the
-    unified boxed array. Postings keep whatever encoding they have —
+(** Restore boxed row storage from the packed image, for callers that
+    want a boxed table ({!merge} re-packs without it). Delta rows keep
+    their rids — they shift down into the unified boxed array. Postings keep whatever encoding they have —
     they expand lazily on first push. *)
 let thaw t =
   match t.packed with
@@ -288,12 +280,10 @@ let thaw t =
 (** Number of times a mutation transparently thawed this table. *)
 let thaw_count t = t.thaws
 
-(* Bookkeeping shared by every write that lands on the delta side of a
-   frozen table instead of thawing it: the stamp caches key on, and the
-   re-encode bytes the write did not pay. *)
-let note_delta_write t pk =
-  t.delta_epoch <- t.delta_epoch + 1;
-  t.deferred_bytes <- t.deferred_bytes + (8 * Packed.packed_words pk)
+(* Every write that lands on the delta side of a frozen table bumps the
+   stamp caches key on — O(1), never a pass over the packed main. *)
+let note_delta_write t =
+  if t.packed <> None then t.delta_epoch <- t.delta_epoch + 1
 
 (** [insert t row] appends [row] and returns its row id. On a frozen
     table the row lands in the boxed delta side — no thaw, no
@@ -311,7 +301,7 @@ let insert t row =
   t.nrows <- t.nrows + 1;
   t.live_count <- t.live_count + 1;
   t.version <- t.version + 1;
-  (match t.packed with Some pk -> note_delta_write t pk | None -> ());
+  note_delta_write t;
   Hashtbl.iter (fun pos idx -> index_add idx row.(pos) rid) t.indexes;
   rid
 
@@ -352,16 +342,12 @@ let set_cell t rid pos v =
       Bytes.set t.alive rid' '\001';
       t.nrows <- t.nrows + 1;
       t.version <- t.version + 1;
-      note_delta_write t pk;
+      note_delta_write t;
       Hashtbl.iter (fun p idx -> index_add idx row.(p) rid') t.indexes;
       rid'
     end
-  | packed ->
-    let row =
-      match packed with
-      | None -> t.rows.(rid)
-      | Some _ -> t.rows.(rid - t.base)
-    in
+  | _ ->
+    let row = t.rows.(rid - t.base) in
     if Value.equal row.(pos) v then rid
     else begin
       (match Hashtbl.find_opt t.indexes pos with
@@ -370,7 +356,7 @@ let set_cell t rid pos v =
          index_add_checked idx v rid
        | None -> ());
       t.version <- t.version + 1;
-      (match packed with Some pk -> note_delta_write t pk | None -> ());
+      note_delta_write t;
       row.(pos) <- v;
       rid
     end
@@ -389,11 +375,8 @@ let delete_row t rid =
     Bytes.set t.alive rid '\000';
     t.live_count <- t.live_count - 1;
     t.version <- t.version + 1;
-    match t.packed with
-    | Some pk ->
-      if rid < t.base then t.tombs <- t.tombs + 1;
-      note_delta_write t pk
-    | None -> ()
+    if rid < t.base then t.tombs <- t.tombs + 1;
+    note_delta_write t
   end
 
 (** Build (or rebuild) a hash index on the column at position [pos]. *)
@@ -636,6 +619,45 @@ end
 (* Freezing: compressed columnar mode                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The packing body {!freeze} and {!merge} share: compact every posting
+   and run-encode the dense ones, then bit-pack all [nrows] slots —
+   read through {!cell_unsafe}, so a merge re-packs straight from the
+   packed main plus the boxed delta rows, with no boxed copy of the
+   main in between — and start an empty delta over the new image. *)
+let repack t =
+  Hashtbl.iter
+    (fun pos idx ->
+      (* snapshot: compaction may remove now-empty postings *)
+      let entries = Hashtbl.fold (fun v p acc -> (v, p) :: acc) idx [] in
+      List.iter
+        (fun (v, p) ->
+          posting_expand p;
+          if p.stale > 0 then begin
+            let k = ref 0 in
+            for i = 0 to p.len - 1 do
+              let rid = p.ids.(i) in
+              if entry_valid t pos v rid then begin
+                p.ids.(!k) <- rid;
+                incr k
+              end
+            done;
+            p.len <- !k;
+            p.stale <- 0;
+            if p.len = 0 then Hashtbl.remove idx v
+          end;
+          posting_try_runs p)
+        entries)
+    t.indexes;
+  let pk =
+    Packed.pack ~zones:true ~ncols:(Schema.arity t.schema) ~nrows:t.nrows
+      (cell_unsafe t) ~live:(is_live t)
+  in
+  t.packed <- Some pk;
+  t.rows <- [||];
+  t.base <- t.nrows;
+  t.tombs <- 0;
+  t.enc_epoch <- t.enc_epoch + 1
+
 (** Switch the table to compressed columnar storage: every posting is
     compacted and (when dense) run-length encoded, all row slots are
     bit-packed into a {!Packed.t} with zone maps, and the boxed rows
@@ -645,55 +667,16 @@ end
     delta side without disturbing the packed main — {!merge} folds the
     delta back in. Idempotent (a frozen table, delta or not, is left
     alone); a no-op on an empty table. *)
-let freeze t =
-  if t.packed = None && t.nrows > 0 then begin
-    Hashtbl.iter
-      (fun pos idx ->
-        (* snapshot: compaction may remove now-empty postings *)
-        let entries = Hashtbl.fold (fun v p acc -> (v, p) :: acc) idx [] in
-        List.iter
-          (fun (v, p) ->
-            posting_expand p;
-            if p.stale > 0 then begin
-              let k = ref 0 in
-              for i = 0 to p.len - 1 do
-                let rid = p.ids.(i) in
-                if entry_valid t pos v rid then begin
-                  p.ids.(!k) <- rid;
-                  incr k
-                end
-              done;
-              p.len <- !k;
-              p.stale <- 0;
-              if p.len = 0 then Hashtbl.remove idx v
-            end;
-            posting_try_runs p)
-          entries)
-      t.indexes;
-    t.packed <-
-      Some
-        (Packed.pack ~zones:true ~ncols:(Schema.arity t.schema) ~nrows:t.nrows
-           (fun rid pos -> t.rows.(rid).(pos))
-           ~live:(fun rid -> is_live t rid));
-    t.rows <- [||];
-    t.base <- t.nrows;
-    t.tombs <- 0;
-    t.enc_epoch <- t.enc_epoch + 1
-  end
+let freeze t = if t.packed = None && t.nrows > 0 then repack t
 
-(** Fold the delta side back into the packed main: decode, re-pack the
-    unified slots (fresh zone maps, compacted + re-run-encoded
-    postings) and start an empty delta. Rids are stable. A no-op on a
-    boxed table or a frozen one with neither delta rows nor fresh main
-    tombstones. The thaw performed internally is not a "transparent
-    thaw" for accounting — {!thaw_count} measures write-path churn, so
-    it is restored; {!merge_count} counts the merge instead. *)
+(** Fold the delta side back into the packed main: re-pack the unified
+    slots directly from the old image plus the delta rows (fresh zone
+    maps, compacted + re-run-encoded postings) and start an empty
+    delta. Rids are stable. A no-op on a boxed table or a frozen one
+    with neither delta rows nor fresh main tombstones. *)
 let merge t =
   if t.packed <> None && (t.nrows > t.base || t.tombs > 0) then begin
-    let saved_thaws = t.thaws in
-    thaw t;
-    freeze t;
-    t.thaws <- saved_thaws;
+    repack t;
     t.merges <- t.merges + 1;
     t.delta_epoch <- t.delta_epoch + 1
   end
@@ -739,7 +722,7 @@ let snapshot t =
     nrows = t.nrows;
     alive = Bytes.copy t.alive; live_count = t.live_count; indexes;
     version = t.version; delta_epoch = t.delta_epoch; thaws = 0;
-    merges = 0; tombs = t.tombs; deferred_bytes = 0 }
+    merges = 0; tombs = t.tombs }
 
 (** Per-table memory accounting for the compressed representation (the
     [rdfstore stats] report). Sizes are heap-word estimates times the
@@ -760,7 +743,6 @@ type compression_report = {
   r_delta_bytes : int;  (* boxed footprint of those delta rows *)
   r_tombstones : int;  (* tombstones punched into the frozen main *)
   r_merges : int;  (* delta-into-main merges performed *)
-  r_deferred_bytes : int;  (* re-encode bytes the delta path avoided *)
 }
 
 (* Boxed heap footprint of the row slots stored in [t.rows.(lo..hi-1)]. *)
@@ -798,8 +780,7 @@ let compression_report t =
       r_posting_entries = !entries; r_posting_words = !stored;
       r_thaws = t.thaws; r_delta_rows = delta;
       r_delta_bytes = boxed_bytes_of_range t 0 delta;
-      r_tombstones = t.tombs; r_merges = t.merges;
-      r_deferred_bytes = t.deferred_bytes }
+      r_tombstones = t.tombs; r_merges = t.merges }
   | None ->
     { r_table = t.name; r_frozen = false; r_live_rows = t.live_count;
       r_slots = t.nrows;
@@ -807,8 +788,7 @@ let compression_report t =
       r_packed_bytes = 0; r_col_bits = [];
       r_posting_entries = !entries; r_posting_words = !stored;
       r_thaws = t.thaws; r_delta_rows = 0; r_delta_bytes = 0;
-      r_tombstones = 0; r_merges = t.merges;
-      r_deferred_bytes = t.deferred_bytes }
+      r_tombstones = 0; r_merges = t.merges }
 
 (** Fraction of cells that are NULL across the given column positions
     (live rows only). *)

@@ -133,7 +133,8 @@ val freeze : t -> unit
 val thaw : t -> unit
 
 (** Fold the delta side back into the packed main: re-pack the unified
-    slots (fresh zone maps, compacted postings) and start an empty
+    slots directly from the old packed image plus the delta rows (no
+    thaw; fresh zone maps, compacted postings) and start an empty
     delta. Row ids are stable. A no-op unless the table is frozen and
     has delta rows or fresh main tombstones. Bumps {!enc_epoch} (the
     image is rebuilt) and {!delta_epoch}, not {!version} or
@@ -162,12 +163,7 @@ val main_tombstones : t -> int
 (** Delta-into-main merges performed ({!merge}). *)
 val merge_count : t -> int
 
-(** Cumulative re-encoding bytes the delta write path avoided paying
-    (each non-merging write of a frozen table defers one packed-image
-    rewrite). *)
-val deferred_bytes : t -> int
-
-(** Bumped by every freeze/thaw. *)
+(** Bumped by every freeze, thaw and merge. *)
 val enc_epoch : t -> int
 
 (** Bumped by every delta-side write of a frozen table and by every
@@ -192,7 +188,6 @@ type compression_report = {
   r_delta_bytes : int;  (** boxed footprint of those delta rows *)
   r_tombstones : int;  (** tombstones punched into the frozen main *)
   r_merges : int;  (** delta-into-main merges performed *)
-  r_deferred_bytes : int;  (** re-encode bytes the delta path avoided *)
 }
 
 val compression_report : t -> compression_report

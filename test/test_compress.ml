@@ -290,6 +290,50 @@ let test_freeze_postings_roundtrip () =
   Alcotest.(check bool) "packed bytes < boxed bytes" true
     (r.Relsql.Table.r_packed_bytes < r.Relsql.Table.r_boxed_bytes)
 
+(* A merged table must be indistinguishable from a boxed copy of the
+   same slots (dead ones included, so rids and blocks line up) frozen
+   fresh: same live rows, postings, column widths, zone maps and packed
+   codes. *)
+let assert_merged_like_fresh what t =
+  let n = Relsql.Table.slot_count t in
+  let fresh = Relsql.Table.create "fresh" (Relsql.Table.schema t) in
+  List.iter (Relsql.Table.create_index fresh) (Relsql.Table.indexed_columns t);
+  for rid = 0 to n - 1 do
+    ignore (Relsql.Table.insert fresh (Array.copy (Relsql.Table.get t rid)))
+  done;
+  for rid = 0 to n - 1 do
+    if not (Relsql.Table.is_live t rid) then Relsql.Table.delete_row fresh rid
+  done;
+  Relsql.Table.freeze fresh;
+  let rows tb = Relsql.Table.fold (fun acc rid row -> (rid, row) :: acc) [] tb in
+  Alcotest.(check bool) (what ^ ": rows") true (rows t = rows fresh);
+  let keys = Hashtbl.create 16 in
+  Relsql.Table.iter (fun _ row -> Hashtbl.replace keys row.(0) ()) t;
+  Hashtbl.iter
+    (fun k () ->
+      Alcotest.(check (array int)) (what ^ ": posting")
+        (Relsql.Table.lookup fresh 0 k) (Relsql.Table.lookup t 0 k))
+    keys;
+  let r = Relsql.Table.compression_report t
+  and rf = Relsql.Table.compression_report fresh in
+  Alcotest.(check (pair int int)) (what ^ ": posting words")
+    (rf.Relsql.Table.r_posting_entries, rf.Relsql.Table.r_posting_words)
+    (r.Relsql.Table.r_posting_entries, r.Relsql.Table.r_posting_words);
+  Alcotest.(check (list (pair string int))) (what ^ ": column widths")
+    rf.Relsql.Table.r_col_bits r.Relsql.Table.r_col_bits;
+  match Relsql.Table.packed_view t, Relsql.Table.packed_view fresh with
+  | Some pk, Some pkf ->
+    Array.iteri
+      (fun i (c : Relsql.Packed.col) ->
+        let cf = pkf.Relsql.Packed.cols.(i) in
+        Alcotest.(check bool) (what ^ ": zone maps") true
+          (c.Relsql.Packed.zones = cf.Relsql.Packed.zones);
+        Alcotest.(check bool) (what ^ ": packed codes") true
+          (c.Relsql.Packed.words = cf.Relsql.Packed.words
+          && c.Relsql.Packed.decode = cf.Relsql.Packed.decode))
+      pk.Relsql.Packed.cols
+  | _ -> Alcotest.fail (what ^ ": both tables must be frozen")
+
 let test_freeze_thaw_invariants () =
   let t = make_keyed_table () in
   let v0 = Relsql.Table.version t and e0 = Relsql.Table.enc_epoch t in
@@ -363,6 +407,31 @@ let test_freeze_thaw_invariants () =
        (Array.to_list (Relsql.Table.get t 1234)));
   Alcotest.(check bool) "new key still indexed post-merge" true
     (Array.length (Relsql.Table.lookup t 0 (Relsql.Value.Int 7)) = 1);
+  assert_merged_like_fresh "merge" t;
+  (* repeated rounds of every write kind — main tombstone, delta
+     append, main relocation on the indexed column, in-place delta
+     update, delta tombstone — each re-packed without a thaw *)
+  for round = 1 to 3 do
+    Relsql.Table.delete_row t (100 * round);
+    let r1 =
+      Relsql.Table.insert t [| Relsql.Value.Int (10 + round); Relsql.Value.Int round |]
+    in
+    let r2 = Relsql.Table.insert t [| Relsql.Value.Int 1; Relsql.Value.Null |] in
+    let moved =
+      Relsql.Table.set_cell t (500 + round) 0 (Relsql.Value.Int (20 + round))
+    in
+    Alcotest.(check bool) "main write relocates" true
+      (moved >= Relsql.Table.main_slots t);
+    Alcotest.(check int) "delta write stays in place" r1
+      (Relsql.Table.set_cell t r1 1 (Relsql.Value.Str "x"));
+    Relsql.Table.delete_row t r2;
+    Relsql.Table.merge t;
+    let what = Printf.sprintf "merge round %d" round in
+    Alcotest.(check int) (what ^ ": counted") (1 + round)
+      (Relsql.Table.merge_count t);
+    Alcotest.(check int) (what ^ ": no thaw") 0 (Relsql.Table.thaw_count t);
+    assert_merged_like_fresh what t
+  done;
   (* explicit thaw still works, and double freeze is a no-op *)
   Relsql.Table.thaw t;
   Alcotest.(check bool) "explicit thaw works" false (Relsql.Table.frozen t);
