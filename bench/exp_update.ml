@@ -6,12 +6,12 @@
     update stream: INSERT DATA statements growing the dictionary and
     claiming fresh predicate slots, DELETE DATA statements retiring
     rows (multi-valued cells included), and DELETE WHERE statements
-    instantiated through the engine's own query pipeline. On the
-    compressed engine every statement lands in the frozen tables'
-    boxed delta side (delta-main storage): inserts append, deletes
-    tombstone, and the packed main is never re-encoded per statement —
-    so the packed-vs-boxed write amplification is measured rather than
-    assumed. After the first stream the pending delta is folded back
+    instantiated through the engine's own query pipeline. Every
+    statement lands in the tables' boxed delta (delta-main storage):
+    inserts append, deletes tombstone, and on the compressed engine the
+    packed main is never re-encoded per statement — so the
+    packed-vs-boxed write amplification is measured rather than
+    assumed. The boxed engine never packs: its main stays empty. After the first stream the pending delta is folded back
     with a timed {!Db2rdf.Engine.merge}, and a second stream is timed
     against the freshly merged store, giving per-statement cost both
     pre- and post-merge.
@@ -25,10 +25,9 @@
 
     With [--json-dir] the experiment writes BENCH_update.json: per-phase
     times (pre-merge update stream, merge, post-merge update stream,
-    live probe, snapshot probe) for both systems, the compressed
-    engine's delta accounting (pending delta rows, tombstones,
-    transparent thaws — expected 0 — and tables merged), and the
-    streams' statement counts. *)
+    live probe, snapshot probe) for both systems, their delta
+    accounting (pending delta rows, main tombstones and tables merged),
+    and the streams' statement counts. *)
 
 let stream_len = 60
 
@@ -73,16 +72,7 @@ type sys_result = {
   s_probe_ms : float;
   s_probe_rows : int;
   s_snap_ms : float;
-  s_thaws : int;
 }
-
-let total_thaws e =
-  let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
-  List.fold_left
-    (fun acc name ->
-      acc + Relsql.Table.thaw_count (Relsql.Database.find_exn db name))
-    0
-    (Relsql.Database.table_names db)
 
 let delta_accounting e =
   let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
@@ -145,8 +135,7 @@ let run_system_with_dump name ~compress triples stream stream2 =
       s_stream2_ms = 1000.0 *. stream2_s;
       s_probe_ms = 1000.0 *. probe_s;
       s_probe_rows = probe_rows;
-      s_snap_ms = 1000.0 *. snap_s;
-      s_thaws = total_thaws e },
+      s_snap_ms = 1000.0 *. snap_s },
     dump )
 
 let run (cfg : Harness.config) =
@@ -195,16 +184,15 @@ let run (cfg : Harness.config) =
            Printf.sprintf "%8.3f" r.s_probe_ms;
            Printf.sprintf "%8.3f" r.s_snap_ms ])
        [ boxed; packed ]);
-  Harness.subsection "compressed delta accounting";
+  Harness.subsection "delta accounting";
   Harness.print_table
-    [ "system"; "delta rows"; "tombstones"; "tables merged"; "thaws" ]
+    [ "system"; "delta rows"; "tombstones"; "tables merged" ]
     (List.map
        (fun r ->
          [ r.s_name;
            string_of_int r.s_delta_rows;
            string_of_int r.s_tombstones;
-           string_of_int r.s_merged;
-           string_of_int r.s_thaws ])
+           string_of_int r.s_merged ])
        [ boxed; packed ]);
   Printf.printf
     "\ncompressed write amplification vs boxed: %.2fx pre-merge, %.2fx \
@@ -231,7 +219,6 @@ let run (cfg : Harness.config) =
                 (fun r ->
                   [ measurement r "update-stream" r.s_stream_ms
                       [ ("statements", Harness.J_int stream_len);
-                        ("thaws", Harness.J_int r.s_thaws);
                         ("delta_rows", Harness.J_int r.s_delta_rows);
                         ("tombstones", Harness.J_int r.s_tombstones) ];
                     measurement r "merge" r.s_merge_ms

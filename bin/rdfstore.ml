@@ -56,18 +56,10 @@ let join_partitions_arg =
   Arg.(value & opt int 0 & info [ "join-partitions" ] ~docv:"P" ~doc)
 
 let compress_arg =
-  let doc = "Freeze tables into bit-packed columnar storage after load \
+  let doc = "Merge tables into bit-packed columnar storage after load \
              (dictionary-coded columns, zone maps, run-length-encoded \
              postings). Purely physical: query results are identical." in
   Arg.(value & flag & info [ "compress" ] ~doc)
-
-let merge_threshold_arg =
-  let doc = "With --compress: fold a frozen table's boxed delta side \
-             back into its packed main after a write statement only \
-             once the pending rows and tombstones exceed this fraction \
-             of the main (0 = re-pack after every statement). Results \
-             are identical at any setting." in
-  Arg.(value & opt float 0.25 & info [ "merge-threshold" ] ~docv:"F" ~doc)
 
 let wcoj_arg =
   let doc = "Allow the worst-case-optimal (leapfrog) multiway join: \
@@ -123,12 +115,12 @@ let load_triples spec =
     List.rev !acc
 
 let build_store ?(load_domains = 1) ?(join_partitions = 0) ?(compress = false)
-    ?(merge_threshold = 0.25) ?(wcoj = false) ?(extvp = false)
+    ?(wcoj = false) ?(extvp = false)
     ?(extvp_build = false)
     ?(extvp_threshold = Relsql.Extvp.default_threshold)
     ?(extvp_budget_mb = 64) backend k no_coloring domains triples :
   Db2rdf.Store.t =
-  (* Triple/vertical stores freeze via the process-wide default; the
+  (* Triple/vertical stores compress via the process-wide default; the
      engine takes it as an explicit option. *)
   let saved_compress = !Relsql.Database.default_compress in
   Relsql.Database.default_compress := compress;
@@ -139,7 +131,7 @@ let build_store ?(load_domains = 1) ?(join_partitions = 0) ?(compress = false)
   | "db2rdf" ->
     let options =
       { Db2rdf.Engine.default_options with parallelism = domains; load_domains;
-        join_partitions; compress; merge_threshold; wcoj; extvp; extvp_build;
+        join_partitions; compress; wcoj; extvp; extvp_build;
         extvp_threshold; extvp_budget_mb }
     in
     if no_coloring then begin
@@ -243,12 +235,12 @@ let update_summary = function
     Printf.sprintf "DELETE WHERE (%d patterns)" (List.length tps)
 
 let run_update data backend k no_coloring domains load_domains join_partitions
-    compress merge_threshold wcoj extvp extvp_build extvp_threshold
+    compress wcoj extvp extvp_build extvp_threshold
     extvp_budget_mb timeout script =
   let triples = load_triples data in
   Printf.printf "loaded %d triples into %s\n%!" (List.length triples) backend;
   let store =
-    build_store ~load_domains ~join_partitions ~compress ~merge_threshold ~wcoj
+    build_store ~load_domains ~join_partitions ~compress ~wcoj
       ~extvp ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k
       no_coloring domains triples
   in
@@ -296,15 +288,16 @@ let update_cmd =
       ~doc:"Load data and apply a SPARQL 1.1 update script. Statements \
             run in order against the chosen backend's live store; SELECT \
             statements in the script are evaluated and their row counts \
-            printed. Under --compress, writes land in each frozen \
-            table's boxed delta side (no re-encode per statement) and \
-            fold back into the packed main per --merge-threshold."
+            printed. Writes land in each table's boxed delta (no \
+            re-encode per statement); under --compress a table's delta \
+            folds into its packed main once it outgrows a quarter of \
+            the main."
   in
   Cmd.v info
     Term.(
       const run_update $ data_arg $ backend_arg $ columns_arg $ no_color_arg
       $ domains_arg $ load_domains_arg $ join_partitions_arg $ compress_arg
-      $ merge_threshold_arg $ wcoj_arg $ extvp_arg $ extvp_build_arg
+      $ wcoj_arg $ extvp_arg $ extvp_build_arg
       $ extvp_threshold_arg $ extvp_budget_arg $ timeout_arg $ script_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -390,19 +383,19 @@ let print_compression_reports db =
             /. float_of_int r.Relsql.Table.r_packed_bytes)
         else "-"
       in
-      Printf.printf "  %-14s %9d %11dB %11dB %7s %s%s\n" r.Relsql.Table.r_table
+      Printf.printf "  %-14s %9d %11dB %11dB %7s %s\n" r.Relsql.Table.r_table
         r.Relsql.Table.r_live_rows r.Relsql.Table.r_boxed_bytes
         r.Relsql.Table.r_packed_bytes ratio
         (String.concat ","
            (List.map
               (fun (c, b) -> Printf.sprintf "%s:%d" c b)
-              r.Relsql.Table.r_col_bits))
-        (if r.Relsql.Table.r_thaws > 0 then
-           Printf.sprintf " (thawed by writes %dx)" r.Relsql.Table.r_thaws
-         else "");
+              r.Relsql.Table.r_col_bits));
+      (* Delta accounting of packed tables once writes happened: the
+         load-time merge alone leaves nothing to report. *)
       if
-        r.Relsql.Table.r_delta_rows > 0 || r.Relsql.Table.r_tombstones > 0
-        || r.Relsql.Table.r_merges > 0
+        r.Relsql.Table.r_frozen
+        && (r.Relsql.Table.r_delta_rows > 0 || r.Relsql.Table.r_tombstones > 0
+            || r.Relsql.Table.r_merges > 1)
       then
         Printf.printf
           "  %-14s delta: %d rows (%dB), %d tombstones, %d merges\n" ""
@@ -477,14 +470,12 @@ let stats_cmd =
 (* ------------------------------------------------------------------ *)
 
 (* Demonstrate the delta-main write path end to end: load compressed,
-   apply an update script (writes stay delta-resident under a high
-   threshold), then eagerly compact with [Engine.merge] and report the
-   per-table storage state before and after. *)
-let run_merge data k merge_threshold script =
+   apply an update script (writes stay delta-resident until the merge
+   policy fires), then eagerly compact with [Engine.merge] and report
+   the per-table storage state before and after. *)
+let run_merge data k script =
   let triples = load_triples data in
-  let options =
-    { Db2rdf.Engine.default_options with compress = true; merge_threshold }
-  in
+  let options = { Db2rdf.Engine.default_options with compress = true } in
   let e, _, _ =
     Db2rdf.Engine.create_colored ~options
       ~layout:(Db2rdf.Layout.make ~dph_cols:k ~rph_cols:k) triples
@@ -514,27 +505,21 @@ let run_merge data k merge_threshold script =
 
 let merge_cmd =
   let script_arg =
-    let doc = "Optional SPARQL update script applied (delta-resident) \
-               before the merge." in
+    let doc = "Optional SPARQL update script applied before the \
+               merge." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"SCRIPT" ~doc)
   in
   let info =
     Cmd.info "merge"
       ~doc:"Load data compressed, optionally apply an update script \
-            whose writes stay on the boxed delta side, then eagerly \
+            (its writes land on the boxed delta side and merge only \
+            once a delta outgrows a quarter of its main), then eagerly \
             fold every table's delta back into its packed main \
             (fresh zone maps and postings) and report per-table \
             storage before and after."
   in
   Cmd.v info
-    Term.(
-      const run_merge $ data_arg $ columns_arg
-      $ Arg.(value & opt float infinity
-             & info [ "merge-threshold" ] ~docv:"F"
-                 ~doc:"Automatic per-statement merge threshold while the \
-                       script runs (default: never, so the final eager \
-                       merge does all the folding).")
-      $ script_arg)
+    Term.(const run_merge $ data_arg $ columns_arg $ script_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sql                                                                 *)
@@ -766,9 +751,10 @@ let fuzz_cmd =
   in
   let compressed =
     Arg.(value & flag & info [ "compressed" ]
-           ~doc:"Freeze every backend's tables into bit-packed columnar \
-                 storage after load, so compressed-path bugs (packing, \
-                 zone-map pruning, word-at-a-time equality) surface as \
+           ~doc:"Merge every backend's tables into bit-packed columnar \
+                 storage after load (and after writes, per the merge \
+                 policy), so compressed-path bugs (packing, zone-map \
+                 pruning, word-at-a-time equality, merges) surface as \
                  divergences against the uncompressed oracle.")
   in
   let wcoj =

@@ -18,15 +18,10 @@ type options = {
       (** radix partitions for parallel hash-join builds
           (0 = auto: sized from the domain count at execution time) *)
   compress : bool;
-      (** freeze tables into bit-packed columnar storage after bulk
-          load (zone maps + word-at-a-time scans); purely physical,
-          results are bit-identical *)
-  merge_threshold : float;
-      (** under [compress], re-pack a frozen table after a write
-          statement only once its boxed delta side (rows + main
-          tombstones) exceeds this fraction of the packed main (with a
-          small absolute floor); writes between merges stay
-          delta-resident. 0.0 merges after every write statement *)
+      (** merge tables into bit-packed columnar storage (zone maps +
+          word-at-a-time scans) after bulk load, and after a write
+          statement whenever [Table.merge_due] says so; purely
+          physical, results are bit-identical *)
   wcoj : bool;
       (** allow the worst-case-optimal (leapfrog) multiway join:
           eligible conjunctive queries translate to the flat join form
@@ -52,8 +47,7 @@ type options = {
 
 let default_options =
   { optimize = true; merge = true; late_fuse = true; parallelism = 1;
-    load_domains = 1; join_partitions = 0; compress = false;
-    merge_threshold = 0.25; wcoj = false;
+    load_domains = 1; join_partitions = 0; compress = false; wcoj = false;
     extvp = false; extvp_build = false;
     extvp_threshold = Relsql.Extvp.default_threshold; extvp_budget_mb = 64 }
 
@@ -63,25 +57,22 @@ let default_options =
    but differing in (say) [wcoj] or [parallelism] must not serve each
    other's plans. *)
 let options_fingerprint (o : options) =
-  Printf.sprintf "O%b%b%b|p%d|l%d|j%d|c%b|mt%.4f|w%b|e%b|eb%b|et%.4f|em%d"
+  Printf.sprintf "O%b%b%b|p%d|l%d|j%d|c%b|w%b|e%b|eb%b|et%.4f|em%d"
     o.optimize o.merge o.late_fuse o.parallelism o.load_domains
-    o.join_partitions o.compress o.merge_threshold o.wcoj o.extvp
+    o.join_partitions o.compress o.wcoj o.extvp
     o.extvp_build o.extvp_threshold o.extvp_budget_mb
 
 type t = {
   loader : Loader.t;
   dict_state : Dict_table.state;
   options : options;
-  cache :
-    (Sparql.Ast.query * Relsql.Sql_ast.stmt * (int * int * int))
-      Relsql.Plan_cache.t;
+  cache : (Sparql.Ast.query * Relsql.Sql_ast.stmt * int) Relsql.Plan_cache.t;
       (* statement cache keyed by SPARQL source text; each entry is
-         stamped with the Database (data, enc, delta)-version triple at
-         translation time, because translation consults Loader.stats —
-         a stale plan could be wrong, not just slow. A mismatched stamp
-         is treated as a miss, the same signal (Table.version /
-         enc_epoch / delta_epoch) that retires scan-cache entries,
-         instead of an ad-hoc clear on every write path.
+         stamped with the Database epoch at translation time, because
+         translation consults Loader.stats — a stale plan could be
+         wrong, not just slow. A mismatched stamp is treated as a miss,
+         the same signal (Table.epoch) that retires scan-cache
+         entries, instead of an ad-hoc clear on every write path.
          Entries are per-snapshot-valid rather than globally
          invalidated: a snapshot reader accepts an entry whose stamp
          equals its own capture stamp even after later commits. *)
@@ -151,7 +142,7 @@ let extvp_builder loader (key : Relsql.Extvp.key) =
       end)
     dph;
   Relsql.Table.create_index_on out "entry";
-  if Relsql.Table.frozen dph then Relsql.Table.freeze out;
+  if Relsql.Table.frozen dph then Relsql.Table.merge out;
   (out, !total, !kept)
 
 (** Create an empty engine with hash-composition predicate mappings. *)
@@ -170,21 +161,17 @@ let create ?(layout = Layout.default) ?(options = default_options) ?direct_map
   (* The reduction registry is installed unconditionally (the hooks are
      cheap closures); whether the planner may substitute reductions is
      the per-call [extvp] option, checked at translation time. The
-     stamp pairs the data version with the encoding version so a
-     freeze/thaw cycle also retires reductions, and with the delta
-     version so delta-resident writes (which move no other stamp cost)
-     do too — a packed store must serve packed reductions over current
-     rows. *)
+     stamp is the catalog epoch, so every write and every merge
+     retires reductions — a packed store must serve packed reductions
+     over current rows. *)
   let db = Loader.database loader in
   let reg = Relsql.Extvp.create () in
   Relsql.Extvp.set_hooks reg
     ~builder:(fun key -> extvp_builder loader key)
-    ~stamp:(fun () ->
-      (Relsql.Database.data_version db, Relsql.Database.enc_version db,
-       Relsql.Database.delta_version db))
+    ~stamp:(fun () -> Relsql.Database.epoch db)
     ~estimator:(fun key -> Cost.extvp_selectivity (Loader.stats loader) key);
-  (* A recycled reduction name restarts its table's version at 0, so a
-     stale drop must clear the scan cache — same-name same-version
+  (* A recycled reduction name restarts its table's epoch at 0, so a
+     stale drop must clear the scan cache — same-name same-epoch
      entries of the previous generation would otherwise be served. *)
   Relsql.Extvp.set_on_invalidate reg (fun () ->
     Relsql.Scan_cache.clear (Relsql.Database.scan_cache db));
@@ -254,11 +241,11 @@ let create_colored ?(layout = Layout.default) ?(options = default_options)
   Loader.load ~domains:options.load_domains e.loader triples;
   Dict_table.sync ~domains:options.load_domains e.dict_state
     (Loader.dictionary e.loader);
-  (* Freeze after the DICT sync so the dictionary table compresses
-     too; later writes thaw the touched tables transparently. *)
+  (* Merge after the DICT sync so the dictionary table compresses
+     too; later writes land in the touched tables' deltas. *)
   if options.compress then
-    Relsql.Database.freeze_all (Loader.database e.loader);
-  (* After the freeze, so eager reductions inherit the packed form. *)
+    ignore (Relsql.Database.merge_all (Loader.database e.loader));
+  (* After the merge, so eager reductions inherit the packed form. *)
   if options.extvp && options.extvp_build then build_reductions e;
   (e, dcol, rcol)
 
@@ -266,9 +253,9 @@ let loader t = t.loader
 let dictionary t = Loader.dictionary t.loader
 
 (* Data changes need no explicit cache hooks: every write path bumps
-   Table.version, which shifts Database.data_version, which retires
+   Table.epoch, which shifts Database.epoch, which retires
    cached statements (stamp mismatch on next lookup) and scan-cache
-   entries (version is part of their key). A bulk load still clears
+   entries (the epoch is part of their key). A bulk load still clears
    both outright — after a load the dataset shape has typically
    changed wholesale, so keeping capacity's worth of dead entries
    around until the LRU cycles them out is pure memory waste. *)
@@ -280,7 +267,7 @@ let load ?parse_s t triples =
   Dict_table.sync ~domains:t.options.load_domains t.dict_state
     (Loader.dictionary t.loader);
   if t.options.compress then
-    Relsql.Database.freeze_all (Loader.database t.loader);
+    ignore (Relsql.Database.merge_all (Loader.database t.loader));
   if t.options.extvp && t.options.extvp_build then build_reductions t
 
 (** Phase timings of the most recent bulk load. *)
@@ -293,46 +280,27 @@ let insert t triple =
 (** Delete a triple (no-op when absent). *)
 let delete t triple = Loader.delete t.loader triple
 
-(* Should this frozen table's delta fold back into its packed main?
-   Delta rows and fresh main tombstones both degrade reads (boxed
-   re-scan, tombstone tests, dead postings); merge once they exceed
-   [threshold] of the packed main, with a small absolute floor so tiny
-   write bursts never thrash a re-pack. *)
-let table_wants_merge threshold tbl =
-  let pending =
-    Relsql.Table.delta_rows tbl + Relsql.Table.main_tombstones tbl
-  in
-  pending > 0
-  && float_of_int pending
-     > Float.max 16.0 (threshold *. float_of_int (Relsql.Table.main_slots tbl))
-
 (* Write epilogue of a SPARQL UPDATE statement: keep the DICT table in
    step with dictionary growth, and under [--compress] keep the catalog
    packed without paying a re-encode per statement — the write itself
-   landed in the touched tables' delta sides, so the epilogue only
-   freezes tables that are still boxed (freshly created ones) and
-   re-packs a frozen table once its delta outgrows [merge_threshold]. *)
+   landed in the touched tables' deltas, so the epilogue only merges
+   the tables whose delta the shared policy says is due. *)
 let after_write t =
   Dict_table.sync t.dict_state (Loader.dictionary t.loader);
-  if t.options.compress then begin
-    let db = Loader.database t.loader in
-    List.iter
-      (fun name ->
-        let tbl = Relsql.Database.find_exn db name in
-        if not (Relsql.Table.frozen tbl) then Relsql.Table.freeze tbl
-        else if table_wants_merge t.options.merge_threshold tbl then
-          Relsql.Table.merge tbl)
-      (Relsql.Database.table_names db)
-  end
+  if t.options.compress then
+    ignore (Relsql.Database.merge_due (Loader.database t.loader))
 
-(** Eagerly fold every frozen table's delta back into its packed main
-    ([rdfstore merge]); returns how many tables actually merged. Runs
-    under the writer lock — a concurrent snapshot sees the store before
-    or after, never mid-compaction (and either way reads the same
-    rows: merging is purely physical). *)
+(** Under [compress], eagerly fold every table's delta into its packed
+    main ([rdfstore merge]); returns how many tables actually merged.
+    A store built without [compress] never packs, so this does nothing
+    on it. Runs under the writer lock — a concurrent snapshot sees the
+    store before or after, never mid-compaction (and either way reads
+    the same rows: merging is purely physical). *)
 let merge t =
-  Mutex.protect t.lock (fun () ->
-    Relsql.Database.merge_all (Loader.database t.loader))
+  if not t.options.compress then 0
+  else
+    Mutex.protect t.lock (fun () ->
+      Relsql.Database.merge_all (Loader.database t.loader))
 
 (** Hit/miss/occupancy counters of the statement cache. *)
 let plan_cache_stats t = Relsql.Plan_cache.stats t.cache
@@ -454,16 +422,13 @@ let query_analyzed ?timeout ?options t (q : Sparql.Ast.query) :
     every knob that changes plan shape participates, so ablation callers
     (and {!with_options} views sharing this cache) never serve each
     other's statements — and validated against
-    {!Relsql.Database.data_version}: a stamp from before any data change
-    is a miss, and the statement re-translates against current
+    {!Relsql.Database.epoch}: a stamp from before any data change is a
+    miss, and the statement re-translates against current
     statistics. *)
 let query_string ?timeout ?options t (src : string) : Sparql.Ref_eval.results =
   let effective = Option.value ~default:t.options options in
   let db = Loader.database t.loader in
-  let now =
-    (Relsql.Database.data_version db, Relsql.Database.enc_version db,
-     Relsql.Database.delta_version db)
-  in
+  let now = Relsql.Database.epoch db in
   let key = options_fingerprint effective ^ "\n" ^ src in
   let prepare () =
     let q = Sparql.Parser.parse src in
@@ -521,25 +486,21 @@ let update_string t src = update t (Sparql.Parser.parse_update src)
 type snapshot = {
   snap_engine : t;
   snap_db : Relsql.Database.t;
-  snap_data : int;  (** {!Relsql.Database.data_version} at capture *)
-  snap_enc : int;  (** {!Relsql.Database.enc_version} at capture *)
-  snap_delta : int;  (** {!Relsql.Database.delta_version} at capture *)
+  snap_epoch : int;  (** {!Relsql.Database.epoch} at capture *)
 }
 
 (** Capture a snapshot. Taken under the writer lock, so it never
-    observes a half-applied update statement. Capture freezes the live
-    tables (copy-on-write: later writes land on their delta sides,
-    never in the shared packed images), so the stamp is read from the
-    snapshot's own tables, whose versions never move again. *)
+    observes a half-applied update statement. Capture copies the live
+    tables as they are (copy-on-write: the packed mains are shared and
+    later writes land in the live deltas, never in a shared image), so
+    the stamp is read from the snapshot's own tables, whose epochs
+    never move again. *)
 let snapshot t : snapshot =
   Mutex.protect t.lock (fun () ->
     let sdb = Relsql.Database.snapshot (Loader.database t.loader) in
-    { snap_engine = t; snap_db = sdb;
-      snap_data = Relsql.Database.data_version sdb;
-      snap_enc = Relsql.Database.enc_version sdb;
-      snap_delta = Relsql.Database.delta_version sdb })
+    { snap_engine = t; snap_db = sdb; snap_epoch = Relsql.Database.epoch sdb })
 
-let snapshot_stamp s = (s.snap_data, s.snap_enc, s.snap_delta)
+let snapshot_stamp s = s.snap_epoch
 
 (* Translate for a snapshot. A cached statement is accepted when its
    stamp equals the snapshot's capture stamp — per-snapshot validity:
@@ -564,18 +525,14 @@ let snapshot_prepare s (src : string) =
     in
     let key = options_fingerprint options ^ "\n" ^ src in
     let db = Loader.database t.loader in
-    let now =
-      (Relsql.Database.data_version db, Relsql.Database.enc_version db,
-       Relsql.Database.delta_version db)
-    in
+    let now = Relsql.Database.epoch db in
     match Relsql.Plan_cache.find t.cache key with
-    | Some (q, stmt, stamp)
-      when stamp = (s.snap_data, s.snap_enc, s.snap_delta) -> (q, stmt)
+    | Some (q, stmt, stamp) when stamp = s.snap_epoch -> (q, stmt)
     | (Some _ | None) as hit ->
       if hit <> None then Relsql.Plan_cache.note_stale t.cache;
       let q = Sparql.Parser.parse src in
       let stmt = translate ~options t q in
-      (* Stamp with the live version: correct for live callers at the
+      (* Stamp with the live epoch: correct for live callers at the
          same options; a snapshot at this stamp re-accepts it too. *)
       Relsql.Plan_cache.add t.cache key (q, stmt, now);
       (q, stmt))
@@ -639,4 +596,5 @@ let to_store ?(name = "DB2RDF") t : Store.t =
         (r, Some stats));
     explain = (fun q -> explain t q);
     update = (fun u -> update t u);
+    check = (fun () -> Relsql.Database.check (Loader.database t.loader));
   }

@@ -22,16 +22,10 @@ type options = {
           domain count at execution time; results are bit-identical
           for every setting) *)
   compress : bool;
-      (** freeze tables into bit-packed columnar storage after bulk
-          load (zone maps + word-at-a-time scans); purely physical,
-          results are bit-identical *)
-  merge_threshold : float;
-      (** under [compress], re-pack a frozen table after a write
-          statement only once its boxed delta side (rows + main
-          tombstones) exceeds this fraction of the packed main (with a
-          small absolute floor; default 0.25); writes between merges
-          stay delta-resident, see {!merge}. 0.0 merges after every
-          write statement; results are bit-identical at any setting *)
+      (** merge tables into bit-packed columnar storage (zone maps +
+          word-at-a-time scans) after bulk load, and after a write
+          statement whenever {!Relsql.Table.merge_due} says so; purely
+          physical, results are bit-identical *)
   wcoj : bool;
       (** allow the worst-case-optimal (leapfrog) multiway join:
           eligible conjunctive queries translate to the flat join form
@@ -119,20 +113,21 @@ val delete : t -> Rdf.Triple.t -> unit
 (** Apply a SPARQL UPDATE through the DB2RDF layout: the DATA forms
     drive the incremental insert/delete paths (dictionary growth, DPH /
     RPH slot placement with spill and multi-value maintenance,
-    tombstoned rows with index and statistics upkeep; under [compress]
-    the writes land in each frozen table's boxed delta side — no thaw,
-    no re-encode — and fold back into the packed main per
-    [merge_threshold]); [DELETE WHERE] evaluates its pattern through
+    tombstoned rows with index and statistics upkeep; the writes land
+    in each table's boxed delta — no re-encode — and under [compress]
+    fold into the packed main per {!Relsql.Table.merge_due});
+    [DELETE WHERE] evaluates its pattern through
     the engine's own query pipeline against the pre-update state and
     deletes the instantiated template triples. Serialized by the
     engine's writer lock: a concurrent {!snapshot} observes none or
     all of the statement. *)
 val update : t -> Sparql.Ast.update -> unit
 
-(** Eagerly fold every frozen table's delta back into its packed main
-    ({!Relsql.Database.merge_all} under the writer lock — the
+(** Under [compress], eagerly fold every table's delta into its packed
+    main ({!Relsql.Database.merge_all} under the writer lock — the
     [rdfstore merge] subcommand); returns how many tables actually
-    merged. Purely physical: results are bit-identical before and
+    merged. Does nothing on a store built without [compress], which
+    never packs. Purely physical: results are bit-identical before and
     after. *)
 val merge : t -> int
 
@@ -149,9 +144,8 @@ type snapshot
     it, bit-stably, while {!update} commits. *)
 val snapshot : t -> snapshot
 
-(** The [(data_version, enc_version, delta_version)] catalog stamp the
-    snapshot was captured at. *)
-val snapshot_stamp : snapshot -> int * int * int
+(** The {!Relsql.Database.epoch} the snapshot was captured at. *)
+val snapshot_stamp : snapshot -> int
 
 (** Evaluate a SPARQL string against the snapshot. Translation and
     decoding synchronize with the writer; execution runs unlocked on
@@ -164,10 +158,9 @@ val snapshot_query_string :
 
 (** Hit/miss/occupancy counters of the statement cache ({!query_string}
     reuses parsed+translated statements keyed by source text; entries
-    are stamped with the {!Relsql.Database.data_version} /
-    [enc_version] / [delta_version] triple and a stamp from before any
-    data change counts as a miss, because translation depends on
-    dataset statistics). *)
+    are stamped with the {!Relsql.Database.epoch} and a stamp from
+    before any data change counts as a miss, because translation
+    depends on dataset statistics). *)
 val plan_cache_stats : t -> Relsql.Plan_cache.stats
 
 (** Hit/miss/occupancy counters of the shared scan cache (see

@@ -143,7 +143,7 @@ let fresh_row st entity_id =
 
 (* Write one primary cell through {!Relsql.Table.set_cell}, adopting
    any relocation: under delta-main storage a write to a row of the
-   frozen main returns a fresh rid (the old slot is tombstoned), and
+   packed main returns a fresh rid (the old slot is tombstoned), and
    the entity's row list must follow it — substituted in place, so the
    head keeps identifying the entity's first (non-spill) row. Returns
    the row's current rid. *)

@@ -27,4 +27,5 @@ let to_store ?(name = "NativeRef") t : Store.t =
     analyze = (fun ?timeout q -> (query ?timeout t q, None));
     explain = (fun _ -> "native in-memory evaluation (no SQL)");
     update = (fun u -> Sparql.Ref_eval.apply_update t.graph u);
+    check = ignore;
   }

@@ -21,6 +21,10 @@ type t = {
   update : Sparql.Ast.update -> unit;
       (** Apply a SPARQL UPDATE. [DELETE WHERE] matches against the
           pre-update state. *)
+  check : unit -> unit;
+      (** Verify the store's structural invariants
+          ({!Relsql.Table.check} on every table); raises [Failure] on a
+          violation. *)
 }
 
 (** Build a store's [update] from its own query/insert/delete

@@ -49,7 +49,8 @@ let insert t (tr : Rdf.Triple.t) =
 let load t triples =
   List.iter (insert t) triples;
   Dict_table.sync t.dict_state t.dict;
-  if !Relsql.Database.default_compress then Relsql.Database.freeze_all t.db
+  if !Relsql.Database.default_compress then
+    ignore (Relsql.Database.merge_all t.db)
 
 (** Delete one triple (no-op when absent). *)
 let delete t (tr : Rdf.Triple.t) =
@@ -73,11 +74,13 @@ let delete t (tr : Rdf.Triple.t) =
     Dataset_stats.unrecord t.stats ~s ~p ~o
   | _ -> ()
 
-(* Keep the DICT table and (under [--compress]) the packed encoding in
-   step after an update statement, mirroring [load]'s epilogue. *)
+(* Keep the DICT table in step after an update statement and, under
+   [--compress], merge the tables whose delta is due — the engine's
+   write epilogue policy. *)
 let after_write t =
   Dict_table.sync t.dict_state t.dict;
-  if !Relsql.Database.default_compress then Relsql.Database.freeze_all t.db
+  if !Relsql.Database.default_compress then
+    ignore (Relsql.Database.merge_due t.db)
 
 let translate t (q : Sparql.Ast.query) : Relsql.Sql_ast.stmt =
   let pt = Sparql.Pattern_tree.of_query q in
@@ -122,4 +125,5 @@ let to_store ?(name = "TripleStore") t : Store.t =
         ~delete:(fun ts ->
           List.iter (delete t) ts;
           after_write t);
+    check = (fun () -> Relsql.Database.check t.db);
   }

@@ -60,7 +60,8 @@ let insert t (tr : Rdf.Triple.t) =
 let load t triples =
   List.iter (insert t) triples;
   Dict_table.sync t.dict_state t.dict;
-  if !Relsql.Database.default_compress then Relsql.Database.freeze_all t.db
+  if !Relsql.Database.default_compress then
+    ignore (Relsql.Database.merge_all t.db)
 
 (** Delete one triple (no-op when absent). *)
 let delete t (tr : Rdf.Triple.t) =
@@ -88,11 +89,13 @@ let delete t (tr : Rdf.Triple.t) =
 (** Number of predicate relations — the schema-explosion metric. *)
 let relation_count t = t.table_count
 
-(* Keep the DICT table and (under [--compress]) the packed encoding in
-   step after an update statement, mirroring [load]'s epilogue. *)
+(* Keep the DICT table in step after an update statement and, under
+   [--compress], merge the tables whose delta is due — the engine's
+   write epilogue policy. *)
 let after_write t =
   Dict_table.sync t.dict_state t.dict;
-  if !Relsql.Database.default_compress then Relsql.Database.freeze_all t.db
+  if !Relsql.Database.default_compress then
+    ignore (Relsql.Database.merge_due t.db)
 
 let translate t (q : Sparql.Ast.query) : Relsql.Sql_ast.stmt =
   let pt = Sparql.Pattern_tree.of_query q in
@@ -137,4 +140,5 @@ let to_store ?(name = "VertStore") t : Store.t =
         ~delete:(fun ts ->
           List.iter (delete t) ts;
           after_write t);
+    check = (fun () -> Relsql.Database.check t.db);
   }

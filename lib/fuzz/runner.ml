@@ -44,8 +44,9 @@ type results = Sparql.Ref_eval.results
     build bug (routing, partition order, NULL keys) surfaces as a
     divergence too.
 
-    [compressed] freezes every backend's tables into bit-packed
-    columnar storage after load while the oracle keeps evaluating the
+    [compressed] merges every backend's tables into bit-packed
+    columnar storage after load (and after writes, per the merge
+    policy) while the oracle keeps evaluating the
     graph directly — so any compressed-path bug (packing, zone-map
     pruning, word-at-a-time equality, posting run-length encoding)
     surfaces as a divergence against the uncompressed semantics.
@@ -344,7 +345,7 @@ let strip_modifiers q = { q with limit = None; offset = None }
 (** Run [q] on the oracle and every backend over [triples]. [domains]
     runs the backends in parallel-execution mode, [load_domains] builds
     them through the parallel bulk loader, [join_partitions] partitions
-    their hash-join builds, [compressed] freezes their tables into
+    their hash-join builds, [compressed] merges their tables into
     bit-packed columnar storage (the oracle is always sequential and
     uncompressed). *)
 let run_case ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
@@ -398,8 +399,9 @@ let graph_dump (g : Rdf.Graph.t) : string list =
 (** Replay an update script statement by statement. The reference graph
     applies {!Sparql.Ref_eval.apply_update}; every backend applies its
     own [update] (so [DELETE WHERE] runs through the backend's own
-    query pipeline). After each update statement, each backend's full
-    dump ([SELECT ?s ?p ?o]) — again through its own query path — is
+    query pipeline). After each update statement, each backend's
+    tables pass {!Relsql.Table.check} and its full dump
+    ([SELECT ?s ?p ?o]) — again through its own query path — is
     diffed against the reference graph; each SELECT statement is
     checked with the same equivalence as plain query fuzzing. Stops at
     the first divergent statement. *)
@@ -449,6 +451,13 @@ let run_script_case ?only ?domains ?load_domains ?join_partitions ?compressed
                      detail =
                        Printf.sprintf "stmt %d: update crash: %s" i
                          (Printexc.to_string e) });
+              (if !divergences = [] then
+                 match store.Db2rdf.Store.check () with
+                 | () -> ()
+                 | exception Failure msg ->
+                   push
+                     { backend = store.Db2rdf.Store.name;
+                       detail = Printf.sprintf "stmt %d: %s" i msg });
               if !divergences = [] then check_dump i store)
             stores
         | S_query q ->
@@ -496,7 +505,7 @@ type config = {
   domains : int;  (** backend execution parallelism (1 = sequential) *)
   load_domains : int;  (** bulk-load parallelism (1 = sequential) *)
   join_partitions : int;  (** hash-join build partitions (0 = auto) *)
-  compressed : bool;  (** freeze backend tables after load *)
+  compressed : bool;  (** merge backend tables into packed form *)
   wcoj : bool;  (** force the leapfrog join on DB2RDF backends *)
   extvp : bool;  (** force semi-join reductions on DB2RDF backends *)
   updates : bool;

@@ -24,8 +24,8 @@ type t = {
          scopes see (and warm) the same entries *)
   mutable extvp : Extvp.t option;
       (* semi-join-reduction registry; reduction tables resolve through
-         {!find} without ever entering the catalog (so {!data_version}
-         and statement stamps never see them), installed by the layer
+         {!find} without ever entering the catalog (so {!epoch} and
+         statement stamps never see them), installed by the layer
          that owns the DPH layout *)
 }
 
@@ -39,9 +39,9 @@ let default_parallelism = ref 1
     [--join-partitions] flag); 0 = auto. *)
 let default_join_partitions = ref 0
 
-(** When set (the CLI's [--compress] flag), store backends freeze their
-    tables into bit-packed columnar form after bulk load. Purely
-    physical — results are identical either way. *)
+(** When set (the CLI's [--compress] flag), store backends merge their
+    tables into bit-packed columnar form after bulk load and after
+    writes. Purely physical — results are identical either way. *)
 let default_compress = ref false
 
 (** When set (the CLI's [--wcoj] flag), databases adopt WCOJ planning at
@@ -92,8 +92,8 @@ let scan_cache t = t.scan_cache
 
 (** Install (or clear) the semi-join-reduction registry. Reduction
     tables resolve through {!find} on demand but never join the
-    catalog: {!data_version}, {!table_names} and {!freeze_all} do not
-    see them. *)
+    catalog: {!epoch}, {!table_names} and {!merge_all} do not see
+    them. *)
 let set_extvp t r = t.extvp <- r
 
 let extvp t = t.extvp
@@ -140,10 +140,26 @@ let rec is_materialized t name =
 
 let drop_table t name = Hashtbl.remove t.tables name
 
-(** Freeze every table in this scope (not the overlay parents) into
-    compressed columnar form — the bulk-load epilogue of [--compress]
-    runs. Subsequent writes thaw the touched table transparently. *)
-let freeze_all t = Hashtbl.iter (fun _ tbl -> Table.freeze tbl) t.tables
+(* Merge the tables of this scope (not the overlay parents) that pass
+   [due]; returns how many actually merged. *)
+let merge_where due t =
+  Hashtbl.fold
+    (fun _ tbl n ->
+      let before = Table.merge_count tbl in
+      if due tbl then Table.merge tbl;
+      n + (Table.merge_count tbl - before))
+    t.tables 0
+
+(** Fold every table's delta into its packed main — the bulk-load
+    epilogue of [--compress] stores and the eager [rdfstore merge]. *)
+let merge_all = merge_where (fun _ -> true)
+
+(** Merge the tables the {!Table.merge_due} policy selects — the write
+    epilogue of [--compress] stores. *)
+let merge_due = merge_where Table.merge_due
+
+(** {!Table.check} every table in this scope. *)
+let check t = Hashtbl.iter (fun _ tbl -> Table.check tbl) t.tables
 
 (** Per-table {!Table.compression_report}s for this scope, sorted by
     table name ([rdfstore stats]). *)
@@ -161,7 +177,7 @@ let compression_reports t =
     snapshot gets its own scan cache (caches are per-snapshot-valid;
     sharing one hash table across reader domains would race) and no
     reduction registry — reductions are recomputed from live state, a
-    snapshot answers from its frozen base tables. The WCOJ selector is
+    snapshot answers from its own base tables. The WCOJ selector is
     dropped too: it is a closure over the owner's live statistics, and
     a snapshot reader must not chase them while the writer mutates
     (WCOJ is a plan-shape knob, so results are unchanged). *)
@@ -184,16 +200,16 @@ let table_names t =
   in
   List.sort_uniq String.compare (collect t [])
 
-(** A stamp over the catalog's data: folds every table's name and
-    {!Table.version} (sorted, so hash iteration order is irrelevant).
-    Any insert/update/delete — and any table created or dropped —
-    changes the stamp, giving the engine's statement cache and the scan
-    cache one shared invalidation signal instead of ad-hoc clears. *)
-let data_version t =
+(** A stamp over the catalog: folds every table's name and
+    {!Table.epoch} (sorted, so hash iteration order is irrelevant). Any
+    insert/update/delete or merge — and any table created or dropped —
+    changes the stamp, giving the engine's statement cache and ExtVP
+    one shared invalidation signal instead of ad-hoc clears. *)
+let epoch t =
   let items = ref [] in
   let rec collect t =
     Hashtbl.iter
-      (fun name tbl -> items := (name, Table.version tbl) :: !items)
+      (fun name tbl -> items := (name, Table.epoch tbl) :: !items)
       t.tables;
     match t.parent with Some p -> collect p | None -> ()
   in
@@ -202,50 +218,3 @@ let data_version t =
     (fun acc (name, v) -> (acc * 31) + Hashtbl.hash name + (v * 7))
     (17 + List.length !items)
     (List.sort compare !items)
-
-(** Companion stamp over the catalog's physical encodings: folds every
-    table's {!Table.enc_epoch}. Freezing or thawing changes it while
-    {!data_version} stays put — the reduction registry stamps on both,
-    so [--compress] stores rebuild packed reductions after a freeze. *)
-let enc_version t =
-  let items = ref [] in
-  let rec collect t =
-    Hashtbl.iter
-      (fun name tbl -> items := (name, Table.enc_epoch tbl) :: !items)
-      t.tables;
-    match t.parent with Some p -> collect p | None -> ()
-  in
-  collect t;
-  List.fold_left
-    (fun acc (name, v) -> (acc * 31) + Hashtbl.hash name + (v * 7))
-    (19 + List.length !items)
-    (List.sort compare !items)
-
-(** Third stamp over the catalog: folds every table's
-    {!Table.delta_epoch}. Delta-side writes of frozen tables and
-    delta-into-main merges change it without the cost of a re-encode —
-    caches stamp on the [(data, enc, delta)] triple. *)
-let delta_version t =
-  let items = ref [] in
-  let rec collect t =
-    Hashtbl.iter
-      (fun name tbl -> items := (name, Table.delta_epoch tbl) :: !items)
-      t.tables;
-    match t.parent with Some p -> collect p | None -> ()
-  in
-  collect t;
-  List.fold_left
-    (fun acc (name, v) -> (acc * 31) + Hashtbl.hash name + (v * 7))
-    (23 + List.length !items)
-    (List.sort compare !items)
-
-(** Fold the delta side of every frozen table in this scope back into
-    its packed main ({!Table.merge}); returns how many tables actually
-    merged. The eager [rdfstore merge] / [Engine.merge] entry point. *)
-let merge_all t =
-  Hashtbl.fold
-    (fun _ tbl n ->
-      let before = Table.merge_count tbl in
-      Table.merge tbl;
-      n + (Table.merge_count tbl - before))
-    t.tables 0

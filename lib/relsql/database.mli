@@ -16,9 +16,10 @@ val default_parallelism : int ref
     0 = auto (sized from the domain count at execution time). *)
 val default_join_partitions : int ref
 
-(** When set (the CLI's [--compress] flag), store backends freeze their
-    tables into bit-packed columnar form after bulk load. Purely
-    physical — results are identical either way. *)
+(** When set (the CLI's [--compress] flag), store backends merge their
+    tables into bit-packed columnar form after bulk load and, per
+    {!Table.merge_due}, after writes. Purely physical — results are
+    identical either way. *)
 val default_compress : bool ref
 
 (** When set (the CLI's [--wcoj] flag), databases adopt WCOJ planning
@@ -76,8 +77,8 @@ val scan_cache : t -> Scan_cache.t
 
 (** Install (or clear) the semi-join-reduction registry
     (see {!Extvp}). Reduction tables resolve through {!find} lazily but
-    never enter the catalog — {!data_version}, {!table_names} and
-    {!freeze_all} do not see them. Overlays alias their parent's
+    never enter the catalog — {!epoch}, {!table_names} and
+    {!merge_all} do not see them. Overlays alias their parent's
     registry at creation. *)
 val set_extvp : t -> Extvp.t option -> unit
 
@@ -94,17 +95,20 @@ val is_materialized : t -> string -> bool
 val drop_table : t -> string -> unit
 val table_names : t -> string list
 
-(** Freeze every table in this scope (not overlay parents) into
-    compressed columnar form ({!Table.freeze}) — the bulk-load epilogue
-    of [--compress] runs. Later writes land in each table's boxed delta
-    side; {!merge_all} (or the per-table threshold policy) folds them
-    back in. *)
-val freeze_all : t -> unit
-
-(** Fold every frozen table's delta back into its packed main
-    ({!Table.merge}); returns the number of tables that actually
-    merged. The eager compaction behind [rdfstore merge]. *)
+(** Fold every table's delta in this scope (not overlay parents) into
+    its packed main ({!Table.merge}); returns the number of tables that
+    actually merged. The bulk-load epilogue of [--compress] stores and
+    the eager compaction behind [rdfstore merge]. *)
 val merge_all : t -> int
+
+(** Merge only the tables whose delta {!Table.merge_due} selects;
+    returns how many merged. The write epilogue of [--compress]
+    stores. *)
+val merge_due : t -> int
+
+(** {!Table.check} every table in this scope (not overlay parents);
+    raises [Failure] on the first violation. *)
+val check : t -> unit
 
 (** Per-table {!Table.compression_report}s for this scope, sorted by
     table name. *)
@@ -115,24 +119,13 @@ val compression_reports : t -> Table.compression_report list
     can keep executing against the snapshot while a writer commits to
     [db] — later writes land in the live tables' private delta sides
     and never disturb the view. The snapshot has its own scan cache (cache
-    entries are keyed per table version, i.e. per-snapshot-valid), no
+    entries are keyed per table epoch, i.e. per-snapshot-valid), no
     reduction registry, and no WCOJ selector (a closure over the
     owner's live statistics). *)
 val snapshot : t -> t
 
-(** A stamp over the catalog's data, folded from every table's name and
-    {!Table.version}: changes whenever any table's data changes or a
-    table is created/dropped. One shared invalidation signal for the
-    engine's statement cache and the scan cache. *)
-val data_version : t -> int
-
-(** Companion stamp over physical encodings, folded from every table's
-    {!Table.enc_epoch}: changes on freeze/thaw while {!data_version}
-    stays put. The reduction registry stamps on both. *)
-val enc_version : t -> int
-
-(** Third stamp, folded from every table's {!Table.delta_epoch}:
-    changes on delta-side writes of frozen tables and on merges,
-    without charging the write a re-encode. Scan, statement and
-    reduction caches stamp on the [(data, enc, delta)] triple. *)
-val delta_version : t -> int
+(** A stamp over the catalog, folded from every table's name and
+    {!Table.epoch}: changes whenever any table's data changes, a table
+    merges, or a table is created/dropped. One shared invalidation
+    signal for the engine's statement cache and ExtVP reductions. *)
+val epoch : t -> int

@@ -304,7 +304,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
      | None ->
        let t = Database.find_exn db table in
        (* Fused filter/projection scans consult the shared scan cache:
-          the key embeds the table version, so a hit is valid by
+          the key embeds the table epoch, so a hit is valid by
           construction and a stale entry simply ages out. Raw full
           scans are not cached (the entry would be a copy of the
           table). Both the stored and the served batch are private
@@ -314,9 +314,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
          if filter = None && cols = None then None
          else
            Some
-             (Scan_cache.key ~table ~version:(Table.version t)
-                ~enc:(Table.enc_epoch t) ~delta:(Table.delta_epoch t)
-                ~filter ~cols)
+             (Scan_cache.key ~table ~epoch:(Table.epoch t) ~filter ~cols)
        in
        (match Option.bind ckey (Scan_cache.find scache) with
         | Some hit ->
@@ -364,262 +362,193 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
          | None -> layout
          | Some cs -> Array.of_list (List.map (fun n -> (Some alias, n)) cs)
        in
-       (match Table.packed_view t with
-        | Some pk ->
-          (* Compressed scan over the frozen bit-packed image: zone maps
-             veto whole blocks, an extracted [col = const] conjunct
-             drives the column word-at-a-time (SWAR), and only surviving
-             rows decode — and only the columns the projection or the
-             compiled predicate actually reads. The full predicate is
-             re-applied to every decoded row, so pruning is purely an
-             optimization and the output is identical to the boxed
-             scan's. *)
-          let arity = Schema.arity (Table.schema t) in
-          (* A filter made only of (in)equalities, NULL tests and IN
-             lists over columns evaluates on raw packed fields — no
-             decode at all for rejected rows, and survivors then decode
-             only the projected columns. Preferred form is the block
-             evaluator (one SWAR word scan per leaf per block, bitmaps
-             combined bitwise); filters whose leaves need the CASE
-             handling fall back to the per-row code predicate, and
-             everything else to decoded evaluation. *)
-          let bpred =
-            match filter with
-            | None -> None
-            | Some e -> Packed.compile_block_pred pk layout e
-          in
-          let cpred =
-            match (filter, bpred) with
-            | None, _ | _, Some _ -> None
-            | Some e, None -> Packed.compile_code_pred pk layout e
-          in
-          let code_filtered = bpred <> None || cpred <> None in
-          (* The decoded-row predicate is only compiled when no code-
-             level predicate could take over the whole filter. *)
-          let keep =
-            if code_filtered then fun _ -> true else compile_keep ()
-          in
-          let needed =
-            match sel with
-            | None -> Array.init arity (fun i -> i)
-            | Some sel ->
-              let refs =
-                match filter with
-                | None -> []
-                | Some _ when code_filtered -> []
-                | Some e -> Expr_eval.referenced_cols layout e
-              in
-              Array.of_list
-                (List.sort_uniq compare (Array.to_list sel @ refs))
-          in
-          let zone_ok =
-            match filter with
-            | Some e -> Packed.compile_zone_filter pk layout e
-            | None -> fun _ -> true
-          in
-          let pre =
-            match filter with
-            | Some e -> Packed.eq_prefilter pk layout e
-            | None -> None
-          in
-          let bs = Packed.block_rows in
-          let nslots = Table.slot_count t in
-          (* The packed image only covers the frozen main — slots below
-             [mbase]. Slots at or above it are boxed delta rows, swept
-             by a separate decoded pass after the packed one (delta
-             rids follow main rids, so output order is still rid
-             order). *)
-          let mbase = Table.main_slots t in
-          (* Private scratch and push state per call, so parallel
-             morsels never share mutable rows. Positions outside
-             [needed] stay stale in the scratch; neither [keep] nor the
-             projection reads them. *)
-          let scan_range out lo hi =
-            let push = make_push () in
-            let scratch = Array.make arity Value.Null in
-            let skipped = ref 0 and unpacked = ref 0 and tombs = ref 0 in
-            let emit rid =
-              incr unpacked;
-              Packed.read_cols pk rid needed scratch;
-              push out scratch
-            in
-            let visit =
-              match cpred with
-              | Some cp ->
-                fun rid ->
-                  if Table.is_live t rid then begin
-                    if cp rid then emit rid
-                  end
-                  else incr tombs
-              | None ->
-                fun rid ->
-                  if Table.is_live t rid then begin
-                    incr unpacked;
-                    Packed.read_cols pk rid needed scratch;
-                    if keep scratch then push out scratch
-                  end
-                  else incr tombs
-            in
-            (* The block evaluator (and its scratch bitmaps) is private
-               to this call: parallel morsels never share it. *)
-            let beval = Option.map (fun mk -> mk ()) bpred in
-            for bi = lo / bs to (hi - 1) / bs do
-              let blo = max lo (bi * bs) and bhi = min hi ((bi + 1) * bs) in
-              if not (zone_ok bi) then incr skipped
-              else
-                match beval with
-                | Some bev ->
-                  let bm = bev blo bhi in
-                  for wi = 0 to (bhi - blo - 1) / 63 do
-                    let bits = ref bm.(wi) in
-                    if !bits <> 0 then begin
-                      let base = blo + (wi * 63) in
-                      let fi = ref 0 in
-                      while !bits <> 0 do
-                        if !bits land 1 = 1 then begin
-                          let rid = base + !fi in
-                          if Table.is_live t rid then emit rid
-                          else incr tombs
-                        end;
-                        bits := !bits lsr 1;
-                        incr fi
-                      done
-                    end
-                  done
-                | None -> (
-                  match pre with
-                  | Some (pos, codes) ->
-                    Packed.iter_eq pk pos codes blo bhi visit
-                  | None ->
-                    for rid = blo to bhi - 1 do
-                      visit rid
-                    done)
-            done;
-            (!skipped, !unpacked, !tombs)
-          in
-          (* Sweep the boxed delta side with the decoded predicate —
-             code/block predicates only understand packed fields, so
-             the delta compiles its own. Bounded by the merge policy,
-             this pass is small. *)
-          let scan_delta out =
-            if nslots <= mbase then 0
-            else begin
-              let push = make_push () in
-              let keep_d = if code_filtered then compile_keep () else keep in
-              let visited = ref 0 in
-              Table.iter_range
-                (fun _ row ->
-                  incr visited;
-                  if keep_d row then push out row)
-                t mbase nslots;
-              !visited
-            end
-          in
-          let settle skipped unpacked tombs delta =
-            stats.Opstats.blocks_skipped <-
-              stats.Opstats.blocks_skipped + skipped;
-            stats.Opstats.rows_unpacked <-
-              stats.Opstats.rows_unpacked + unpacked;
-            stats.Opstats.tombstones_skipped <-
-              stats.Opstats.tombstones_skipped + tombs;
-            stats.Opstats.delta_rows <- stats.Opstats.delta_rows + delta;
-            stats.Opstats.rows_in <-
-              stats.Opstats.rows_in + unpacked + delta;
-            tick_bulk ticker (unpacked + delta)
-          in
-          (* Align morsels to block boundaries so zone pruning and the
-             word-at-a-time pass never split a block across workers.
-             Only the packed main morselizes; the delta sweep is
-             sequential. *)
-          let morsels =
-            match morsels_for ctx.pool mbase with
-            | None -> None
-            | Some (_, msize) ->
-              let msize = (msize + bs - 1) / bs * bs in
-              let m = (mbase + msize - 1) / msize in
-              if m <= 1 then None else Some (m, msize)
-          in
-          (match morsels with
-           | Some (m, msize) ->
-             let parts = Array.make m (Batch.create ~capacity:1 out_layout) in
-             let skips = Array.make m 0 and unpacks = Array.make m 0 in
-             let tombs = Array.make m 0 in
-             par_section stats ctx.pool ~morsels:m (fun ~worker:_ i ->
-                 check_deadline ticker;
-                 let lo = i * msize and hi = min mbase ((i + 1) * msize) in
-                 let out =
-                   Batch.create ~capacity:(min 1024 (hi - lo)) out_layout
-                 in
-                 let s, u, tb = scan_range out lo hi in
-                 skips.(i) <- s;
-                 unpacks.(i) <- u;
-                 tombs.(i) <- tb;
-                 parts.(i) <- out);
-             let out = Batch.concat out_layout parts in
-             let d = scan_delta out in
-             settle
-               (Array.fold_left ( + ) 0 skips)
-               (Array.fold_left ( + ) 0 unpacks)
-               (Array.fold_left ( + ) 0 tombs)
-               d;
-             Option.iter (fun k -> Scan_cache.add scache k out) ckey;
-             finish out
-           | None ->
-             let out =
-               Batch.create ~capacity:(min 1024 (Table.row_count t)) out_layout
+       (* One slot space, two passes in rid order: the packed main
+          (slots below [mbase]), then the boxed delta above it. On the
+          main, zone maps veto whole blocks, an extracted
+          [col = const] conjunct drives the column word-at-a-time
+          (SWAR), and only surviving rows decode — and only the columns
+          the projection or the compiled predicate actually reads. The
+          full predicate is re-applied to every decoded row, so pruning
+          is purely an optimization and the output is identical to a
+          boxed scan's. Packed predicates compile only when the main is
+          non-empty, so a never-merged table pays nothing for them. *)
+       let arity = Schema.arity (Table.schema t) in
+       let pk = Table.packed_view t in
+       let mbase = Table.main_slots t in
+       let nslots = Table.slot_count t in
+       (* A filter made only of (in)equalities, NULL tests and IN lists
+          over columns evaluates on raw packed fields — no decode at all
+          for rejected rows, and survivors then decode only the
+          projected columns. Preferred form is the block evaluator (one
+          SWAR word scan per leaf per block, bitmaps combined bitwise);
+          filters whose leaves need the CASE handling fall back to the
+          per-row code predicate, and everything else to decoded
+          evaluation. *)
+       let bpred, cpred =
+         match filter with
+         | Some e when mbase > 0 ->
+           (match Packed.compile_block_pred pk layout e with
+            | Some _ as b -> (b, None)
+            | None -> (None, Packed.compile_code_pred pk layout e))
+         | _ -> (None, None)
+       in
+       let code_filtered = bpred <> None || cpred <> None in
+       (* The decoded-row predicate serves the delta, and the main when
+          no code-level predicate took over the whole filter. *)
+       let keep =
+         if code_filtered && nslots = mbase then fun _ -> true
+         else compile_keep ()
+       in
+       let needed =
+         if mbase = 0 then [||]
+         else
+           match sel with
+           | None -> Array.init arity (fun i -> i)
+           | Some sel ->
+             let refs =
+               match filter with
+               | None -> []
+               | Some _ when code_filtered -> []
+               | Some e -> Expr_eval.referenced_cols layout e
              in
-             let s, u, tb = scan_range out 0 mbase in
-             let d = scan_delta out in
-             settle s u tb d;
-             Option.iter (fun k -> Scan_cache.add scache k out) ckey;
-             finish out)
-        | None ->
-       let keep = compile_keep () in
-       (match morsels_for ctx.pool (Table.slot_count t) with
-        | Some (m, msize) ->
-          (* Morselized scan: each morsel filters/projects a row-slot
-             range into a private batch; concatenating the batches in
-             morsel order reproduces the sequential row order. *)
-          let nslots = Table.slot_count t in
-          let parts = Array.make m (Batch.create ~capacity:1 out_layout) in
-          let seen = Array.make m 0 in
-          par_section stats ctx.pool ~morsels:m (fun ~worker:_ i ->
-              check_deadline ticker;
-              let lo = i * msize and hi = min nslots ((i + 1) * msize) in
-              let out =
-                Batch.create ~capacity:(min 1024 (hi - lo)) out_layout
-              in
-              let push = make_push () in
-              let live = ref 0 in
-              Table.iter_range
-                (fun _ row ->
-                  incr live;
-                  if keep row then push out row)
-                t lo hi;
-              seen.(i) <- !live;
-              parts.(i) <- out);
-          let total = Array.fold_left ( + ) 0 seen in
-          stats.Opstats.rows_in <- stats.Opstats.rows_in + total;
-          tick_bulk ticker total;
-          let out = Batch.concat out_layout parts in
-          Option.iter (fun k -> Scan_cache.add scache k out) ckey;
-          finish out
-        | None ->
-          (* Cap the initial capacity: a selective filter over a wide
-             table (DPH is ~50 columns) would otherwise pre-allocate the
-             full table footprint for a handful of surviving rows. *)
-          let out =
-            Batch.create ~capacity:(min 1024 (Table.row_count t)) out_layout
-          in
-          let push = make_push () in
-          Table.iter
-            (fun _ row ->
-              tick ticker;
-              stats.Opstats.rows_in <- stats.Opstats.rows_in + 1;
-              if keep row then push out row)
-            t;
-          Option.iter (fun k -> Scan_cache.add scache k out) ckey;
-          finish out))))
+             Array.of_list (List.sort_uniq compare (Array.to_list sel @ refs))
+       in
+       let zone_ok, pre =
+         match filter with
+         | Some e when mbase > 0 ->
+           (Packed.compile_zone_filter pk layout e, Packed.eq_prefilter pk layout e)
+         | _ -> ((fun _ -> true), None)
+       in
+       let bs = Packed.block_rows in
+       (* Private scratch and push state per call, so parallel morsels
+          never share mutable rows. Positions outside [needed] stay
+          stale in the scratch; neither [keep] nor the projection reads
+          them. *)
+       let scan_range out lo hi =
+         let push = make_push () in
+         let skipped = ref 0 and unpacked = ref 0 and tombs = ref 0 in
+         let mhi = min hi mbase in
+         if lo < mhi then begin
+           let scratch = Array.make arity Value.Null in
+           let emit rid =
+             incr unpacked;
+             Packed.read_cols pk rid needed scratch;
+             push out scratch
+           in
+           let visit =
+             match cpred with
+             | Some cp ->
+               fun rid ->
+                 if Table.is_live t rid then begin
+                   if cp rid then emit rid
+                 end
+                 else incr tombs
+             | None ->
+               fun rid ->
+                 if Table.is_live t rid then begin
+                   incr unpacked;
+                   Packed.read_cols pk rid needed scratch;
+                   if keep scratch then push out scratch
+                 end
+                 else incr tombs
+           in
+           (* The block evaluator (and its scratch bitmaps) is private
+              to this call: parallel morsels never share it. *)
+           let beval = Option.map (fun mk -> mk ()) bpred in
+           for bi = lo / bs to (mhi - 1) / bs do
+             let blo = max lo (bi * bs) and bhi = min mhi ((bi + 1) * bs) in
+             if not (zone_ok bi) then incr skipped
+             else
+               match beval with
+               | Some bev ->
+                 let bm = bev blo bhi in
+                 for wi = 0 to (bhi - blo - 1) / 63 do
+                   let bits = ref bm.(wi) in
+                   if !bits <> 0 then begin
+                     let base = blo + (wi * 63) in
+                     let fi = ref 0 in
+                     while !bits <> 0 do
+                       if !bits land 1 = 1 then begin
+                         let rid = base + !fi in
+                         if Table.is_live t rid then emit rid
+                         else incr tombs
+                       end;
+                       bits := !bits lsr 1;
+                       incr fi
+                     done
+                   end
+                 done
+               | None -> (
+                 match pre with
+                 | Some (pos, codes) -> Packed.iter_eq pk pos codes blo bhi visit
+                 | None ->
+                   for rid = blo to bhi - 1 do
+                     visit rid
+                   done)
+           done
+         end;
+         (* The boxed delta: code/block predicates only understand
+            packed fields, so it runs the decoded predicate. *)
+         let delta = ref 0 in
+         Table.iter_range
+           (fun _ row ->
+             incr delta;
+             if !delta land 8191 = 0 then check_deadline ticker;
+             if keep row then push out row)
+           t (max lo mbase) hi;
+         (!skipped, !unpacked, !tombs, !delta)
+       in
+       let settle (skipped, unpacked, tombs, delta) =
+         stats.Opstats.blocks_skipped <- stats.Opstats.blocks_skipped + skipped;
+         stats.Opstats.rows_unpacked <- stats.Opstats.rows_unpacked + unpacked;
+         stats.Opstats.tombstones_skipped <-
+           stats.Opstats.tombstones_skipped + tombs;
+         stats.Opstats.delta_rows <- stats.Opstats.delta_rows + delta;
+         stats.Opstats.rows_in <- stats.Opstats.rows_in + unpacked + delta;
+         tick_bulk ticker (unpacked + delta)
+       in
+       (* Morsels cover every slot; over a packed main they align to
+          block boundaries so zone pruning and the word-at-a-time pass
+          never split a block across workers. Concatenating the morsel
+          batches in order reproduces the sequential rid order. *)
+       let morsels =
+         match morsels_for ctx.pool nslots with
+         | Some (_, msize) when mbase > 0 ->
+           let msize = (msize + bs - 1) / bs * bs in
+           let m = (nslots + msize - 1) / msize in
+           if m <= 1 then None else Some (m, msize)
+         | ms -> ms
+       in
+       let out =
+         match morsels with
+         | Some (m, msize) ->
+           let parts = Array.make m (Batch.create ~capacity:1 out_layout) in
+           let counts = Array.make m (0, 0, 0, 0) in
+           par_section stats ctx.pool ~morsels:m (fun ~worker:_ i ->
+               check_deadline ticker;
+               let lo = i * msize and hi = min nslots ((i + 1) * msize) in
+               let out = Batch.create ~capacity:(min 1024 (hi - lo)) out_layout in
+               counts.(i) <- scan_range out lo hi;
+               parts.(i) <- out);
+           settle
+             (Array.fold_left
+                (fun (s, u, tb, d) (s', u', tb', d') ->
+                  (s + s', u + u', tb + tb', d + d'))
+                (0, 0, 0, 0) counts);
+           Batch.concat out_layout parts
+         | None ->
+           (* Cap the initial capacity: a selective filter over a wide
+              table (DPH is ~50 columns) would otherwise pre-allocate
+              the full table footprint for a handful of surviving
+              rows. *)
+           let out =
+             Batch.create ~capacity:(min 1024 (Table.row_count t)) out_layout
+           in
+           settle (scan_range out 0 nslots);
+           out
+       in
+       Option.iter (fun k -> Scan_cache.add scache k out) ckey;
+       finish out))
   | Planner.Index_lookup { table; alias; col; keys; filter; cols } ->
     let t = Database.find_exn db table in
     let layout = table_layout t alias in
@@ -649,22 +578,24 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
       | None -> layout
       | Some cs -> Array.of_list (List.map (fun n -> (Some alias, n)) cs)
     in
-    (* Frozen tables decode probed rows into a reused scratch — and only
+    (* Rids in the packed main decode into a reused scratch — and only
        the columns the filter or projection reads. A filter that
        compiles to a code predicate is tested on the raw packed fields
        first, so rejected rows decode nothing at all. Rids at or above
-       the frozen main live in the boxed delta: the packed image (and
-       its code predicates) does not cover them, so those dispatch to a
-       decoded-row check. *)
+       the main live in the boxed delta: the packed image (and its code
+       predicates) does not cover them, so those take a decoded-row
+       check. *)
+    let keep = compile_keep () in
+    let delta out rid =
+      stats.Opstats.delta_rows <- stats.Opstats.delta_rows + 1;
+      let row = Table.get t rid in
+      if keep row then push out row
+    in
+    let mbase = Table.main_slots t in
     let handle_rid =
-      match Table.packed_view t with
-      | None ->
-        let keep = compile_keep () in
-        fun out rid ->
-          let row = Table.get t rid in
-          if keep row then push out row
-      | Some pk ->
-        let mbase = Table.main_slots t in
+      if mbase = 0 then delta
+      else begin
+        let pk = Table.packed_view t in
         let arity = Schema.arity (Table.schema t) in
         let code_keep =
           match filter with
@@ -686,29 +617,24 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
             Array.of_list (List.sort_uniq compare (sel @ refs))
         in
         let scratch = Array.make arity Value.Null in
-        let keep = compile_keep () in
-        let delta out rid =
-          stats.Opstats.delta_rows <- stats.Opstats.delta_rows + 1;
-          let row = Table.get t rid in
-          if keep row then push out row
-        in
-        (match code_keep with
-         | Some cp ->
-           fun out rid ->
-             if rid < mbase then begin
-               if cp rid then begin
-                 Packed.read_cols pk rid needed scratch;
-                 push out scratch
-               end
-             end
-             else delta out rid
-         | None ->
-           fun out rid ->
-             if rid < mbase then begin
-               Packed.read_cols pk rid needed scratch;
-               if keep scratch then push out scratch
-             end
-             else delta out rid)
+        match code_keep with
+        | Some cp ->
+          fun out rid ->
+            if rid < mbase then begin
+              if cp rid then begin
+                Packed.read_cols pk rid needed scratch;
+                push out scratch
+              end
+            end
+            else delta out rid
+        | None ->
+          fun out rid ->
+            if rid < mbase then begin
+              Packed.read_cols pk rid needed scratch;
+              if keep scratch then push out scratch
+            end
+            else delta out rid
+      end
     in
     let out = Batch.create out_layout in
     let probe = Table.prober t pos in
@@ -762,9 +688,11 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
        raw packed fields before any decode; a successful compile also
        proves the residual references the inner table alone, so the
        decoded-row predicate is never built. *)
+    let inner_mbase = Table.main_slots t in
     let inner_code_keep =
-      match (Table.packed_view t, residual) with
-      | Some pk, Some e -> Packed.compile_code_pred pk inner_table_layout e
+      match residual with
+      | Some e when inner_mbase > 0 ->
+        Packed.compile_code_pred (Table.packed_view t) inner_table_layout e
       | _ -> None
     in
     let inner_keep, cross_keep =
@@ -785,17 +713,16 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
     in
     let ow = Batch.width o and iw = Array.length inner_layout in
     let no = Batch.length o in
-    (* Frozen inner tables decode probed rows into a reused scratch —
+    (* Inner rids in the packed main decode into a reused scratch —
        only the projected columns plus whatever the inner-side residual
        reads. Each caller makes its own reader: parallel morsels must
-       not share the scratch. Probed rids at or above the frozen main
-       are boxed delta rows the packed image does not cover; those read
-       through {!Table.get}. *)
-    let inner_mbase = Table.main_slots t in
+       not share the scratch. Rids at or above the main are boxed delta
+       rows the packed image does not cover; those read through
+       {!Table.get}. *)
     let make_read_inner =
-      match Table.packed_view t with
-      | None -> fun () rid -> Table.get t rid
-      | Some pk ->
+      if inner_mbase = 0 then fun () rid -> Table.get t rid
+      else begin
+        let pk = Table.packed_view t in
         let refs =
           match (residual, inner_code_keep) with
           | None, _ | _, Some _ -> []
@@ -814,6 +741,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
               scratch
             end
             else Table.get t rid
+      end
     in
     let out =
       match cross_keep, key with

@@ -10,7 +10,7 @@
 
     The registry below owns lifecycle, not contents: the storage layer
     installs a [builder] (which knows the DPH layout), a [stamp]
-    function (the catalog's data/encoding/delta versions) and a cheap
+    function (the catalog's epoch) and a cheap
     statistics [estimator]. Reductions are built lazily on first
     resolve, kept only when their measured selectivity is below
     [threshold] (S2RDF's ScaleUB, default 0.25), LRU-evicted beyond a
@@ -59,7 +59,7 @@ let key_of_name n =
 
 type entry = {
   e_table : Table.t;
-  e_stamp : int * int * int;
+  e_stamp : int;
   e_bytes : int;
   e_sel : float;
   mutable e_last_use : int;
@@ -80,10 +80,10 @@ type counters = {
 
 type t = {
   entries : (string, entry) Hashtbl.t;
-  rejected : (string, (int * int * int) * float) Hashtbl.t;
+  rejected : (string, int * float) Hashtbl.t;
       (* measured-too-coarse reductions, memoized per stamp so the
          planner stops asking until the data changes *)
-  mutable last_rejected : (string * (int * int * int) * Table.t) option;
+  mutable last_rejected : (string * int * Table.t) option;
       (* one-slot scratch: a cached statement may keep referencing a
          reduction whose measured selectivity failed the threshold;
          serving the last such build prevents a rebuild per execution *)
@@ -93,7 +93,7 @@ type t = {
       (* differential-testing mode: always advisable, always retained *)
   mutable builder : (key -> Table.t * int * int) option;
       (* key -> (reduction, source rows, kept rows) *)
-  mutable stamp_fn : (unit -> int * int * int) option;
+  mutable stamp_fn : (unit -> int) option;
   mutable estimator : (key -> float) option;
   mutable on_invalidate : unit -> unit;
   mutable tick : int;

@@ -6,9 +6,9 @@
     variable order. Matching rows come from the table's existing
     hash-index postings when a constant column is indexed (the int-array
     posting is the "sorted iterator" seed — DPH/RPH entry lookups), and
-    from a full row iteration otherwise; frozen tables decode cells
-    lazily from the bit-packed image ({!Table.iter} / {!Table.cell}
-    route through {!Packed}), so building a trie never thaws a table.
+    from a full row iteration otherwise; rows of a table's packed main
+    decode lazily ({!Table.iter} / {!Table.cell} route through
+    {!Packed}), so building a trie never re-encodes a table.
 
     The join then intersects one variable at a time in [var_order]:
     all participating atoms leapfrog (seek to the maximum current key,

@@ -33,9 +33,9 @@ type t = {
   mutable rows_unpacked : int;
       (** live rows decompressed by the packed scan (post-skip) *)
   mutable delta_rows : int;
-      (** boxed delta-side rows a frozen-table scan/probe visited *)
+      (** boxed delta-side rows a scan/probe visited *)
   mutable tombstones_skipped : int;
-      (** rows a frozen-table scan skipped via the tombstone bitmap *)
+      (** packed-main rows a scan skipped via the tombstone bitmap *)
   mutable est_rows : int;
       (** planner's output-cardinality estimate (-1 = not recorded);
           EXPLAIN ANALYZE reports it against [rows_out] as a q-error *)

@@ -66,6 +66,9 @@ type col = {
 
 type t = { nrows : int; cols : col array }
 
+(** The image of no rows: a table's main before its first merge. *)
+let empty = { nrows = 0; cols = [||] }
+
 let nrows t = t.nrows
 let ncols t = Array.length t.cols
 let block_count t = (t.nrows + block_rows - 1) / block_rows
@@ -365,6 +368,51 @@ let iter_eq_col c (codes : int array) lo hi (f : int -> unit) =
   end
 
 let iter_eq t pos codes lo hi f = iter_eq_col t.cols.(pos) codes lo hi f
+
+(** [check_zones t ~live] verifies that every zone map still covers the
+    live cells of its block: counts are upper bounds (tombstones only
+    ever remove cells) and every value lies inside its ranges. *)
+let check_zones t ~(live : int -> bool) =
+  let error = ref None in
+  Array.iteri
+    (fun pos c ->
+      Array.iteri
+        (fun bi z ->
+          let lo = bi * block_rows and hi = min t.nrows ((bi + 1) * block_rows) in
+          let nonnull = ref 0 and nulls = ref 0 and nnum = ref 0 in
+          for rid = lo to hi - 1 do
+            if live rid && !error = None then begin
+              let v = decode_code c (code_at c rid) in
+              let outside () =
+                error :=
+                  Some
+                    (Printf.sprintf "column %d block %d: live cell %s outside its zone"
+                       pos bi (Value.to_string v))
+              in
+              if Value.is_null v then incr nulls
+              else begin
+                incr nonnull;
+                if Value.compare v z.z_lo < 0 || Value.compare v z.z_hi > 0 then outside ();
+                match Value.as_float v with
+                | Some x ->
+                  incr nnum;
+                  if Float.is_nan x then (if not z.z_has_nan then outside ())
+                  else if x < z.z_num_lo || x > z.z_num_hi then outside ()
+                | None -> ()
+              end
+            end
+          done;
+          if !error = None && (!nonnull > z.z_nonnull || !nulls > z.z_nulls || !nnum > z.z_nnum)
+          then
+            error :=
+              Some
+                (Printf.sprintf
+                   "column %d block %d: %d/%d/%d live non-null/null/numeric cells, zone \
+                    counts %d/%d/%d"
+                   pos bi !nonnull !nulls !nnum z.z_nonnull z.z_nulls z.z_nnum))
+        c.zones)
+    t.cols;
+  match !error with None -> Ok () | Some m -> Error m
 
 (* ------------------------------------------------------------------ *)
 (* Zone-map predicate pruning                                          *)

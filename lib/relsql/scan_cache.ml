@@ -3,15 +3,14 @@
     Star-join SQL re-reads the same tables with the same fused
     filter/projection across queries (and across repeated runs of one
     query); when nothing changed, re-scanning is pure waste. An entry is
-    keyed by the table's {e name and version} plus the physical encoding
-    epoch plus a fingerprint of the (filter, columns) pair, so the key
-    itself encodes validity: any insert/update/delete bumps
-    {!Table.version}, a freeze/thaw bumps {!Table.enc_epoch}, future
-    scans compute a different key, and the stale entry simply ages out
-    of the LRU — no clear-on-write hook to forget.
+    keyed by the table's {e name and epoch} plus a fingerprint of the
+    (filter, columns) pair, so the key itself encodes validity: any
+    insert/update/delete or merge bumps {!Table.epoch}, future scans
+    compute a different key, and the stale entry simply ages out of
+    the LRU — no clear-on-write hook to forget.
 
     Batches have linear ownership (the consumer mutates them in place),
-    so the cache stores a frozen private copy on miss and hands out a
+    so the cache stores a private copy on miss and hands out a
     fresh copy on hit. Results that fit {!max_cells} as boxed cells are
     stored as plain batches (a hit is a row blit). Larger results get a
     second chance: they are bit-packed ({!Packed.pack}, no zone maps)
@@ -37,17 +36,16 @@ let max_cells = 1 lsl 20
 
 let create ?(capacity = 32) () = { cache = Plan_cache.create ~capacity () }
 
-(** Cache key for a scan of [table] at [version] (encoding epoch [enc],
-    delta epoch [delta]) with the given fused filter and column
-    pruning. The (filter, cols) pair is fingerprinted by marshalling —
+(** Cache key for a scan of [table] at [epoch] with the given fused
+    filter and column pruning. The (filter, cols) pair is fingerprinted by marshalling —
     {!Sql_ast.expr} is pure variant data, so equal predicates digest
     equally — keeping keys short and hashable. The scan's alias is
     deliberately excluded: self-joins scan the same table under
     different aliases, and the executor re-qualifies the cached layout
     on every hit. *)
-let key ~table ~version ~enc ~delta ~(filter : Sql_ast.expr option)
+let key ~table ~epoch ~(filter : Sql_ast.expr option)
     ~(cols : string list option) =
-  Printf.sprintf "%s@%d~%d+%d#%s" table version enc delta
+  Printf.sprintf "%s@%d#%s" table epoch
     (Digest.to_hex (Digest.string (Marshal.to_string (filter, cols) [])))
 
 let unpack pk layout =
@@ -70,7 +68,7 @@ let find t k =
   | Some (Boxed b) -> Some (Batch.copy b)
   | Some (Compressed (pk, layout)) -> Some (unpack pk layout)
 
-(** Freeze a private copy of [b] under [k] — boxed when the cell count
+(** Store a private copy of [b] under [k] — boxed when the cell count
     fits {!max_cells}, bit-packed when the packed image does, dropped
     otherwise. The caller keeps ownership of [b]. *)
 let add t k (b : Batch.t) =

@@ -1,12 +1,10 @@
 (** A bounded LRU cache of materialized base-table scan results, keyed
-    by (table name, table version, filter/column fingerprint).
+    by (table name, table epoch, filter/column fingerprint).
 
-    Because {!Table.version}, {!Table.enc_epoch} and
-    {!Table.delta_epoch} are part of the key, entries are never served
-    stale: any data change — a delta-only insert included — physical
-    re-encoding or delta-into-main merge makes future scans compute a
-    new key and the old entry ages out of the LRU. Small results are stored as frozen private
-    batch copies; oversized ones are kept bit-packed when the packed
+    Because {!Table.epoch} is part of the key, entries are never served
+    stale: any data change or merge makes future scans compute a new
+    key and the old entry ages out of the LRU. Small results are stored
+    as private batch copies; oversized ones are kept bit-packed when the packed
     image fits the budget. {!find} returns a fresh batch the caller
     owns either way. *)
 
@@ -18,19 +16,18 @@ val create : ?capacity:int -> unit -> t
     instead; entries whose packed image still exceeds it are dropped. *)
 val max_cells : int
 
-(** Cache key for a scan of [table] at [version] (physical encoding
-    epoch [enc], delta epoch [delta]) with the given fused filter and
-    column pruning (alias-independent — the executor re-qualifies the
-    cached layout on hit). *)
+(** Cache key for a scan of [table] at [epoch] with the given fused
+    filter and column pruning (alias-independent — the executor
+    re-qualifies the cached layout on hit). *)
 val key :
-  table:string -> version:int -> enc:int -> delta:int ->
-  filter:Sql_ast.expr option -> cols:string list option -> string
+  table:string -> epoch:int -> filter:Sql_ast.expr option ->
+  cols:string list option -> string
 
 (** A fresh, privately-owned copy of the cached result, or [None].
     Counts a hit or miss. *)
 val find : t -> string -> Batch.t option
 
-(** Freeze a private copy of the batch under the key (skipped above
+(** Store a private copy of the batch under the key (skipped above
     {!max_cells}); the caller keeps ownership of the batch. *)
 val add : t -> string -> Batch.t -> unit
 

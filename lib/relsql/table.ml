@@ -1,7 +1,9 @@
-(** Mutable row-store tables with hash indexes.
+(** Mutable tables with hash indexes: a packed main plus a boxed delta.
 
-    Rows are value arrays of the schema's arity, held in a growable array.
-    Hash indexes map a column value to a posting of row ids and are
+    Rows are value arrays of the schema's arity. Slots below the main
+    boundary live in an immutable bit-packed image ({!Packed}); the
+    rest are boxed rows in a growable delta array, which is where every
+    write lands until {!merge} folds it into a fresh image. Hash indexes map a column value to a posting of row ids and are
     maintained incrementally through {!insert}, {!set_cell} and
     {!delete_row} — the DB2RDF loader updates cells in place when it
     assigns a predicate to a column of an existing entity row.
@@ -22,7 +24,7 @@ type posting = {
   mutable nruns : int;
       (* 0 = plain id array; > 0 = [ids] holds [nruns] (start, length)
          pairs of consecutive rids — the delta/run-length encoding
-         {!freeze} applies to dense postings (DS/RS lid postings are
+         {!merge} applies to dense postings (DS/RS lid postings are
          contiguous insertion ranges). Readers iterate both forms via
          {!posting_iter}; any mutation first expands back to plain. *)
 }
@@ -32,118 +34,79 @@ type index = (Value.t, posting) Hashtbl.t
 type t = {
   name : string;
   schema : Schema.t;
+  mutable main : Packed.t;
+      (* read-optimized packed image of slots 0..main_slots-1 (the
+         main); {!Packed.empty} until the first {!merge}. Never mutated
+         in place — a merge installs a fresh image — so snapshots may
+         share it. *)
   mutable rows : Value.t array array;
-      (* boxed row storage. While [packed] is [Some _] this is the
-         write-optimized delta side: slot [rid - base] holds the boxed
-         row of slot [rid] for [base <= rid < nrows]. *)
-  mutable packed : Packed.t option;
-      (* compressed columnar image of the read-optimized main, slots
-         0..base-1 (frozen mode); reads decode fields on demand, writes
-         go to the delta side instead of thawing *)
-  mutable base : int;
-      (* main/delta boundary: slots below it live in [packed], slots at
-         or above it in [rows]. Invariant: 0 whenever [packed = None].
-         Rids are stable across freeze/thaw/merge — only {!set_cell}'s
-         relocation of a packed row ever moves one. *)
-  mutable enc_epoch : int;
-      (* bumped by every freeze/thaw/merge: the encoding fingerprint scan-
-         cache keys embed (the data — and [version] — never change
-         across an encoding switch, only the physical representation) *)
+      (* write-optimized boxed delta: slot [rid - main_slots] holds the
+         row of slot [rid] for [main_slots <= rid < nrows]. Rids are
+         stable across merges — only {!set_cell}'s relocation of a main
+         row ever moves one. *)
   mutable nrows : int;
   mutable alive : Bytes.t;  (* tombstone bitmap: one byte per row slot *)
   mutable live_count : int;
   indexes : (int, index) Hashtbl.t; (* column position -> index *)
-  mutable version : int;
-      (* monotonic data-change counter: bumped by insert, set_cell and
-         delete_row, never reset — one invalidation signal shared by
-         the scan cache and the engine's statement cache *)
-  mutable delta_epoch : int;
-      (* bumped by every delta-side change of a frozen table (append,
-         tombstone punched into the main, relocation) and by every
-         merge — the cheap third stamp caches key on, so a delta write
-         invalidates them without charging the write a re-encode *)
-  mutable thaws : int;
-      (* number of times a mutation transparently thawed a frozen
-         table back to boxed rows (reported by [rdfstore stats]) *)
-  mutable merges : int;
-      (* delta-into-main merges performed (re-packs the merge policy
-         or [Engine.merge] triggered) *)
+  mutable epoch : int;
+      (* monotonic: bumped by every insert, set_cell and delete_row and
+         by every merge, never reset — the one stamp the scan cache,
+         the statement cache, ExtVP and snapshots key on *)
+  mutable merges : int;  (* delta-into-main merges performed *)
   mutable tombs : int;
-      (* tombstones punched into the frozen main since the last
-         freeze/merge (reset when the packed image is rebuilt) *)
+      (* tombstones punched into the main since the last merge *)
 }
 
 let dummy_row : Value.t array = [||]
 
 let create name schema =
-  { name; schema; rows = Array.make 64 dummy_row; packed = None; base = 0;
-    enc_epoch = 0; nrows = 0;
-    alive = Bytes.make 64 '\001'; live_count = 0;
-    indexes = Hashtbl.create 4; version = 0; delta_epoch = 0; thaws = 0;
-    merges = 0; tombs = 0 }
+  { name; schema; main = Packed.empty; rows = Array.make 64 dummy_row;
+    nrows = 0; alive = Bytes.make 64 '\001'; live_count = 0;
+    indexes = Hashtbl.create 4; epoch = 0; merges = 0; tombs = 0 }
 
 let name t = t.name
 let schema t = t.schema
-
-(** Monotonic counter of data changes (inserts, cell updates, deletes).
-    Caches key derived results by it: any change to what a scan could
-    observe changes the version. *)
-let version t = t.version
+let epoch t = t.epoch
 
 (** Number of live (non-deleted) rows. *)
 let row_count t = t.live_count
 
 let is_live t rid = Bytes.get t.alive rid = '\001'
 
-(** The compressed columnar image, when the table is frozen. *)
-let packed_view t = t.packed
+(** The packed image of the main (empty before the first merge). *)
+let packed_view t = t.main
 
-let frozen t = t.packed <> None
+(** Slots covered by the packed main: packed scans read rids below it,
+    delta rows sit at or above it. *)
+let main_slots t = Packed.nrows t.main
 
-(** Encoding fingerprint: changes whenever the physical representation
-    (boxed vs packed) flips, without touching {!version}. *)
-let enc_epoch t = t.enc_epoch
+let frozen t = main_slots t > 0
 
-(** Cheap delta stamp: bumped by every delta-side change of a frozen
-    table and by every merge, without touching {!version} semantics or
-    charging the write a re-encode. *)
-let delta_epoch t = t.delta_epoch
+(** Boxed rows on the delta side. *)
+let delta_rows t = t.nrows - main_slots t
 
-(** Slots covered by the frozen main image (0 when boxed): packed scans
-    read rids below it, delta rows sit at or above it. *)
-let main_slots t = t.base
-
-(** Boxed rows on the delta side of a frozen table (0 when boxed). *)
-let delta_rows t = t.nrows - t.base
-
-(** Tombstones punched into the frozen main since the last freeze or
-    merge. *)
+(** Tombstones punched into the main since the last merge. *)
 let main_tombstones t = t.tombs
 
 (** Delta-into-main merges performed on this table. *)
 let merge_count t = t.merges
 
-(* Read one cell regardless of representation; no bounds check. *)
+(* Read one cell from whichever side holds the slot; no bounds check. *)
 let cell_unsafe t rid pos =
-  match t.packed with
-  | None -> t.rows.(rid).(pos)
-  | Some pk ->
-    if rid < t.base then Packed.cell pk rid pos
-    else t.rows.(rid - t.base).(pos)
+  let base = main_slots t in
+  if rid < base then Packed.cell t.main rid pos else t.rows.(rid - base).(pos)
 
-(* Read one row regardless of representation; no bounds check. The
-   boxed/delta arms return the live array (callers must not mutate),
-   the packed arm a fresh decode. *)
+(* Read one row; no bounds check. A delta row is the live array
+   (callers must not mutate), a main row a fresh decode. *)
 let row_unsafe t rid =
-  match t.packed with
-  | None -> t.rows.(rid)
-  | Some pk ->
-    if rid < t.base then Packed.row pk rid else t.rows.(rid - t.base)
+  let base = main_slots t in
+  if rid < base then Packed.row t.main rid else t.rows.(rid - base)
 
 let ensure_capacity t =
-  if t.nrows - t.base = Array.length t.rows then begin
+  let base = main_slots t in
+  if t.nrows - base = Array.length t.rows then begin
     let bigger = Array.make (2 * max 32 (Array.length t.rows)) dummy_row in
-    Array.blit t.rows 0 bigger 0 (t.nrows - t.base);
+    Array.blit t.rows 0 bigger 0 (t.nrows - base);
     t.rows <- bigger
   end;
   if t.nrows = Bytes.length t.alive then begin
@@ -254,41 +217,9 @@ let index_unlink idx v =
   | Some p -> p.stale <- p.stale + 1
   | None -> ()
 
-(** Restore boxed row storage from the packed image, for callers that
-    want a boxed table ({!merge} re-packs without it). Delta rows keep
-    their rids — they shift down into the unified boxed array. Postings keep whatever encoding they have —
-    they expand lazily on first push. *)
-let thaw t =
-  match t.packed with
-  | None -> ()
-  | Some pk ->
-    let arity = Schema.arity t.schema in
-    let rows = Array.make (max 64 t.nrows) dummy_row in
-    for rid = 0 to t.base - 1 do
-      rows.(rid) <- Array.init arity (fun pos -> Packed.cell pk rid pos)
-    done;
-    for rid = t.base to t.nrows - 1 do
-      rows.(rid) <- t.rows.(rid - t.base)
-    done;
-    t.rows <- rows;
-    t.packed <- None;
-    t.base <- 0;
-    t.tombs <- 0;
-    t.enc_epoch <- t.enc_epoch + 1;
-    t.thaws <- t.thaws + 1
-
-(** Number of times a mutation transparently thawed this table. *)
-let thaw_count t = t.thaws
-
-(* Every write that lands on the delta side of a frozen table bumps the
-   stamp caches key on — O(1), never a pass over the packed main. *)
-let note_delta_write t =
-  if t.packed <> None then t.delta_epoch <- t.delta_epoch + 1
-
-(** [insert t row] appends [row] and returns its row id. On a frozen
-    table the row lands in the boxed delta side — no thaw, no
-    re-encode. The row array is owned by the table afterwards; callers
-    must not mutate it directly (use {!set_cell}). *)
+(** [insert t row] appends [row] to the boxed delta and returns its row
+    id. The row array is owned by the table afterwards; callers must
+    not mutate it directly (use {!set_cell}). *)
 let insert t row =
   if Array.length row <> Schema.arity t.schema then
     invalid_arg
@@ -296,12 +227,11 @@ let insert t row =
          (Array.length row) (Schema.arity t.schema));
   ensure_capacity t;
   let rid = t.nrows in
-  t.rows.(rid - t.base) <- row;
+  t.rows.(rid - main_slots t) <- row;
   Bytes.set t.alive rid '\001';
   t.nrows <- t.nrows + 1;
   t.live_count <- t.live_count + 1;
-  t.version <- t.version + 1;
-  note_delta_write t;
+  t.epoch <- t.epoch + 1;
   Hashtbl.iter (fun pos idx -> index_add idx row.(pos) rid) t.indexes;
   rid
 
@@ -315,17 +245,16 @@ let cell t rid pos =
 
 (** Update one cell, keeping any index on that column consistent, and
     return the row's id after the write — which may differ from [rid]:
-    writing to a row of the frozen main cannot touch the immutable
-    packed image, so the row is {e relocated} — its main slot is
-    tombstoned and the updated copy appended to the boxed delta side.
-    Writing an equal value is a no-op (same rid, no version bump);
-    boxed and delta rows update in place. Callers that track rids must
-    adopt the returned id. *)
+    writing to a row of the packed main cannot touch the immutable
+    image, so the row is {e relocated} — its main slot is tombstoned
+    and the updated copy appended to the boxed delta. Writing an equal
+    value is a no-op (same rid, no epoch bump); delta rows update in
+    place. Callers that track rids must adopt the returned id. *)
 let set_cell t rid pos v =
   if rid < 0 || rid >= t.nrows then invalid_arg "Table.set_cell: bad row id";
-  match t.packed with
-  | Some pk when rid < t.base ->
-    let row = Packed.row pk rid in
+  let base = main_slots t in
+  if rid < base then begin
+    let row = Packed.row t.main rid in
     if Value.equal row.(pos) v then rid
     else begin
       (* Relocate: tombstone the packed slot, re-insert the updated
@@ -338,16 +267,16 @@ let set_cell t rid pos v =
       row.(pos) <- v;
       ensure_capacity t;
       let rid' = t.nrows in
-      t.rows.(rid' - t.base) <- row;
+      t.rows.(rid' - base) <- row;
       Bytes.set t.alive rid' '\001';
       t.nrows <- t.nrows + 1;
-      t.version <- t.version + 1;
-      note_delta_write t;
+      t.epoch <- t.epoch + 1;
       Hashtbl.iter (fun p idx -> index_add idx row.(p) rid') t.indexes;
       rid'
     end
-  | _ ->
-    let row = t.rows.(rid - t.base) in
+  end
+  else begin
+    let row = t.rows.(rid - base) in
     if Value.equal row.(pos) v then rid
     else begin
       (match Hashtbl.find_opt t.indexes pos with
@@ -355,17 +284,16 @@ let set_cell t rid pos v =
          index_unlink idx row.(pos);
          index_add_checked idx v rid
        | None -> ());
-      t.version <- t.version + 1;
-      note_delta_write t;
+      t.epoch <- t.epoch + 1;
       row.(pos) <- v;
       rid
     end
+  end
 
 (** Delete a row: it disappears from scans, lookups and {!row_count}.
     The slot is tombstoned (ids of other rows are stable) whichever
-    side it lives on — deleting from a frozen table punches a tombstone
-    into the bitmap over the packed main (or the delta row) with no
-    thaw and no re-encode. Idempotent. *)
+    side it lives on — a main row keeps its packed cells, only its bit
+    in the bitmap flips. Idempotent. *)
 let delete_row t rid =
   if rid < 0 || rid >= t.nrows then invalid_arg "Table.delete_row: bad row id";
   if is_live t rid then begin
@@ -374,9 +302,8 @@ let delete_row t rid =
       t.indexes;
     Bytes.set t.alive rid '\000';
     t.live_count <- t.live_count - 1;
-    t.version <- t.version + 1;
-    if rid < t.base then t.tombs <- t.tombs + 1;
-    note_delta_write t
+    t.epoch <- t.epoch + 1;
+    if rid < main_slots t then t.tombs <- t.tombs + 1
   end
 
 (** Build (or rebuild) a hash index on the column at position [pos]. *)
@@ -514,21 +441,16 @@ let lookup t pos v =
     end
 
 (** [iter_range f t lo hi] is {!iter} restricted to slots
-    [lo <= rid < hi]. On a frozen table the range splits at the
-    main/delta boundary: packed slots decode, delta slots read boxed. *)
+    [lo <= rid < hi]. The range splits at the main/delta boundary:
+    packed slots decode, delta slots read boxed. *)
 let iter_range f t lo hi =
-  match t.packed with
-  | None ->
-    for rid = lo to hi - 1 do
-      if is_live t rid then f rid t.rows.(rid)
-    done
-  | Some pk ->
-    for rid = lo to min hi t.base - 1 do
-      if is_live t rid then f rid (Packed.row pk rid)
-    done;
-    for rid = max lo t.base to hi - 1 do
-      if is_live t rid then f rid t.rows.(rid - t.base)
-    done
+  let base = main_slots t in
+  for rid = lo to min hi base - 1 do
+    if is_live t rid then f rid (Packed.row t.main rid)
+  done;
+  for rid = max lo base to hi - 1 do
+    if is_live t rid then f rid t.rows.(rid - base)
+  done
 
 let iter f t = iter_range f t 0 t.nrows
 
@@ -616,88 +538,71 @@ module Join_hash = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Freezing: compressed columnar mode                                   *)
+(* Delta-main merge                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The packing body {!freeze} and {!merge} share: compact every posting
-   and run-encode the dense ones, then bit-pack all [nrows] slots —
-   read through {!cell_unsafe}, so a merge re-packs straight from the
-   packed main plus the boxed delta rows, with no boxed copy of the
-   main in between — and start an empty delta over the new image. *)
-let repack t =
-  Hashtbl.iter
-    (fun pos idx ->
-      (* snapshot: compaction may remove now-empty postings *)
-      let entries = Hashtbl.fold (fun v p acc -> (v, p) :: acc) idx [] in
-      List.iter
-        (fun (v, p) ->
-          posting_expand p;
-          if p.stale > 0 then begin
-            let k = ref 0 in
-            for i = 0 to p.len - 1 do
-              let rid = p.ids.(i) in
-              if entry_valid t pos v rid then begin
-                p.ids.(!k) <- rid;
-                incr k
-              end
-            done;
-            p.len <- !k;
-            p.stale <- 0;
-            if p.len = 0 then Hashtbl.remove idx v
-          end;
-          posting_try_runs p)
-        entries)
-    t.indexes;
-  let pk =
-    Packed.pack ~zones:true ~ncols:(Schema.arity t.schema) ~nrows:t.nrows
-      (cell_unsafe t) ~live:(is_live t)
-  in
-  t.packed <- Some pk;
-  t.rows <- [||];
-  t.base <- t.nrows;
-  t.tombs <- 0;
-  t.enc_epoch <- t.enc_epoch + 1
-
-(** Switch the table to compressed columnar storage: every posting is
-    compacted and (when dense) run-length encoded, all row slots are
-    bit-packed into a {!Packed.t} with zone maps, and the boxed rows
-    are dropped. Purely an encoding change — {!version} is untouched,
-    {!enc_epoch} bumps. Reads (including index probes) work on the
-    frozen form; {!insert}, {!set_cell} and {!delete_row} write to the
-    delta side without disturbing the packed main — {!merge} folds the
-    delta back in. Idempotent (a frozen table, delta or not, is left
-    alone); a no-op on an empty table. *)
-let freeze t = if t.packed = None && t.nrows > 0 then repack t
-
-(** Fold the delta side back into the packed main: re-pack the unified
-    slots directly from the old image plus the delta rows (fresh zone
-    maps, compacted + re-run-encoded postings) and start an empty
-    delta. Rids are stable. A no-op on a boxed table or a frozen one
-    with neither delta rows nor fresh main tombstones. *)
+(** Fold the delta into a fresh packed main: compact every posting and
+    run-encode the dense ones, then bit-pack all [nrows] slots — read
+    through {!cell_unsafe}, so the new image comes straight from the old
+    one plus the boxed delta rows, with no boxed copy of the main in
+    between — and start an empty delta. Rids are stable. A no-op unless
+    the table has delta rows or fresh main tombstones. Bumps the epoch:
+    the data is unchanged, but every cached result keyed on the old
+    physical form retires. *)
 let merge t =
-  if t.packed <> None && (t.nrows > t.base || t.tombs > 0) then begin
-    repack t;
+  if t.nrows > main_slots t || t.tombs > 0 then begin
+    Hashtbl.iter
+      (fun pos idx ->
+        (* snapshot: compaction may remove now-empty postings *)
+        let entries = Hashtbl.fold (fun v p acc -> (v, p) :: acc) idx [] in
+        List.iter
+          (fun (v, p) ->
+            posting_expand p;
+            if p.stale > 0 then begin
+              let k = ref 0 in
+              for i = 0 to p.len - 1 do
+                let rid = p.ids.(i) in
+                if entry_valid t pos v rid then begin
+                  p.ids.(!k) <- rid;
+                  incr k
+                end
+              done;
+              p.len <- !k;
+              p.stale <- 0;
+              if p.len = 0 then Hashtbl.remove idx v
+            end;
+            posting_try_runs p)
+          entries)
+      t.indexes;
+    t.main <-
+      Packed.pack ~zones:true ~ncols:(Schema.arity t.schema) ~nrows:t.nrows
+        (cell_unsafe t) ~live:(is_live t);
+    t.rows <- [||];
+    t.tombs <- 0;
     t.merges <- t.merges + 1;
-    t.delta_epoch <- t.delta_epoch + 1
+    t.epoch <- t.epoch + 1
   end
 
-(** An immutable copy-on-write view of the table's current contents.
+(* The merge policy: delta rows and fresh main tombstones both degrade
+   reads (boxed re-scan, tombstone tests, dead postings), so a table is
+   due once they exceed a quarter of the main, with an absolute floor
+   so small write bursts never thrash a re-pack. *)
+let merge_floor = 16
 
-    A boxed source is frozen first (compacting postings and bit-packing
-    the rows); a frozen source is captured {e as it is} — live delta
-    included, no merge, no re-encode. Either way the snapshot
-    {e shares} the packed image — O(1) in the main's row data — while
-    the delta rows, the tombstone bitmap and the postings are copied:
-    the writer keeps mutating delta rows in place, lookups compact
-    postings in place, and future deletes flip source tombstones, so
-    none of those may be shared. The shared {!Packed.t} is safe because
-    no write path ever mutates a packed image in place — writes land on
-    the delta side (or relocate into it), and a merge builds a {e new}
-    image — leaving the snapshot's untouched forever. The snapshot
-    carries the source's [(version, enc_epoch, delta_epoch)] stamps at
-    capture time. *)
+let merge_due t =
+  let pending = delta_rows t + t.tombs in
+  pending > merge_floor && 4 * pending > main_slots t
+
+(** An immutable copy-on-write view of the table as it is: the snapshot
+    {e shares} the packed main — O(1) in its row data — while the delta
+    rows, the tombstone bitmap and the postings are copied: the writer
+    keeps mutating delta rows in place, lookups compact postings in
+    place, and future deletes flip source tombstones, so none of those
+    may be shared. The shared {!Packed.t} is safe because no write path
+    ever mutates a packed image in place — writes land on the delta
+    side (or relocate into it), and a merge builds a {e new} image.
+    The source is not touched; the snapshot carries its epoch. *)
 let snapshot t =
-  if t.packed = None then freeze t;
   let indexes = Hashtbl.create (max 4 (Hashtbl.length t.indexes)) in
   Hashtbl.iter
     (fun pos idx ->
@@ -710,52 +615,85 @@ let snapshot t =
         idx;
       Hashtbl.add indexes pos copy)
     t.indexes;
-  let dlen = t.nrows - t.base in
-  { name = t.name; schema = t.schema;
-    (* [packed = None] only when the table is empty (freeze no-ops);
-       give the snapshot its own empty boxed storage in that case.
-       Delta rows are deep-copied: the writer updates them in place. *)
-    rows =
-      (if t.packed = None then Array.make 64 dummy_row
-       else Array.init dlen (fun i -> Array.copy t.rows.(i)));
-    packed = t.packed; base = t.base; enc_epoch = t.enc_epoch;
-    nrows = t.nrows;
-    alive = Bytes.copy t.alive; live_count = t.live_count; indexes;
-    version = t.version; delta_epoch = t.delta_epoch; thaws = 0;
-    merges = 0; tombs = t.tombs }
+  { t with
+    rows = Array.init (delta_rows t) (fun i -> Array.copy t.rows.(i));
+    alive = Bytes.copy t.alive; indexes }
 
-(** Per-table memory accounting for the compressed representation (the
-    [rdfstore stats] report). Sizes are heap-word estimates times the
-    word size; [boxed_bytes] is what the same slots cost (or would
-    cost) as boxed rows. *)
+(* ------------------------------------------------------------------ *)
+(* Self-check                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(** Verify the table's structural invariants; raises [Failure] naming
+    the first violation. *)
+let check t =
+  let fail fmt = Printf.ksprintf (fun m -> failwith ("Table.check(" ^ t.name ^ "): " ^ m)) fmt in
+  let base = main_slots t and arity = Schema.arity t.schema in
+  (* The main and the delta partition the slots. *)
+  if Bytes.length t.alive < t.nrows || base > t.nrows
+     || Array.length t.rows < t.nrows - base
+  then fail "main of %d slots and delta array of %d cannot hold %d slots" base
+      (Array.length t.rows) t.nrows;
+  for i = 0 to t.nrows - base - 1 do
+    if Array.length t.rows.(i) <> arity then
+      fail "delta slot %d holds no row of arity %d" (base + i) arity
+  done;
+  let live = ref 0 and dead_main = ref 0 in
+  for rid = 0 to t.nrows - 1 do
+    if is_live t rid then incr live else if rid < base then incr dead_main
+  done;
+  if !live <> t.live_count then
+    fail "alive bitmap has %d live slots, row_count %d" !live t.live_count;
+  if t.tombs > !dead_main then
+    fail "%d main tombstones but %d dead main slots" t.tombs !dead_main;
+  (* Every live row sits exactly once in the posting of its current
+     cell; entries that no longer match are covered by [stale]. *)
+  Hashtbl.iter
+    (fun pos idx ->
+      let seen = Bytes.make t.nrows '\000' in
+      let valid = ref 0 in
+      Hashtbl.iter
+        (fun v p ->
+          let invalid = ref 0 in
+          posting_iter p (fun rid ->
+              if rid < 0 || rid >= t.nrows then
+                fail "column %d posting holds rid %d of %d slots" pos rid t.nrows;
+              if entry_valid t pos v rid then begin
+                if Bytes.get seen rid = '\001' then
+                  fail "rid %d posted twice under column %d" rid pos;
+                Bytes.set seen rid '\001';
+                incr valid
+              end
+              else incr invalid);
+          if !invalid > p.stale then
+            fail "column %d posting has %d invalid entries, stale %d" pos
+              !invalid p.stale)
+        idx;
+      if !valid <> t.live_count then
+        fail "column %d postings cover %d of %d live rows" pos !valid
+          t.live_count)
+    t.indexes;
+  match Packed.check_zones t.main ~live:(is_live t) with
+  | Ok () -> ()
+  | Error m -> fail "%s" m
+
+(** Per-table memory accounting for the [rdfstore stats] report. Sizes
+    are heap-word estimates times the word size; [boxed_bytes] is what
+    the same slots cost (or would cost) as boxed rows. *)
 type compression_report = {
   r_table : string;
   r_frozen : bool;
   r_live_rows : int;
   r_slots : int;
   r_boxed_bytes : int;
-  r_packed_bytes : int;  (* 0 when not frozen *)
-  r_col_bits : (string * int) list;  (* bits per column (frozen only) *)
+  r_packed_bytes : int;  (* 0 before the first merge *)
+  r_col_bits : (string * int) list;  (* bits per column of the main *)
   r_posting_entries : int;  (* logical posting entries across indexes *)
   r_posting_words : int;  (* stored posting words after run encoding *)
-  r_thaws : int;  (* mutations that transparently thawed a frozen table *)
-  r_delta_rows : int;  (* boxed rows on the delta side (frozen only) *)
+  r_delta_rows : int;  (* boxed rows on the delta side *)
   r_delta_bytes : int;  (* boxed footprint of those delta rows *)
-  r_tombstones : int;  (* tombstones punched into the frozen main *)
+  r_tombstones : int;  (* tombstones punched into the main *)
   r_merges : int;  (* delta-into-main merges performed *)
 }
-
-(* Boxed heap footprint of the row slots stored in [t.rows.(lo..hi-1)]. *)
-let boxed_bytes_of_range t lo hi =
-  let arity = Schema.arity t.schema in
-  let cells = ref 0 in
-  for i = lo to hi - 1 do
-    let row = t.rows.(i) in
-    for pos = 0 to arity - 1 do
-      cells := !cells + Packed.value_heap_words row.(pos)
-    done
-  done;
-  8 * (((hi - lo) * (1 + arity)) + !cells)
 
 let compression_report t =
   let entries = ref 0 and stored = ref 0 in
@@ -768,27 +706,24 @@ let compression_report t =
         idx)
     t.indexes;
   let arity = Schema.arity t.schema in
-  match t.packed with
-  | Some pk ->
-    let delta = t.nrows - t.base in
-    { r_table = t.name; r_frozen = true; r_live_rows = t.live_count;
-      r_slots = t.nrows; r_boxed_bytes = 8 * Packed.boxed_words pk;
-      r_packed_bytes = 8 * Packed.packed_words pk;
-      r_col_bits =
-        List.init arity (fun i ->
-            (Schema.column t.schema i, Packed.col_bits pk i));
-      r_posting_entries = !entries; r_posting_words = !stored;
-      r_thaws = t.thaws; r_delta_rows = delta;
-      r_delta_bytes = boxed_bytes_of_range t 0 delta;
-      r_tombstones = t.tombs; r_merges = t.merges }
-  | None ->
-    { r_table = t.name; r_frozen = false; r_live_rows = t.live_count;
-      r_slots = t.nrows;
-      r_boxed_bytes = boxed_bytes_of_range t 0 t.nrows;
-      r_packed_bytes = 0; r_col_bits = [];
-      r_posting_entries = !entries; r_posting_words = !stored;
-      r_thaws = t.thaws; r_delta_rows = 0; r_delta_bytes = 0;
-      r_tombstones = 0; r_merges = t.merges }
+  let delta = delta_rows t in
+  let cells = ref 0 in
+  for i = 0 to delta - 1 do
+    Array.iter (fun v -> cells := !cells + Packed.value_heap_words v) t.rows.(i)
+  done;
+  let delta_bytes = 8 * ((delta * (1 + arity)) + !cells) in
+  let frozen = frozen t in
+  { r_table = t.name; r_frozen = frozen; r_live_rows = t.live_count;
+    r_slots = t.nrows;
+    r_boxed_bytes = (8 * Packed.boxed_words t.main) + delta_bytes;
+    r_packed_bytes = (if frozen then 8 * Packed.packed_words t.main else 0);
+    r_col_bits =
+      (if frozen then
+         List.init arity (fun i -> (Schema.column t.schema i, Packed.col_bits t.main i))
+       else []);
+    r_posting_entries = !entries; r_posting_words = !stored;
+    r_delta_rows = delta; r_delta_bytes = delta_bytes;
+    r_tombstones = t.tombs; r_merges = t.merges }
 
 (** Fraction of cells that are NULL across the given column positions
     (live rows only). *)

@@ -1,6 +1,11 @@
-(** Mutable row-store tables with hash indexes and tombstone deletion.
+(** Mutable tables with hash indexes and tombstone deletion, stored as
+    a packed main plus a boxed delta.
 
-    Rows are value arrays of the schema's arity. Hash indexes map a
+    Rows are value arrays of the schema's arity. Slots below
+    {!main_slots} live in an immutable bit-packed image ({!Packed}, with
+    zone maps); slots at or above it are boxed delta rows. A table
+    starts with an empty main, so until its first {!merge} every row is
+    a delta row. Hash indexes map a
     column value to a posting of row ids and are maintained
     incrementally through {!insert}, {!set_cell} and {!delete_row} — the
     DB2RDF loader updates cells in place when it assigns a predicate to
@@ -22,12 +27,13 @@ val schema : t -> Schema.t
 (** Number of live (non-deleted) rows. *)
 val row_count : t -> int
 
-(** Monotonic data-change counter: bumped by {!insert}, {!set_cell} and
-    {!delete_row}, never reset. Anything a scan could observe changing
-    changes the version, so caches (the shared scan cache, the engine's
-    statement cache) key or stamp their entries by it instead of being
+(** Monotonic change counter: bumped by {!insert}, {!set_cell},
+    {!delete_row} and {!merge}, never reset. Anything a scan could
+    observe changing — data or physical form — changes the epoch, so
+    caches (the shared scan cache, the engine's statement cache, ExtVP
+    reductions) key or stamp their entries by it instead of being
     cleared ad hoc. *)
-val version : t -> int
+val epoch : t -> int
 
 val is_live : t -> int -> bool
 
@@ -44,10 +50,9 @@ val get : t -> int -> Value.t array
 val cell : t -> int -> int -> Value.t
 
 (** Update one cell, keeping any index on that column consistent, and
-    return the row's id after the write. On a boxed table (or a delta
-    row of a frozen one) the update is in place and the id is [rid];
-    writing a {e different} value into a row of the frozen main
-    relocates the row — the packed slot is tombstoned and the updated
+    return the row's id after the write. On a delta row the update is
+    in place and the id is [rid]; writing a {e different} value into a
+    row of the packed main relocates the row — the packed slot is tombstoned and the updated
     copy appended to the delta side, and the {e new} id is returned.
     Equal-value writes are no-ops. Callers that track row ids must
     adopt the result. *)
@@ -55,9 +60,8 @@ val set_cell : t -> int -> int -> Value.t -> int
 
 (** Delete a row: it disappears from scans, lookups and {!row_count}.
     The slot is tombstoned (ids of other rows are stable) whichever
-    side it lives on — on a frozen table the tombstone lands in the
-    bitmap over the packed main (or on the delta row) with no thaw and
-    no re-encode. Idempotent. *)
+    side it lives on — a main row keeps its packed cells, only its bit
+    in the bitmap flips. Idempotent. *)
 val delete_row : t -> int -> unit
 
 (** Build (or rebuild) a hash index on the column at position [pos]. *)
@@ -109,105 +113,82 @@ val fold : ('a -> int -> Value.t array -> 'a) -> 'a -> t -> 'a
     Section 2.3 NULL experiment. *)
 val storage_size : t -> int
 
-(** {2 Compressed columnar mode (delta-main storage)}
+(** {2 Delta-main storage}
 
-    {!freeze} switches the table to bit-packed columnar storage with
-    zone maps ({!Packed}); postings are compacted and dense ones
-    run-length encoded. All reads keep working on the frozen form. A
-    frozen table is a {e main/delta} split: the immutable packed image
-    covers slots [0 .. main_slots-1] (the read-optimized main) and
-    later writes land in a small boxed delta at the slots above it —
     {!insert} appends a delta row, {!delete_row} punches a tombstone
-    into the shared bitmap, {!set_cell} relocates a main row into the
-    delta — none of them thaw or re-encode anything. {!merge} folds the
-    delta back into a fresh packed main. Freezing, thawing and merging
-    never change the data — {!version} is untouched — only the physical
-    encoding, which {!enc_epoch} fingerprints for the scan cache;
-    {!delta_epoch} is the cheap companion stamp bumped by delta writes
-    and merges. *)
+    into the shared bitmap and {!set_cell} relocates a main row into
+    the delta — none of them re-encode anything. {!merge} folds the
+    delta into a fresh packed main. *)
 
-val freeze : t -> unit
-
-(** Restore boxed row storage (no-op when not frozen). Delta rows keep
-    their ids. *)
-val thaw : t -> unit
-
-(** Fold the delta side back into the packed main: re-pack the unified
-    slots directly from the old packed image plus the delta rows (no
-    thaw; fresh zone maps, compacted postings) and start an empty
-    delta. Row ids are stable. A no-op unless the table is frozen and
-    has delta rows or fresh main tombstones. Bumps {!enc_epoch} (the
-    image is rebuilt) and {!delta_epoch}, not {!version} or
-    {!thaw_count}. *)
+(** Fold the delta into a fresh packed main: re-pack every slot straight
+    from the old image plus the delta rows (fresh zone maps, compacted
+    and run-length-encoded postings) and start an empty delta. Row ids
+    are stable. A no-op unless the table has delta rows or fresh main
+    tombstones; bumps {!epoch} and {!merge_count} otherwise. *)
 val merge : t -> unit
 
-(** [Some _] while the table is frozen: the packed image of the
-    {e main} — slots below {!main_slots} — that the executor's
-    compressed scan path reads directly. Slots at or above
-    {!main_slots} are boxed delta rows ({!get}/{!cell}/{!iter} unify
-    the two sides). *)
-val packed_view : t -> Packed.t option
+(** The merge policy: the table's delta rows plus fresh main tombstones
+    exceed both 16 and a quarter of {!main_slots}. *)
+val merge_due : t -> bool
 
+(** The packed image of the main — slots below {!main_slots} — that the
+    executor's compressed scan path reads directly; empty before the
+    first merge. Slots at or above {!main_slots} are boxed delta rows
+    ({!get}/{!cell}/{!iter} unify the two sides). *)
+val packed_view : t -> Packed.t
+
+(** [main_slots t > 0]: the table has been merged at least once. *)
 val frozen : t -> bool
 
-(** Slots covered by the frozen main image; 0 on a boxed table. *)
+(** Slots covered by the packed main; 0 before the first merge. *)
 val main_slots : t -> int
 
-(** Boxed rows on the delta side of a frozen table; 0 on a boxed one. *)
+(** Boxed rows on the delta side ([slot_count - main_slots]). *)
 val delta_rows : t -> int
 
-(** Tombstones punched into the frozen main since the last freeze or
-    merge. *)
+(** Tombstones punched into the main since the last merge. *)
 val main_tombstones : t -> int
 
 (** Delta-into-main merges performed ({!merge}). *)
 val merge_count : t -> int
 
-(** Bumped by every freeze, thaw and merge. *)
-val enc_epoch : t -> int
-
-(** Bumped by every delta-side write of a frozen table and by every
-    {!merge}: the third stamp — after {!version} and {!enc_epoch} —
-    that scan/statement/reduction caches key on. *)
-val delta_epoch : t -> int
-
 (** Per-table memory accounting for [rdfstore stats]: packed bytes vs
     boxed-equivalent bytes, bits per column, posting compression. *)
 type compression_report = {
   r_table : string;
-  r_frozen : bool;
+  r_frozen : bool;  (** {!frozen} *)
   r_live_rows : int;
   r_slots : int;
-  r_boxed_bytes : int;
-  r_packed_bytes : int;  (** 0 when not frozen *)
-  r_col_bits : (string * int) list;  (** frozen only *)
+  r_boxed_bytes : int;  (** what every slot would cost as a boxed row *)
+  r_packed_bytes : int;  (** 0 before the first merge *)
+  r_col_bits : (string * int) list;  (** bits per column of the main *)
   r_posting_entries : int;
   r_posting_words : int;  (** stored words after run encoding *)
-  r_thaws : int;  (** mutations that transparently thawed a frozen table *)
-  r_delta_rows : int;  (** boxed rows on the delta side (frozen only) *)
+  r_delta_rows : int;  (** boxed rows on the delta side *)
   r_delta_bytes : int;  (** boxed footprint of those delta rows *)
-  r_tombstones : int;  (** tombstones punched into the frozen main *)
+  r_tombstones : int;  (** tombstones punched into the main *)
   r_merges : int;  (** delta-into-main merges performed *)
 }
 
 val compression_report : t -> compression_report
 
-(** How many times a mutation transparently thawed this table (see
-    {!delete_row}) — surfaced by [rdfstore stats] so update-heavy
-    workloads can tell when they are churning the packed encoding. *)
-val thaw_count : t -> int
-
-(** [snapshot t] is an immutable copy-on-write view of [t]'s current
-    contents: a boxed source is frozen first, a frozen one is captured
-    as-is (live delta included, no merge). The snapshot shares the
-    packed main image while deep-copying the delta rows, the live
-    bitmap and the postings (the writer mutates delta rows in place and
-    postings compact during lookups, so none may be shared). No write
-    path ever mutates a packed image in place — later writes land in
-    the source's delta or build a new image on merge — so the snapshot
-    stays bit-stable forever. It carries [t]'s {!version},
-    {!enc_epoch} and {!delta_epoch} at capture time. *)
+(** [snapshot t] is an immutable copy-on-write view of [t] as it is —
+    live delta included, no merge, and [t] itself untouched. The
+    snapshot shares the packed main while deep-copying the delta rows,
+    the live bitmap and the postings (the writer mutates delta rows in
+    place and postings compact during lookups, so none may be shared).
+    No write path ever mutates a packed image in place — later writes
+    land in the source's delta or build a new image on merge — so the
+    snapshot stays bit-stable forever. It carries [t]'s {!epoch}. *)
 val snapshot : t -> t
+
+(** Verify the structural invariants: every live row is posted exactly
+    once under its current cell on both the main and the delta side
+    (stale entries stay within each posting's stale count), the alive
+    bitmap agrees with {!row_count}, the main and the delta partition
+    {!slot_count}, and every zone map covers the live packed cells of
+    its block. Raises [Failure] naming the first violation. *)
+val check : t -> unit
 
 (** Fraction of cells that are NULL across the given column positions
     (live rows only). *)

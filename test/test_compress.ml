@@ -1,5 +1,5 @@
 (** Compressed columnar storage: Packed encode/decode round-trips, SWAR
-    equality scans, zone-map soundness, RLE postings, freeze/thaw
+    equality scans, zone-map soundness, RLE postings, merge-round
     invariants — and the load-bearing property: bit-identical results
     between the compressed and uncompressed executors across the full
     (domains × join-partitions) matrix on three table layouts. *)
@@ -246,7 +246,7 @@ let test_eq_prefilter () =
   | None -> Alcotest.fail "prefilter should resolve absent constants"
 
 (* ------------------------------------------------------------------ *)
-(* Table: freeze / thaw / postings                                     *)
+(* Table: merge rounds / postings                                      *)
 (* ------------------------------------------------------------------ *)
 
 let make_keyed_table () =
@@ -263,17 +263,18 @@ let make_keyed_table () =
   done;
   t
 
-let test_freeze_postings_roundtrip () =
+let test_merge_postings_roundtrip () =
   let t = make_keyed_table () in
   let want =
     List.map (fun k -> Relsql.Table.lookup t 0 (Relsql.Value.Int k)) [ 0; 1; 2 ]
   in
-  Relsql.Table.freeze t;
+  Relsql.Table.merge t;
+  Relsql.Table.check t;
   Alcotest.(check bool) "frozen" true (Relsql.Table.frozen t);
   List.iteri
     (fun k w ->
       Alcotest.(check (array int))
-        (Printf.sprintf "lookup k=%d survives freeze" k)
+        (Printf.sprintf "lookup k=%d survives the merge" k)
         w
         (Relsql.Table.lookup t 0 (Relsql.Value.Int k));
       let via_iter = ref [] in
@@ -291,7 +292,7 @@ let test_freeze_postings_roundtrip () =
     (r.Relsql.Table.r_packed_bytes < r.Relsql.Table.r_boxed_bytes)
 
 (* A merged table must be indistinguishable from a boxed copy of the
-   same slots (dead ones included, so rids and blocks line up) frozen
+   same slots (dead ones included, so rids and blocks line up) merged
    fresh: same live rows, postings, column widths, zone maps and packed
    codes. *)
 let assert_merged_like_fresh what t =
@@ -304,7 +305,7 @@ let assert_merged_like_fresh what t =
   for rid = 0 to n - 1 do
     if not (Relsql.Table.is_live t rid) then Relsql.Table.delete_row fresh rid
   done;
-  Relsql.Table.freeze fresh;
+  Relsql.Table.merge fresh;
   let rows tb = Relsql.Table.fold (fun acc rid row -> (rid, row) :: acc) [] tb in
   Alcotest.(check bool) (what ^ ": rows") true (rows t = rows fresh);
   let keys = Hashtbl.create 16 in
@@ -321,85 +322,89 @@ let assert_merged_like_fresh what t =
     (r.Relsql.Table.r_posting_entries, r.Relsql.Table.r_posting_words);
   Alcotest.(check (list (pair string int))) (what ^ ": column widths")
     rf.Relsql.Table.r_col_bits r.Relsql.Table.r_col_bits;
-  match Relsql.Table.packed_view t, Relsql.Table.packed_view fresh with
-  | Some pk, Some pkf ->
-    Array.iteri
-      (fun i (c : Relsql.Packed.col) ->
-        let cf = pkf.Relsql.Packed.cols.(i) in
-        Alcotest.(check bool) (what ^ ": zone maps") true
-          (c.Relsql.Packed.zones = cf.Relsql.Packed.zones);
-        Alcotest.(check bool) (what ^ ": packed codes") true
-          (c.Relsql.Packed.words = cf.Relsql.Packed.words
-          && c.Relsql.Packed.decode = cf.Relsql.Packed.decode))
-      pk.Relsql.Packed.cols
-  | _ -> Alcotest.fail (what ^ ": both tables must be frozen")
+  let pk = Relsql.Table.packed_view t and pkf = Relsql.Table.packed_view fresh in
+  Alcotest.(check int) (what ^ ": packed main covers every slot") n
+    (Relsql.Packed.nrows pk);
+  Array.iteri
+    (fun i (c : Relsql.Packed.col) ->
+      let cf = pkf.Relsql.Packed.cols.(i) in
+      Alcotest.(check bool) (what ^ ": zone maps") true
+        (c.Relsql.Packed.zones = cf.Relsql.Packed.zones);
+      Alcotest.(check bool) (what ^ ": packed codes") true
+        (c.Relsql.Packed.words = cf.Relsql.Packed.words
+        && c.Relsql.Packed.decode = cf.Relsql.Packed.decode))
+    pk.Relsql.Packed.cols
 
-let test_freeze_thaw_invariants () =
+(* Every write and every merge moves the epoch; the self-check holds
+   after each. *)
+let epoch_moves what t f =
+  let e0 = Relsql.Table.epoch t in
+  let r = f () in
+  Alcotest.(check bool) (what ^ " bumps the epoch") true
+    (Relsql.Table.epoch t > e0);
+  Relsql.Table.check t;
+  r
+
+let test_merge_round_invariants () =
   let t = make_keyed_table () in
-  let v0 = Relsql.Table.version t and e0 = Relsql.Table.enc_epoch t in
+  Relsql.Table.check t;
+  Alcotest.(check int) "a new table is all delta" 0 (Relsql.Table.main_slots t);
+  Alcotest.(check int) "delta holds every slot" (Relsql.Table.slot_count t)
+    (Relsql.Table.delta_rows t);
   let row_before = Array.copy (Relsql.Table.get t 1234) in
-  Relsql.Table.freeze t;
-  Alcotest.(check int) "freeze keeps version" v0 (Relsql.Table.version t);
-  Alcotest.(check bool) "freeze bumps enc_epoch" true
-    (Relsql.Table.enc_epoch t > e0);
-  Alcotest.(check bool) "packed_view present" true
-    (Relsql.Table.packed_view t <> None);
-  Alcotest.(check bool) "frozen reads match"
+  epoch_moves "first merge" t (fun () -> Relsql.Table.merge t);
+  Alcotest.(check bool) "packed main present" true (Relsql.Table.frozen t);
+  Alcotest.(check int) "first merge counted" 1 (Relsql.Table.merge_count t);
+  Alcotest.(check bool) "packed reads match"
     true
     (value_eq (Array.to_list row_before)
        (Array.to_list (Relsql.Table.get t 1234)));
-  (* delete while frozen: the packed main stays resident — the delete
-     punches a tombstone into the alive bitmap instead of thawing and
-     re-encoding (delta-main storage), and the write is visible in the
+  (* A merge with nothing pending is a no-op: same epoch, same count. *)
+  let e = Relsql.Table.epoch t in
+  Relsql.Table.merge t;
+  Alcotest.(check int) "idle merge keeps the epoch" e (Relsql.Table.epoch t);
+  Alcotest.(check int) "idle merge not counted" 1 (Relsql.Table.merge_count t);
+  (* delete on the packed main punches a tombstone into the alive
+     bitmap instead of re-encoding, and the write is visible in the
      delta accounting for [rdfstore stats] reporting *)
   let live0 = Relsql.Table.row_count t in
-  let e_frozen = Relsql.Table.enc_epoch t in
-  let d_frozen = Relsql.Table.delta_epoch t in
-  Alcotest.(check int) "no thaws yet" 0 (Relsql.Table.thaw_count t);
-  Relsql.Table.delete_row t 42;
-  Alcotest.(check bool) "delete keeps the table frozen" true
+  epoch_moves "delete" t (fun () -> Relsql.Table.delete_row t 42);
+  Alcotest.(check bool) "delete keeps the packed main" true
     (Relsql.Table.frozen t);
-  Alcotest.(check int) "delete does not thaw" 0 (Relsql.Table.thaw_count t);
-  Alcotest.(check int) "delete keeps enc_epoch" e_frozen
-    (Relsql.Table.enc_epoch t);
-  Alcotest.(check bool) "delete bumps delta_epoch" true
-    (Relsql.Table.delta_epoch t > d_frozen);
   Alcotest.(check int) "tombstone counted" 1
     (Relsql.Table.main_tombstones t);
   Alcotest.(check int) "row_count drops" (live0 - 1)
     (Relsql.Table.row_count t);
   Alcotest.(check bool) "deleted rid filtered from lookup" false
     (Array.exists (( = ) 42) (Relsql.Table.lookup t 0 (Relsql.Value.Int 0)));
-  Alcotest.(check bool) "frozen reads match after delete" true
+  Alcotest.(check bool) "packed reads match after delete" true
     (value_eq (Array.to_list row_before)
        (Array.to_list (Relsql.Table.get t 1234)));
-  (* insert on a frozen table appends to the boxed delta side *)
-  let e1 = Relsql.Table.enc_epoch t in
-  let rid = Relsql.Table.insert t [| Relsql.Value.Int 7; Relsql.Value.Null |] in
-  Alcotest.(check bool) "insert keeps the table frozen" true
-    (Relsql.Table.frozen t);
-  Alcotest.(check int) "insert does not thaw" 0 (Relsql.Table.thaw_count t);
-  Alcotest.(check int) "insert keeps enc_epoch" e1
-    (Relsql.Table.enc_epoch t);
+  (* insert appends to the boxed delta side *)
+  let rid =
+    epoch_moves "insert" t (fun () ->
+        Relsql.Table.insert t [| Relsql.Value.Int 7; Relsql.Value.Null |])
+  in
   Alcotest.(check int) "insert lands delta-side" 1
     (Relsql.Table.delta_rows t);
   Alcotest.(check bool) "delta rid beyond the packed main" true
     (rid >= Relsql.Table.main_slots t);
-  Alcotest.(check bool) "frozen reads match" true
+  Alcotest.(check bool) "packed reads match" true
     (value_eq (Array.to_list row_before)
        (Array.to_list (Relsql.Table.get t 1234)));
   Alcotest.(check (array int)) "new key indexed" [| rid |]
     (Relsql.Table.lookup t 0 (Relsql.Value.Int 7));
+  (* equal-value writes change nothing *)
+  let e = Relsql.Table.epoch t in
+  Alcotest.(check int) "equal write keeps the rid" 1234
+    (Relsql.Table.set_cell t 1234 0 row_before.(0));
+  Alcotest.(check int) "equal write keeps the epoch" e (Relsql.Table.epoch t);
   (* merge folds the delta back into a fresh packed main *)
   let live1 = Relsql.Table.row_count t in
-  Relsql.Table.merge t;
-  Alcotest.(check bool) "still frozen after merge" true
-    (Relsql.Table.frozen t);
+  epoch_moves "merge" t (fun () -> Relsql.Table.merge t);
   Alcotest.(check int) "merge empties the delta" 0
     (Relsql.Table.delta_rows t + Relsql.Table.main_tombstones t);
-  Alcotest.(check int) "merge counted" 1 (Relsql.Table.merge_count t);
-  Alcotest.(check int) "merge does not count as a thaw" 0
-    (Relsql.Table.thaw_count t);
+  Alcotest.(check int) "merge counted" 2 (Relsql.Table.merge_count t);
   Alcotest.(check int) "merge preserves row_count" live1
     (Relsql.Table.row_count t);
   Alcotest.(check bool) "reads match after merge" true
@@ -410,35 +415,61 @@ let test_freeze_thaw_invariants () =
   assert_merged_like_fresh "merge" t;
   (* repeated rounds of every write kind — main tombstone, delta
      append, main relocation on the indexed column, in-place delta
-     update, delta tombstone — each re-packed without a thaw *)
+     update, delta tombstone — each checked, then re-packed *)
   for round = 1 to 3 do
-    Relsql.Table.delete_row t (100 * round);
+    let what = Printf.sprintf "round %d" round in
+    epoch_moves (what ^ " main delete") t (fun () ->
+        Relsql.Table.delete_row t (100 * round));
     let r1 =
-      Relsql.Table.insert t [| Relsql.Value.Int (10 + round); Relsql.Value.Int round |]
+      epoch_moves (what ^ " insert") t (fun () ->
+          Relsql.Table.insert t
+            [| Relsql.Value.Int (10 + round); Relsql.Value.Int round |])
     in
-    let r2 = Relsql.Table.insert t [| Relsql.Value.Int 1; Relsql.Value.Null |] in
+    let r2 =
+      epoch_moves (what ^ " insert") t (fun () ->
+          Relsql.Table.insert t [| Relsql.Value.Int 1; Relsql.Value.Null |])
+    in
     let moved =
-      Relsql.Table.set_cell t (500 + round) 0 (Relsql.Value.Int (20 + round))
+      epoch_moves (what ^ " relocation") t (fun () ->
+          Relsql.Table.set_cell t (500 + round) 0 (Relsql.Value.Int (20 + round)))
     in
     Alcotest.(check bool) "main write relocates" true
       (moved >= Relsql.Table.main_slots t);
     Alcotest.(check int) "delta write stays in place" r1
-      (Relsql.Table.set_cell t r1 1 (Relsql.Value.Str "x"));
-    Relsql.Table.delete_row t r2;
-    Relsql.Table.merge t;
-    let what = Printf.sprintf "merge round %d" round in
-    Alcotest.(check int) (what ^ ": counted") (1 + round)
+      (epoch_moves (what ^ " delta update") t (fun () ->
+           Relsql.Table.set_cell t r1 1 (Relsql.Value.Str "x")));
+    epoch_moves (what ^ " delta delete") t (fun () ->
+        Relsql.Table.delete_row t r2);
+    epoch_moves (what ^ " merge") t (fun () -> Relsql.Table.merge t);
+    Alcotest.(check int) (what ^ ": counted") (2 + round)
       (Relsql.Table.merge_count t);
-    Alcotest.(check int) (what ^ ": no thaw") 0 (Relsql.Table.thaw_count t);
     assert_merged_like_fresh what t
-  done;
-  (* explicit thaw still works, and double freeze is a no-op *)
-  Relsql.Table.thaw t;
-  Alcotest.(check bool) "explicit thaw works" false (Relsql.Table.frozen t);
-  Alcotest.(check int) "explicit thaw counted" 1 (Relsql.Table.thaw_count t);
-  Relsql.Table.freeze t;
-  Relsql.Table.freeze t;
-  Alcotest.(check bool) "re-frozen" true (Relsql.Table.frozen t)
+  done
+
+(* The shared merge policy: due once the pending delta rows and main
+   tombstones exceed both the floor and a quarter of the main. *)
+let test_merge_policy () =
+  let t = Relsql.Table.create "P" (Relsql.Schema.make [ "k" ]) in
+  let add n =
+    for i = 1 to n do
+      ignore (Relsql.Table.insert t [| Relsql.Value.Int i |])
+    done
+  in
+  add 16;
+  Alcotest.(check bool) "16 delta rows are under the floor" false
+    (Relsql.Table.merge_due t);
+  add 1;
+  Alcotest.(check bool) "17 delta rows over an empty main" true
+    (Relsql.Table.merge_due t);
+  add 183;
+  Relsql.Table.merge t;
+  Alcotest.(check int) "main of 200" 200 (Relsql.Table.main_slots t);
+  add 50;
+  Alcotest.(check bool) "a quarter of the main is not yet due" false
+    (Relsql.Table.merge_due t);
+  Relsql.Table.delete_row t 0;
+  Alcotest.(check bool) "one main tombstone more is" true
+    (Relsql.Table.merge_due t)
 
 (* ------------------------------------------------------------------ *)
 (* Executor: compressed ≡ uncompressed matrix                          *)
@@ -458,7 +489,7 @@ let batch_strings b =
         (List.map Relsql.Value.to_string (Array.to_list row)))
     (Relsql.Batch.to_rows b)
 
-(** Run every query uncompressed (sequential) for a baseline, freeze the
+(** Run every query uncompressed (sequential) for a baseline, merge the
     whole database, and demand row-for-row, order-included equality at
     every (domains, join-partitions) combination. *)
 let check_matrix name ~layout triples queries =
@@ -477,7 +508,8 @@ let check_matrix name ~layout triples queries =
             (n, batch_strings (Relsql.Executor.run ~domains:1 db stmt)))
           stmts
       in
-      Relsql.Database.freeze_all db;
+      ignore (Relsql.Database.merge_all db);
+      Relsql.Database.check db;
       List.iter
         (fun domains ->
           List.iter
@@ -587,9 +619,10 @@ let suite =
       test_zone_filter_sound;
     Alcotest.test_case "packed: equality prefilter" `Quick test_eq_prefilter;
     Alcotest.test_case "table: RLE postings survive freeze" `Quick
-      test_freeze_postings_roundtrip;
-    Alcotest.test_case "table: freeze/thaw invariants" `Quick
-      test_freeze_thaw_invariants;
+      test_merge_postings_roundtrip;
+    Alcotest.test_case "table: merge round invariants" `Quick
+      test_merge_round_invariants;
+    Alcotest.test_case "table: merge policy" `Quick test_merge_policy;
     Alcotest.test_case "matrix: fig1 compressed ≡ boxed" `Quick
       test_matrix_fig1;
     Alcotest.test_case "matrix: micro compressed ≡ boxed" `Slow

@@ -1,7 +1,7 @@
 (** ExtVP-style semi-join reductions: the name codec, the registry's
     lazy build / threshold / budget / stamp lifecycle, planner
     substitution (an ExtvpScan in the physical plan), insert/delete and
-    freeze/thaw invalidation, the options fingerprint, bit-identical
+    merge invalidation, the options fingerprint, bit-identical
     results across the (domains × join-partitions × storage) matrix —
     and the packed range-predicate leaves that ride along in this PR. *)
 
@@ -82,7 +82,7 @@ let toy_registry () =
       incr built;
       let kept = if key.Relsql.Extvp.p1 = 1 then 10 else 90 in
       (mk_table (Relsql.Extvp.name_of_key key) kept, 100, kept))
-    ~stamp:(fun () -> (!version, 0, 0))
+    ~stamp:(fun () -> !version)
     ~estimator:(fun key -> if key.Relsql.Extvp.p1 = 1 then 0.1 else 0.9);
   (reg, version, built)
 
@@ -231,20 +231,23 @@ let test_insert_delete_invalidation () =
   check "reduced answers match after a delete"
 
 (* ------------------------------------------------------------------ *)
-(* Freeze / thaw invalidation                                          *)
+(* Merge invalidation                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let test_freeze_thaw_invalidation () =
+let test_merge_invalidation () =
   let base = load_engine () in
   let e = load_engine ~options:extvp_on () in
   force_extvp e;
   let reg = registry e in
   let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
   let q = parse star3 in
-  let want = Db2rdf.Engine.query base q in
-  let eq = Sparql.Ref_eval.equal_results want in
-  Alcotest.(check bool) "boxed reduced answers match" true
-    (eq (Db2rdf.Engine.query e q));
+  let check msg =
+    Alcotest.(check bool) msg true
+      (Sparql.Ref_eval.equal_results
+         (Db2rdf.Engine.query base q)
+         (Db2rdf.Engine.query e q))
+  in
+  check "boxed reduced answers match";
   let resolved_frozen () =
     match Relsql.Extvp.cached reg with
     | (name, _, _) :: _ ->
@@ -253,23 +256,34 @@ let test_freeze_thaw_invalidation () =
   in
   Alcotest.(check bool) "boxed store yields boxed reductions" false
     (resolved_frozen ());
-  (* Freezing bumps every table's encoding epoch: the stamp folds it,
-     so the cached boxed reductions are stale and the rebuilds inherit
-     the packed representation. *)
-  Relsql.Database.freeze_all db;
-  Alcotest.(check bool) "frozen reduced answers match" true
-    (eq (Db2rdf.Engine.query e q));
-  Alcotest.(check bool) "freeze invalidated the boxed reductions" true
-    ((Relsql.Extvp.counters reg).Relsql.Extvp.invalidations > 0);
-  Alcotest.(check bool) "frozen store yields packed reductions" true
-    (resolved_frozen ());
-  List.iter
-    (fun name -> Relsql.Table.thaw (Relsql.Database.find_exn db name))
-    (Relsql.Database.table_names db);
-  Alcotest.(check bool) "thawed reduced answers match" true
-    (eq (Db2rdf.Engine.query e q));
-  Alcotest.(check bool) "thawed store yields boxed reductions again" false
-    (resolved_frozen ())
+  (* A merge bumps every merged table's epoch: the stamp folds it, so
+     the cached reductions are stale — each round must rebuild rather
+     than serve a reduction across the epoch change, and the rebuilds
+     inherit the packed representation. *)
+  let invalidations () = (Relsql.Extvp.counters reg).Relsql.Extvp.invalidations in
+  for round = 1 to 2 do
+    let what = Printf.sprintf "round %d" round in
+    let i0 = invalidations () in
+    ignore (Relsql.Database.merge_all db);
+    check (what ^ ": merged reduced answers match");
+    Alcotest.(check bool) (what ^ ": merge invalidated the reductions") true
+      (invalidations () > i0);
+    Alcotest.(check bool) (what ^ ": merged store yields packed reductions") true
+      (resolved_frozen ());
+    (* a delta-resident write moves the epoch too *)
+    let i1 = invalidations () in
+    let tr =
+      Rdf.Triple.make
+        (Rdf.Term.iri (Printf.sprintf "http://example.org/round-%d" round))
+        (Rdf.Term.iri (Workloads.Micro.sv 1))
+        (Rdf.Term.lit "fresh")
+    in
+    Db2rdf.Engine.insert base tr;
+    Db2rdf.Engine.insert e tr;
+    check (what ^ ": reduced answers match over a live delta");
+    Alcotest.(check bool) (what ^ ": delta write invalidated the reductions") true
+      (invalidations () > i1)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Equality matrix                                                     *)
@@ -373,7 +387,6 @@ let suite =
       test_options_fingerprint_distinct;
     Alcotest.test_case "insert/delete invalidation" `Quick
       test_insert_delete_invalidation;
-    Alcotest.test_case "freeze/thaw invalidation" `Quick
-      test_freeze_thaw_invalidation;
+    Alcotest.test_case "merge invalidation" `Quick test_merge_invalidation;
     Alcotest.test_case "equality matrix" `Slow test_equality_matrix;
     Alcotest.test_case "packed range codes" `Quick test_packed_range_codes ]

@@ -1,6 +1,6 @@
 (** Radix-partitioned hash-join build and the shared scan cache:
     partitioning/permutation units, [Table.Join_hash] and
-    [Table.version] units, scan-cache semantics, and the load-bearing
+    [Table.epoch] units, scan-cache semantics, and the load-bearing
     property — bit-identical join results at every
     (domains, partitions) combination. *)
 
@@ -116,21 +116,36 @@ let test_join_hash_build_order () =
     (fun () -> ignore (Table.Join_hash.create ~parts:3))
 
 (* ------------------------------------------------------------------ *)
-(* Table.version                                                       *)
+(* Table.epoch                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_table_version_bumps () =
+(* Every write and every merge moves the epoch — on a never-merged
+   table and on the delta and main sides of a merged one; an
+   equal-value write and an idle merge do not. *)
+let test_table_epoch_bumps () =
   let t = Table.create "v" (Schema.make [ "a"; "b" ]) in
-  let v0 = Table.version t in
-  let rid = Table.insert t [| Value.Int 1; Value.Str "x" |] in
-  let v1 = Table.version t in
-  Alcotest.(check bool) "insert bumps version" true (v1 > v0);
-  ignore (Table.set_cell t rid 1 (Value.Str "y"));
-  let v2 = Table.version t in
-  Alcotest.(check bool) "set_cell bumps version" true (v2 > v1);
-  Table.delete_row t rid;
-  let v3 = Table.version t in
-  Alcotest.(check bool) "delete_row bumps version" true (v3 > v2)
+  let bumps what f =
+    let e0 = Table.epoch t in
+    let r = f () in
+    Alcotest.(check bool) (what ^ " bumps the epoch") true (Table.epoch t > e0);
+    r
+  in
+  let keeps what f =
+    let e0 = Table.epoch t in
+    f ();
+    Alcotest.(check int) (what ^ " keeps the epoch") e0 (Table.epoch t)
+  in
+  let rid = bumps "insert" (fun () -> Table.insert t [| Value.Int 1; Value.Str "x" |]) in
+  ignore (bumps "set_cell" (fun () -> Table.set_cell t rid 1 (Value.Str "y")));
+  keeps "equal set_cell" (fun () -> ignore (Table.set_cell t rid 1 (Value.Str "y")));
+  let rid2 = bumps "insert" (fun () -> Table.insert t [| Value.Int 2; Value.Str "z" |]) in
+  let rid3 = bumps "insert" (fun () -> Table.insert t [| Value.Int 3; Value.Null |]) in
+  bumps "delete_row" (fun () -> Table.delete_row t rid);
+  bumps "merge" (fun () -> Table.merge t);
+  keeps "idle merge" (fun () -> Table.merge t);
+  ignore (bumps "main relocation" (fun () -> Table.set_cell t rid2 1 (Value.Str "w")));
+  bumps "main delete_row" (fun () -> Table.delete_row t rid3);
+  bumps "merge" (fun () -> Table.merge t)
 
 (* ------------------------------------------------------------------ *)
 (* Scan cache                                                          *)
@@ -143,17 +158,12 @@ let some_filter =
        (Sql_ast.Eq, Sql_ast.Col (Some "t", "a"), Sql_ast.Const (Value.Int 1)))
 
 let test_scan_cache_key_versioning () =
-  let key ?(version = 1) ?(enc = 0) ?(delta = 0) ?(filter = some_filter)
-      ?(cols = None) () =
-    Scan_cache.key ~table:"t" ~version ~enc ~delta ~filter ~cols
+  let key ?(epoch = 1) ?(filter = some_filter) ?(cols = None) () =
+    Scan_cache.key ~table:"t" ~epoch ~filter ~cols
   in
   let k1 = key () in
-  Alcotest.(check bool) "version is part of the key" true
-    (k1 <> key ~version:2 ());
-  Alcotest.(check bool) "encoding epoch is part of the key" true
-    (k1 <> key ~enc:1 ());
-  Alcotest.(check bool) "delta epoch is part of the key" true
-    (k1 <> key ~delta:1 ());
+  Alcotest.(check bool) "epoch is part of the key" true
+    (k1 <> key ~epoch:2 ());
   Alcotest.(check bool) "filter is part of the key" true
     (k1 <> key ~filter:None ());
   Alcotest.(check bool) "columns are part of the key" true
@@ -171,7 +181,7 @@ let test_scan_cache_copies () =
   (match Scan_cache.find c "k" with
    | None -> Alcotest.fail "expected a hit"
    | Some got ->
-     Alcotest.(check int) "stored a frozen copy" 1 (Batch.length got);
+     Alcotest.(check int) "stored a private copy" 1 (Batch.length got);
      (* And mutating a served copy must not poison later hits. *)
      Batch.push_row got [| Value.Int 9 |]);
   (match Scan_cache.find c "k" with
@@ -237,7 +247,7 @@ let test_scan_cache_in_executor () =
     (batch_strings r1) (batch_strings r2);
   Alcotest.(check bool) "ANALYZE surfaces the hit" true
     (Helpers.contains (Opstats.to_string s2) "scan_cache=hit");
-  (* A write bumps Table.version: the old entry's key is dead. *)
+  (* A write bumps Table.epoch: the old entry's key is dead. *)
   ignore (Table.insert t [| Value.Int 3; Value.Int 1_000 |]);
   let r3, s3 = Executor.run_analyzed db stmt in
   Alcotest.(check int) "post-write run misses again" 1
@@ -248,7 +258,7 @@ let test_scan_cache_in_executor () =
 
 (** Delta-main regression: a cached packed scan must be invalidated by
     a delta-side insert (the packed image is untouched — the write only
-    moves the row version and delta epoch), and invalidated again by
+    moves the epoch), and invalidated again by
     the merge that folds the delta back in (same rows, fresh packed
     main), with identical rows served across both boundaries. *)
 let test_scan_cache_delta_invalidation () =
@@ -257,7 +267,7 @@ let test_scan_cache_delta_invalidation () =
   for i = 0 to 99 do
     ignore (Table.insert t [| Value.Int (i mod 10); Value.Int i |])
   done;
-  Table.freeze t;
+  Table.merge t;
   let stmt = Sql_parser.parse "SELECT a.v FROM t AS a WHERE a.k = 3" in
   let sum_stats f stats = Opstats.fold (fun acc n -> acc + f n) 0 stats in
   let r1, s1 = Executor.run_analyzed db stmt in
@@ -519,7 +529,7 @@ let suite =
     Alcotest.test_case "join_hash: build order + validation" `Quick
       test_join_hash_build_order;
     Alcotest.test_case "table: version bumps on every write" `Quick
-      test_table_version_bumps;
+      test_table_epoch_bumps;
     Alcotest.test_case "scan cache: key versioning" `Quick
       test_scan_cache_key_versioning;
     Alcotest.test_case "scan cache: private copies + counters" `Quick

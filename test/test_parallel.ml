@@ -140,7 +140,7 @@ let test_engine_cache_hits_and_invalidation () =
   Alcotest.(check int) "one entry cached" 1 s.Relsql.Plan_cache.entries;
   (* A data change must invalidate the cached statement: translation
      depends on dataset statistics, so a stale plan could be wrong. The
-     entry stays resident but its data_version stamp no longer matches,
+     entry stays resident but its epoch stamp no longer matches,
      so the next lookup is a miss and the statement re-translates. *)
   Db2rdf.Engine.insert e
     (Rdf.Triple.spo "fresh-s" "fresh-p" (Rdf.Term.iri "fresh-o"));

@@ -1,6 +1,6 @@
 (** Copy-on-write snapshot isolation: a reader's snapshot is
     bit-stable while a writer commits, snapshots carry their own
-    scan-cache and no reduction registry, and the versioned caches
+    scan-cache and no reduction registry, and the epoch-stamped caches
     serve each snapshot at its own stamp. *)
 
 open Db2rdf
@@ -57,9 +57,9 @@ let test_snapshot_pins_state () =
   Alcotest.(check bool) "stamps differ across commits" true
     (Engine.snapshot_stamp s0 <> Engine.snapshot_stamp s1)
 
-(** Same pinning property when the store is compressed: capture freezes
-    the catalog, the writer's auto-thaw must not leak into the
-    snapshot's shared packed columns. *)
+(** Same pinning property when the store is compressed: capture shares
+    the packed mains, and the writer's relocations and merges must not
+    leak into the snapshot's shared packed columns. *)
 let test_snapshot_pins_compressed () =
   let e =
     make_engine ~options:{ Engine.default_options with compress = true } ()
@@ -165,8 +165,8 @@ let test_database_snapshot_caches () =
     (Relsql.Database.scan_cache snap != Relsql.Database.scan_cache db);
   let dph = Relsql.Database.find_exn db "DPH"
   and sdph = Relsql.Database.find_exn snap "DPH" in
-  Alcotest.(check bool) "snapshot tables frozen" true
-    (Relsql.Table.frozen sdph);
+  Alcotest.(check int) "snapshot shares the source's main"
+    (Relsql.Table.main_slots dph) (Relsql.Table.main_slots sdph);
   let n0 = Relsql.Table.row_count sdph in
   (* mutate the live table; the snapshot view must not move *)
   Relsql.Table.delete_row dph 0;
@@ -175,8 +175,54 @@ let test_database_snapshot_caches () =
   Alcotest.(check int) "live row_count moved" (n0 - 1)
     (Relsql.Table.row_count dph)
 
+(** Capturing a boxed (never-merged) engine copies its delta as it is
+    and leaves the source untouched: every source table keeps an empty
+    main and its epoch. The snapshot stays bit-stable while the source
+    rewrites delta rows in place and deletes rows. *)
+let test_snapshot_boxed_source () =
+  let e = make_engine () in
+  let db = Loader.database (Engine.loader e) in
+  let tables = Relsql.Database.table_names db in
+  let epochs () =
+    List.map (fun n -> Relsql.Table.epoch (Relsql.Database.find_exn db n)) tables
+  in
+  let e0 = epochs () in
+  let es = Engine.snapshot e in
+  let snap = Relsql.Database.snapshot db in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (n ^ ": source main stays empty") 0
+        (Relsql.Table.main_slots (Relsql.Database.find_exn db n)))
+    tables;
+  Alcotest.(check (list int)) "source epochs untouched" e0 (epochs ());
+  Alcotest.(check int) "snapshot stamp is the source epoch"
+    (Relsql.Database.epoch db) (Engine.snapshot_stamp es);
+  let dump = canon (Engine.snapshot_query_string es dump_src) in
+  let dph = Relsql.Database.find_exn db "DPH"
+  and sdph = Relsql.Database.find_exn snap "DPH" in
+  let rows t = Relsql.Table.fold (fun acc rid row -> (rid, Array.copy row) :: acc) [] t in
+  let before = rows sdph and n0 = Relsql.Table.row_count sdph in
+  (* a statement through the engine, then raw writes: rewrite every
+     cell of a live delta row in place and delete another row *)
+  Engine.update_string e "DELETE WHERE { ?s <p1> ?o }";
+  let live = List.rev_map fst (rows dph) in
+  let rid = List.hd live in
+  for pos = 0 to Relsql.Schema.arity (Relsql.Table.schema dph) - 1 do
+    Alcotest.(check int) "delta write stays in place" rid
+      (Relsql.Table.set_cell dph rid pos (Relsql.Value.Int (1000 + pos)))
+  done;
+  Relsql.Table.delete_row dph (List.nth live 1);
+  Relsql.Table.check dph;
+  Relsql.Table.check sdph;
+  Alcotest.(check bool) "snapshot rows bit-stable" true
+    (Stdlib.compare before (rows sdph) = 0);
+  Alcotest.(check int) "snapshot row_count pinned" n0 (Relsql.Table.row_count sdph);
+  Alcotest.(check (list string)) "engine snapshot answers pinned" dump
+    (canon (Engine.snapshot_query_string es dump_src));
+  Alcotest.(check int) "source still never merged" 0 (Relsql.Table.main_slots dph)
+
 (** A snapshot captured while the compressed store carries a {e live
-    delta} (writes resident in the frozen tables' boxed delta side, not
+    delta} (writes resident in the packed tables' boxed delta side, not
     yet merged) is bit-stable: the packed main is shared, the delta
     rows and tombstone bitmap are deep-copied, so neither further live
     writes nor the live side's merge — which rebuilds its packed main —
@@ -261,5 +307,7 @@ let suite =
       test_database_snapshot_caches;
     Alcotest.test_case "snapshot with live delta bit-stable" `Quick
       test_snapshot_with_live_delta;
+    Alcotest.test_case "snapshot of a boxed engine leaves it boxed" `Quick
+      test_snapshot_boxed_source;
     Alcotest.test_case "extvp stamps across commit" `Quick
       test_extvp_stamps_across_commit ]

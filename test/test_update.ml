@@ -168,7 +168,7 @@ let test_engine_insert_new_slot () =
     insert / delete / DELETE WHERE on spilled and multi-valued slots,
     across (boxed | compressed) × (domains 1 | 4) × (wide | narrow
     layout), with compressed engines checked both {e pre-merge} (writes
-    still resident in the boxed delta side of the frozen tables) and
+    still resident in the boxed delta side of the packed tables) and
     {e post-merge} (after [Engine.merge] folds every delta back into a
     fresh packed main). *)
 let test_engine_update_matrix () =
@@ -232,10 +232,10 @@ let test_engine_update_matrix () =
        (fun cfg -> [ (cfg, 3); (cfg, 2) ])
        [ (false, 1); (false, 4); (true, 1); (true, 4) ])
 
-(** Regression: a compressed update must NOT thaw or re-encode the
-    frozen table — the delete punches a tombstone (or lands delta-side)
-    while the packed main stays resident, and the eager [Engine.merge]
-    folds the pending writes back in. *)
+(** Regression: a compressed update must NOT re-encode the packed
+    table — the delete punches a tombstone (or lands delta-side) while
+    the packed main stays resident, and the eager [Engine.merge] folds
+    the pending writes back in. *)
 let test_engine_compressed_update_refreezes () =
   let options = { Engine.default_options with compress = true } in
   let e =
@@ -244,12 +244,13 @@ let test_engine_compressed_update_refreezes () =
   Engine.load e (List.map triple [ (1, 1, 1); (1, 2, 2); (2, 1, 3) ]);
   let db = Loader.database (Engine.loader e) in
   let dph = Relsql.Database.find_exn db "DPH" in
-  Alcotest.(check bool) "DPH frozen after load" true (Relsql.Table.frozen dph);
+  Alcotest.(check bool) "DPH packed after load" true (Relsql.Table.frozen dph);
+  let merges0 = Relsql.Table.merge_count dph in
   Engine.update_string e "DELETE DATA { <s1> <p1> <o1> }";
-  Alcotest.(check bool) "DPH still frozen after update" true
+  Alcotest.(check bool) "DPH still packed after update" true
     (Relsql.Table.frozen dph);
-  Alcotest.(check int) "no thaw: the write stayed delta-resident" 0
-    (Relsql.Table.thaw_count dph);
+  Alcotest.(check int) "no re-encode: the write stayed delta-resident" merges0
+    (Relsql.Table.merge_count dph);
   Alcotest.(check bool) "write is visible in the delta accounting" true
     (Relsql.Table.delta_rows dph + Relsql.Table.main_tombstones dph > 0);
   let r = Engine.query e dump_q in
@@ -261,10 +262,64 @@ let test_engine_compressed_update_refreezes () =
   Alcotest.(check int) "DPH delta empty after merge" 0
     (Relsql.Table.delta_rows dph + Relsql.Table.main_tombstones dph);
   Alcotest.(check bool) "merge counted" true
-    (Relsql.Table.merge_count dph > 0);
+    (Relsql.Table.merge_count dph > merges0);
   let r = Engine.query e dump_q in
   Alcotest.(check int) "still two triples after merge" 2
     (List.length r.Sparql.Ref_eval.rows)
+
+(** Regression: the triple and vertical baselines apply the engine's
+    merge policy after every write statement under [--compress], so no
+    table's pending delta (rows plus main tombstones) ever outgrows the
+    shared bound — before, their write epilogue only packed
+    never-packed tables, and deltas grew without bound. *)
+let test_baseline_stores_merge_under_compress () =
+  let initial =
+    List.init 180 (fun i -> triple (i, i mod 3, i + 1000))
+  in
+  let statements =
+    List.init 200 (fun i ->
+        if i mod 4 = 3 then
+          Printf.sprintf "DELETE DATA { <s%d> <p%d> <o%d> }" (i - 3)
+            ((i - 3) mod 3) (i - 3)
+        else
+          Printf.sprintf "INSERT DATA { <s%d> <p%d> <o%d> }" i (i mod 3) i)
+  in
+  let saved = !Relsql.Database.default_compress in
+  Relsql.Database.default_compress := true;
+  Fun.protect ~finally:(fun () -> Relsql.Database.default_compress := saved)
+  @@ fun () ->
+  let merges db =
+    List.fold_left
+      (fun acc n ->
+        acc + Relsql.Table.merge_count (Relsql.Database.find_exn db n))
+      0
+      (Relsql.Database.table_names db)
+  in
+  let check name db (store : Store.t) =
+    let loaded = merges db in
+    List.iteri
+      (fun i src ->
+        store.Store.update (Sparql.Parser.parse_update src);
+        store.Store.check ();
+        List.iter
+          (fun n ->
+            let t = Relsql.Database.find_exn db n in
+            if Relsql.Table.merge_due t then
+              Alcotest.failf
+                "%s stmt %d: %s holds %d delta rows + %d main tombstones \
+                 over a main of %d"
+                name i n (Relsql.Table.delta_rows t)
+                (Relsql.Table.main_tombstones t) (Relsql.Table.main_slots t))
+          (Relsql.Database.table_names db))
+      statements;
+    Alcotest.(check bool) (name ^ ": writes merged") true (merges db > loaded)
+  in
+  let ts = Triple_store.create () in
+  Triple_store.load ts initial;
+  check "TripleStore" ts.Triple_store.db (Triple_store.to_store ts);
+  let vs = Vertical_store.create () in
+  Vertical_store.load vs initial;
+  check "VertStore" vs.Vertical_store.db (Vertical_store.to_store vs)
 
 let test_stats_unrecord () =
   let stats = Dataset_stats.create () in
@@ -294,4 +349,6 @@ let suite =
       `Quick test_engine_update_matrix;
     Alcotest.test_case "engine: compressed update stays delta-resident" `Quick
       test_engine_compressed_update_refreezes;
+    Alcotest.test_case "triple/vertical stores merge deltas under compress"
+      `Quick test_baseline_stores_merge_under_compress;
     QCheck_alcotest.to_alcotest delete_equivalence ]
