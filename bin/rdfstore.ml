@@ -172,6 +172,19 @@ let read_query = function
   | Some q -> q
   | None -> failwith "a SPARQL query (string or file) is required"
 
+(* Parse SPARQL text; a lexical or syntax error is reported on stderr
+   as "line L, column C: message" and exits 1. *)
+let parse_or_exit parse src =
+  let report msg pos =
+    let line, col = Sparql.Parser.line_col src pos in
+    Printf.eprintf "line %d, column %d: %s\n%!" line col msg;
+    exit 1
+  in
+  match parse src with
+  | v -> v
+  | exception Sparql.Lexer.Lex_error (msg, pos) -> report msg pos
+  | exception Sparql.Parser.Parse_error (msg, pos) -> report msg pos
+
 let query_arg =
   let doc = "SPARQL query text, or a path to a file containing it." in
   Arg.(value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
@@ -183,6 +196,7 @@ let query_arg =
 let run_query data backend k no_coloring domains load_domains join_partitions
     compress wcoj extvp extvp_build extvp_threshold extvp_budget_mb timeout
     query =
+  let q = parse_or_exit Sparql.Parser.parse (read_query query) in
   let triples = load_triples data in
   Printf.printf "loaded %d triples into %s\n%!" (List.length triples) backend;
   let store =
@@ -190,7 +204,6 @@ let run_query data backend k no_coloring domains load_domains join_partitions
       ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k no_coloring
       domains triples
   in
-  let q = Sparql.Parser.parse (read_query query) in
   let t0 = Unix.gettimeofday () in
   match Db2rdf.Store.run ~timeout store q with
   | Db2rdf.Store.Complete r, dt ->
@@ -237,6 +250,7 @@ let update_summary = function
 let run_update data backend k no_coloring domains load_domains join_partitions
     compress wcoj extvp extvp_build extvp_threshold
     extvp_budget_mb timeout script =
+  let statements = parse_or_exit Sparql.Parser.parse_script (read_query script) in
   let triples = load_triples data in
   Printf.printf "loaded %d triples into %s\n%!" (List.length triples) backend;
   let store =
@@ -244,7 +258,6 @@ let run_update data backend k no_coloring domains load_domains join_partitions
       ~extvp ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k
       no_coloring domains triples
   in
-  let statements = Sparql.Parser.parse_script (read_query script) in
   List.iteri
     (fun i stmt ->
       match stmt with
@@ -307,13 +320,13 @@ let update_cmd =
 let run_explain data backend k no_coloring domains load_domains
     join_partitions compress wcoj extvp extvp_build extvp_threshold
     extvp_budget_mb analyze timeout query =
+  let q = parse_or_exit Sparql.Parser.parse (read_query query) in
   let triples = load_triples data in
   let store =
     build_store ~load_domains ~join_partitions ~compress ~wcoj ~extvp
       ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k no_coloring
       domains triples
   in
-  let q = Sparql.Parser.parse (read_query query) in
   print_endline (store.Db2rdf.Store.explain q);
   if analyze then begin
     match store.Db2rdf.Store.analyze ~timeout q with
@@ -494,7 +507,7 @@ let run_merge data k script =
              (update_summary u)
              ((Unix.gettimeofday () -. t0) *. 1000.0)
          | Sparql.Ast.S_query _ -> ())
-       (Sparql.Parser.parse_script (read_query (Some src))));
+       (parse_or_exit Sparql.Parser.parse_script (read_query (Some src))));
   let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
   print_compression_reports db;
   let t0 = Unix.gettimeofday () in

@@ -4,16 +4,11 @@
 
 type node = { triple : int; meth : Cost.access }
 
-type edge = {
-  src : node option;  (** [None] is the root *)
-  dst : node;
-  weight : float;
-}
-
-type graph = {
-  nodes : node list;
-  edges : edge list;  (** sorted by ascending weight *)
-}
+(** The data flow graph of Definition 3.8, kept implicit: per-node
+    arrays indexed by [3 * triple + method] (methods ordered
+    [Sc], [Acs], [Aco]) and one table of allowed flows between triples.
+    Use {!has_edge} to query it. *)
+type graph
 
 (** Variables required to be bound before a (triple, method) access
     (Definition 3.3). *)
@@ -22,10 +17,20 @@ val required : Sparql.Ast.triple_pat -> Cost.access -> Sparql.Ast.VarSet.t
 (** Variables bound after the access (Definition 3.2). *)
 val produced : Sparql.Ast.triple_pat -> Cost.access -> Sparql.Ast.VarSet.t
 
-(** Build the weighted data flow graph; edge weight is the target
-    node's TMC. Edges are suppressed between OR-connected triples and
-    out of OPTIONAL scopes (Definition 3.8). *)
+(** Build the weighted data flow graph in O(n²) for n triples; edge
+    weight is the target node's TMC. Edges are suppressed between
+    OR-connected triples and out of OPTIONAL scopes (Definition 3.8). *)
 val build : Sparql.Pattern_tree.t -> Dataset_stats.t -> Rdf.Dictionary.t -> graph
+
+(** [has_edge g src dst]: is there an edge from [src] ([None] is the
+    root) to [dst]? A node that requires no variable is fed by the root
+    only. *)
+val has_edge : graph -> node option -> node -> bool
+
+(** Node id [3 * triple + method] and back. *)
+val id_of_node : node -> int
+
+val node_of_id : int -> node
 
 type flow = {
   order : node list;  (** one chosen node per triple, insertion order *)
@@ -34,8 +39,10 @@ type flow = {
   parent_of : node option array;  (** triple -> flow parent node *)
 }
 
-(** [Best] is the paper's greedy (Figure 9); [Worst] prefers the most
-    expensive indexed access — the deliberately sub-optimal flow used by
+(** [Best] is the paper's greedy (Figure 9), taking the first reachable
+    edge in (weight, target, source) order with the root before any
+    node; [Worst] takes the last reachable indexed edge in that order,
+    else the first scan edge — the deliberately sub-optimal flow used by
     the naive-translation baseline and the Figure 14 experiment. *)
 type objective = Best | Worst
 

@@ -115,7 +115,7 @@ let run ?timeout (store : t) (q : Sparql.Ast.query) : outcome * float =
     try Complete (store.query ?timeout q) with
     | Relsql.Executor.Timeout | Sparql.Ref_eval.Timeout -> Timed_out
     | Filter_sql.Unsupported msg -> Unsupported msg
-    | Sparql.Parser.Parse_error msg -> Unsupported msg
+    | Sparql.Parser.Parse_error (msg, _) -> Unsupported msg
     | Failure msg -> Failed msg
     | Invalid_argument msg -> Failed msg
   in

@@ -744,7 +744,7 @@ let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
   match r.Repro.script_src with
   | Some src ->
     (match Sparql.Parser.parse_script src with
-     | exception Sparql.Parser.Parse_error msg ->
+     | exception Sparql.Parser.Parse_error (msg, _) ->
        Error ("repro script does not parse: " ^ msg)
      | script ->
        (match
@@ -756,7 +756,7 @@ let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
         | Diverged divs -> Error (String.concat "; " (divergence_lines divs))))
   | None ->
     (match Sparql.Parser.parse r.Repro.query_src with
-     | exception Sparql.Parser.Parse_error msg ->
+     | exception Sparql.Parser.Parse_error (msg, _) ->
        Error ("repro query does not parse: " ^ msg)
      | q ->
        (match

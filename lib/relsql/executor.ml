@@ -411,7 +411,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
                | Some _ when code_filtered -> []
                | Some e -> Expr_eval.referenced_cols layout e
              in
-             Array.of_list (List.sort_uniq compare (Array.to_list sel @ refs))
+             Array.of_list (List.sort_uniq Int.compare (Array.to_list sel @ refs))
        in
        let zone_ok, pre =
          match filter with
@@ -614,7 +614,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
               | None, _ | _, Some _ -> []
               | Some e, None -> Expr_eval.referenced_cols layout e
             in
-            Array.of_list (List.sort_uniq compare (sel @ refs))
+            Array.of_list (List.sort_uniq Int.compare (sel @ refs))
         in
         let scratch = Array.make arity Value.Null in
         match code_keep with
@@ -729,7 +729,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
           | Some e, None -> Expr_eval.referenced_cols inner_table_layout e
         in
         let needed =
-          Array.of_list (List.sort_uniq compare (Array.to_list sel @ refs))
+          Array.of_list (List.sort_uniq Int.compare (Array.to_list sel @ refs))
         in
         fun () ->
           let scratch =

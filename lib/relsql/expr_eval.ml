@@ -15,25 +15,28 @@ exception Unknown_column of string
 let pp_colref (q, n) =
   match q with Some q -> q ^ "." ^ n | None -> n
 
+let rec find_qualified (layout : layout) q n i =
+  if i >= Array.length layout then raise (Unknown_column (pp_colref (q, n)))
+  else
+    let q', n' = layout.(i) in
+    if String.equal n' n && Option.equal String.equal q' q then i
+    else find_qualified layout q n (i + 1)
+
+let rec find_unqualified (layout : layout) n i found =
+  if i >= Array.length layout then
+    if found < 0 then raise (Unknown_column n) else found
+  else if String.equal (snd layout.(i)) n then
+    if found >= 0 then raise (Unknown_column (n ^ " (ambiguous)"))
+    else find_unqualified layout n (i + 1) i
+  else find_unqualified layout n (i + 1) found
+
 (** Resolve a column reference against a layout. A qualified reference
     must match qualifier and name; an unqualified one matches by name and
     must be unambiguous. *)
 let resolve (layout : layout) (q, n) =
   match q with
-  | Some _ ->
-    let rec find i =
-      if i >= Array.length layout then raise (Unknown_column (pp_colref (q, n)))
-      else if layout.(i) = (q, n) then i
-      else find (i + 1)
-    in
-    find 0
-  | None ->
-    let matches = ref [] in
-    Array.iteri (fun i (_, name) -> if name = n then matches := i :: !matches) layout;
-    (match !matches with
-     | [ i ] -> i
-     | [] -> raise (Unknown_column n)
-     | _ -> raise (Unknown_column (n ^ " (ambiguous)")))
+  | Some _ -> find_qualified layout q n 0
+  | None -> find_unqualified layout n 0 (-1)
 
 (* Three-valued logic: SQL booleans are True / False / Unknown, where
    Unknown is represented by Value.Null. *)
@@ -418,4 +421,4 @@ let referenced_cols (layout : layout) (e : expr) : int list =
     | Agg (_, arg, _) -> Option.iter go arg
   in
   go e;
-  List.sort_uniq compare !acc
+  List.sort_uniq Int.compare !acc

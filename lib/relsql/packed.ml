@@ -752,7 +752,7 @@ let compile_code_pred t (layout : Expr_eval.layout) (e : Sql_ast.expr) :
       | None -> None
       | Some c ->
         let codes =
-          List.sort_uniq compare
+          List.sort_uniq Int.compare
             (List.concat_map (fun v -> structural_codes c v []) vs)
         in
         (match codes with
@@ -883,7 +883,7 @@ let compile_block_pred t (layout : Expr_eval.layout) (e : Sql_ast.expr) :
           B_in
             ( c,
               Array.of_list
-                (List.sort_uniq compare
+                (List.sort_uniq Int.compare
                    (List.concat_map (fun v -> structural_codes c v []) vs)) ))
         (col_of q n)
     | _ -> None

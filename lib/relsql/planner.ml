@@ -130,7 +130,7 @@ let refers_only_to aliases e =
   List.for_all
     (fun (q, _) ->
       match q with
-      | Some a -> List.mem a aliases
+      | Some a -> List.exists (String.equal a) aliases
       | None -> false (* conservative: keep unqualified refs at the top *))
     refs
   (* Expressions with no column references at all (constants) are fine. *)
@@ -146,14 +146,16 @@ let table_index_cols db table_name =
   | Some t ->
     List.map (fun pos -> Schema.column (Table.schema t) pos) (Table.indexed_columns t)
 
+let is_indexed c indexed = List.exists (String.equal c) indexed
+
 (** Recognize [alias.col = const] / [const = alias.col] / [alias.col IN
     (...)] conjuncts usable as index keys for [alias]. *)
 let index_key_of_conjunct alias indexed = function
-  | Binop (Eq, Col (Some a, c), Const v) when a = alias && List.mem c indexed ->
+  | Binop (Eq, Col (Some a, c), Const v) when a = alias && is_indexed c indexed ->
     Some (c, [ v ])
-  | Binop (Eq, Const v, Col (Some a, c)) when a = alias && List.mem c indexed ->
+  | Binop (Eq, Const v, Col (Some a, c)) when a = alias && is_indexed c indexed ->
     Some (c, [ v ])
-  | In_list (Col (Some a, c), vs) when a = alias && List.mem c indexed ->
+  | In_list (Col (Some a, c), vs) when a = alias && is_indexed c indexed ->
     Some (c, vs)
   | _ -> None
 
@@ -161,10 +163,10 @@ let index_key_of_conjunct alias indexed = function
     an expression over the outer aliases — the index nested-loop case. *)
 let inl_key_of_conjunct ~outer_aliases ~inner_alias ~indexed = function
   | Binop (Eq, Col (Some a, c), rhs)
-    when a = inner_alias && List.mem c indexed && refers_only_to outer_aliases rhs ->
+    when a = inner_alias && is_indexed c indexed && refers_only_to outer_aliases rhs ->
     Some (c, rhs)
   | Binop (Eq, lhs, Col (Some a, c))
-    when a = inner_alias && List.mem c indexed && refers_only_to outer_aliases lhs ->
+    when a = inner_alias && is_indexed c indexed && refers_only_to outer_aliases lhs ->
     Some (c, lhs)
   | _ -> None
 
@@ -701,7 +703,7 @@ let cols_for alias = function
   | All -> None
   | Only refs ->
     Some
-      (List.sort_uniq compare
+      (List.sort_uniq String.compare
          (List.filter_map (fun (a, n) -> if a = alias then Some n else None) refs))
 
 (** Push column requirements down the plan, narrowing table-access and

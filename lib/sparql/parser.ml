@@ -11,19 +11,23 @@
 open Ast
 open Lexer
 
-exception Parse_error of string
+exception Parse_error of string * int
 
 type state = {
   mutable toks : (token * int) list;
   prefixes : (string, string) Hashtbl.t;
+  len : int;  (** source length: the offset of the end of input *)
 }
 
 let peek st = match st.toks with (t, _) :: _ -> t | [] -> EOF
+let peek_pos st = match st.toks with (_, pos) :: _ -> pos | [] -> st.len
 
 let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
 
 let fail st msg =
-  raise (Parse_error (Printf.sprintf "%s (at %s)" msg (token_to_string (peek st))))
+  raise
+    (Parse_error
+       (Printf.sprintf "%s (at %s)" msg (token_to_string (peek st)), peek_pos st))
 
 let expect st t =
   if peek st = t then advance st
@@ -41,10 +45,12 @@ let accept_kw st kw =
     true
   | _ -> false
 
+(* Runs while the PNAME is still the current token, so an undeclared
+   prefix is reported at it. *)
 let resolve_pname st prefix local =
   match Hashtbl.find_opt st.prefixes prefix with
   | Some base -> base ^ local
-  | None -> raise (Parse_error ("undeclared prefix: " ^ prefix ^ ":"))
+  | None -> raise (Parse_error ("undeclared prefix: " ^ prefix ^ ":", peek_pos st))
 
 (* ------------------------------------------------------------------ *)
 (* Terms                                                               *)
@@ -62,8 +68,9 @@ let parse_literal_tail st lex =
        advance st;
        Rdf.Term.typed_lit lex dt
      | PNAME (p, l) ->
+       let dt = resolve_pname st p l in
        advance st;
-       Rdf.Term.typed_lit lex (resolve_pname st p l)
+       Rdf.Term.typed_lit lex dt
      | _ -> fail st "expected datatype IRI")
   | _ -> Rdf.Term.lit lex
 
@@ -77,8 +84,9 @@ let parse_term_pat st : term_pat =
     advance st;
     Term (Rdf.Term.iri s)
   | PNAME (p, l) ->
+    let iri = resolve_pname st p l in
     advance st;
-    Term (Rdf.Term.iri (resolve_pname st p l))
+    Term (Rdf.Term.iri iri)
   | BNODE b ->
     advance st;
     Term (Rdf.Term.bnode b)
@@ -298,8 +306,9 @@ and parse_unary_expr st =
     advance st;
     E_const (Rdf.Term.iri s)
   | PNAME (p, l) ->
+    let iri = resolve_pname st p l in
     advance st;
-    E_const (Rdf.Term.iri (resolve_pname st p l))
+    E_const (Rdf.Term.iri iri)
   | STRINGLIT lex ->
     advance st;
     E_const (parse_literal_tail st lex)
@@ -669,7 +678,9 @@ let parse_script_state st : statement list =
   List.rev !stmts
 
 let make_state src =
-  let st = { toks = tokenize src; prefixes = Hashtbl.create 8 } in
+  let st =
+    { toks = tokenize src; prefixes = Hashtbl.create 8; len = String.length src }
+  in
   Hashtbl.replace st.prefixes "rdf" "http://www.w3.org/1999/02/22-rdf-syntax-ns#";
   Hashtbl.replace st.prefixes "rdfs" "http://www.w3.org/2000/01/rdf-schema#";
   Hashtbl.replace st.prefixes "xsd" "http://www.w3.org/2001/XMLSchema#";
@@ -678,6 +689,19 @@ let make_state src =
 let finish st v =
   if peek st <> EOF then fail st "trailing input";
   v
+
+(** 1-based line and byte column of offset [pos] in [src]. *)
+let line_col (src : string) (pos : int) : int * int =
+  let pos = Int.max 0 (Int.min pos (String.length src)) in
+  let line = ref 1 and bol = ref 0 in
+  String.iteri
+    (fun i c ->
+      if i < pos && c = '\n' then begin
+        incr line;
+        bol := i + 1
+      end)
+    src;
+  (!line, pos - !bol + 1)
 
 (** Parse a SPARQL SELECT query. *)
 let parse (src : string) : query =

@@ -5,7 +5,14 @@
     [/], inverse [^] — rewritten into plain patterns at parse time),
     UNION, OPTIONAL, FILTER, ORDER BY, LIMIT and OFFSET. *)
 
-exception Parse_error of string
+(** A syntax error: the message and the byte offset in the source of
+    the token the parser failed at (the source length at end of input).
+    {!Lexer.Lex_error} carries the same pair for lexical errors. *)
+exception Parse_error of string * int
+
+(** [line_col src pos] is the 1-based line and byte column of offset
+    [pos] in [src], for reporting either error. *)
+val line_col : string -> int -> int * int
 
 (** Parse a SPARQL SELECT query (prefixes [rdf:], [rdfs:], [xsd:] are
     predeclared). Raises {!Parse_error} or {!Lexer.Lex_error}. *)

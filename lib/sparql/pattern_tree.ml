@@ -18,6 +18,7 @@ type kind =
 type t = {
   kinds : kind array;  (** node id -> kind *)
   parents : int array;  (** node id -> parent node id; root's is -1 *)
+  depths : int array;  (** node id -> depth; the root's is 0 *)
   children : int list array;
   root : int;
   triples : tp array;  (** triple id -> leaf tp *)
@@ -115,6 +116,9 @@ let of_pattern (p : Ast.pattern) : t =
   in
   let kinds = Array.of_list (List.rev b.b_kinds) in
   let parents = Array.of_list (List.rev b.b_parents) in
+  (* A parent is created before its children, so ids are topological. *)
+  let depths = Array.make (Array.length parents) 0 in
+  Array.iteri (fun n p -> if p >= 0 then depths.(n) <- depths.(p) + 1) parents;
   (* [b_children] is in reverse creation order; prepending restores
      creation order per parent. *)
   let children = Array.make (Array.length kinds) [] in
@@ -126,7 +130,7 @@ let of_pattern (p : Ast.pattern) : t =
   Array.iteri
     (fun n k -> match k with K_leaf tp -> leaf_node.(tp.id) <- n | _ -> ())
     kinds;
-  { kinds; parents; children; root; triples; leaf_node;
+  { kinds; parents; depths; children; root; triples; leaf_node;
     filters = List.rev b.b_filters }
 
 let of_query (q : Ast.query) : t = of_pattern q.where
@@ -144,78 +148,78 @@ let ancestors t n =
   go n []
 
 (** Depth of a node (root has depth 0). *)
-let depth t n = List.length (ancestors t n)
+let depth t n = t.depths.(n)
+
+(* The walks below are top-level functions over the parent array so the
+   predicates the optimizer calls per pair of triples allocate nothing. *)
+let rec lift parents n d target =
+  if d > target then lift parents parents.(n) (d - 1) target else n
+
+let rec meet parents a b = if a = b then a else meet parents parents.(a) parents.(b)
 
 (** Least common ancestor of two nodes (Definition 3.4). *)
 let lca t a b =
-  let rec lift n d target = if d > target then lift t.parents.(n) (d - 1) target else n in
-  let da = depth t a and db = depth t b in
-  let a = lift a da (min da db) and b = lift b db (min da db) in
-  let rec meet a b = if a = b then a else meet t.parents.(a) t.parents.(b) in
-  meet a b
+  let da = t.depths.(a) and db = t.depths.(b) in
+  let m = Int.min da db in
+  meet t.parents (lift t.parents a da m) (lift t.parents b db m)
 
-(** [↑↑ (p, p')]: ancestors of [p] strictly below [LCA (p, p')],
-    including [p] itself when [p] is an interior node on that path —
-    per Definition 3.5 this is the set of nodes from [p] (exclusive)
-    up to but excluding the LCA. *)
+(** [↑↑ (p, p')] (Definition 3.5): the ancestors of [p] strictly below
+    [LCA (p, p')], root side first. Empty when [p] is itself the LCA —
+    in particular when [p = p']. *)
 let up_to_lca t p p' =
   let stop = lca t p p' in
   let rec go n acc = if n = stop then acc else go t.parents.(n) (n :: acc) in
-  go t.parents.(p) []
+  if p = stop then [] else go t.parents.(p) []
+
+(* Does every node from [n] up to (excluding) its ancestor [stop]
+   satisfy [f]? *)
+let rec walk_for_all t f n stop =
+  n = stop || (f t.kinds.(n) && walk_for_all t f t.parents.(n) stop)
+
+(* The same over [↑↑ (p, ·)], whose LCA is [stop]. *)
+let path_for_all t f p stop = p = stop || walk_for_all t f t.parents.(p) stop
+
+let is_and = function K_and -> true | K_or | K_opt | K_leaf _ -> false
+let is_or = function K_or -> true | K_and | K_opt | K_leaf _ -> false
+let is_opt = function K_opt -> true | K_and | K_or | K_leaf _ -> false
+let not_opt k = not (is_opt k)
 
 (** [∪ (t, t')] (Definition 3.6): the two triples' LCA is an OR. *)
 let or_connected t ta tb =
-  let na = t.leaf_node.(ta) and nb = t.leaf_node.(tb) in
-  t.kinds.(lca t na nb) = K_or
+  is_or t.kinds.(lca t t.leaf_node.(ta) t.leaf_node.(tb))
 
 (** [∩ (t, t')] (Definition 3.7): [t'] is guarded by an OPTIONAL with
     respect to [t]. *)
 let opt_connected t ta tb =
   let na = t.leaf_node.(ta) and nb = t.leaf_node.(tb) in
-  List.exists (fun n -> t.kinds.(n) = K_opt) (up_to_lca t nb na)
+  not (path_for_all t not_opt nb (lca t na nb))
+
+(* The LCA and every node of both paths up to it satisfy [f]. *)
+let mergeable f t ta tb =
+  let na = t.leaf_node.(ta) and nb = t.leaf_node.(tb) in
+  let l = lca t na nb in
+  f t.kinds.(l) && path_for_all t f na l && path_for_all t f nb l
 
 (** Definition 3.9: the LCA and all intermediate ancestors of both
     triples are AND nodes. *)
-let and_mergeable t ta tb =
-  let na = t.leaf_node.(ta) and nb = t.leaf_node.(tb) in
-  let l = lca t na nb in
-  t.kinds.(l) = K_and
-  && List.for_all
-       (fun n -> t.kinds.(n) = K_and)
-       (up_to_lca t na nb @ up_to_lca t nb na)
+let and_mergeable t ta tb = mergeable is_and t ta tb
 
 (** Definition 3.10: the LCA and all intermediate ancestors are OR
     nodes. *)
-let or_mergeable t ta tb =
-  let na = t.leaf_node.(ta) and nb = t.leaf_node.(tb) in
-  let l = lca t na nb in
-  t.kinds.(l) = K_or
-  && List.for_all
-       (fun n -> t.kinds.(n) = K_or)
-       (up_to_lca t na nb @ up_to_lca t nb na)
+let or_mergeable t ta tb = mergeable is_or t ta tb
 
 (** Definition 3.11: as {!and_mergeable}, except the parent of the
     later (optional) triple [tb] is an OPTIONAL node. *)
 let opt_mergeable t ta tb =
   let na = t.leaf_node.(ta) and nb = t.leaf_node.(tb) in
   let l = lca t na nb in
-  t.kinds.(l) = K_and
-  && List.for_all (fun n -> t.kinds.(n) = K_and) (up_to_lca t na nb)
-  && (match up_to_lca t nb na with
-      | [] -> false
-      | path ->
-        (* path is ordered root-side first; the node adjacent to tb is
-           last. It must be the OPTIONAL guard; everything above, AND. *)
-        let rec split = function
-          | [ last ] -> ([], last)
-          | x :: rest ->
-            let above, last = split rest in
-            (x :: above, last)
-          | [] -> assert false
-        in
-        let above, last = split path in
-        t.kinds.(last) = K_opt
-        && List.for_all (fun n -> t.kinds.(n) = K_and) above)
+  is_and t.kinds.(l)
+  && path_for_all t is_and na l
+  && (* [↑↑ (tb, ta)] is non-empty; its node adjacent to [tb] is the
+        OPTIONAL guard and everything above it, AND. *)
+  nb <> l
+  && (let g = t.parents.(nb) in
+      g <> l && is_opt t.kinds.(g) && path_for_all t is_and g l)
 
 (** The triple ids inside the subtree rooted at node [n]. *)
 let triples_under t n =
@@ -229,8 +233,7 @@ let triples_under t n =
   List.rev !acc
 
 (** Is triple [tid] inside (the scope of) any OPTIONAL node? *)
-let in_optional t tid =
-  List.exists (fun n -> t.kinds.(n) = K_opt) (ancestors t t.leaf_node.(tid))
+let in_optional t tid = not (path_for_all t not_opt t.leaf_node.(tid) (-1))
 
 (* ------------------------------------------------------------------ *)
 (* Debug printing                                                      *)

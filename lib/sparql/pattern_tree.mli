@@ -16,6 +16,7 @@ type kind =
 type t = {
   kinds : kind array;  (** node id -> kind *)
   parents : int array;  (** node id -> parent node id; root's is -1 *)
+  depths : int array;  (** node id -> depth; the root's is 0 *)
   children : int list array;
   root : int;
   triples : tp array;  (** triple id -> leaf tp *)
@@ -40,7 +41,10 @@ val depth : t -> int -> int
 val lca : t -> int -> int -> int
 
 (** [↑↑ (p, p')]: ancestors of [p] strictly below [LCA (p, p')]
-    (Definition 3.5). *)
+    (Definition 3.5), root side first; empty when [p] is the LCA, e.g.
+    when [p = p']. The connectivity and mergeability predicates below
+    walk the same paths without allocating, and are all false for equal
+    arguments. *)
 val up_to_lca : t -> int -> int -> int list
 
 (** [∪ (t, t')] (Definition 3.6): the triples' LCA is an OR. *)

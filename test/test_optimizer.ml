@@ -70,17 +70,8 @@ let test_produced_required () =
 (* ------------------------------------------------------------------ *)
 
 let edge_exists g ~src ~dst =
-  List.exists
-    (fun (e : Dataflow.edge) ->
-      e.Dataflow.dst.Dataflow.triple = snd dst
-      && e.Dataflow.dst.Dataflow.meth = fst dst
-      &&
-      match e.Dataflow.src, fst src with
-      | None, None -> snd src = -1
-      | Some s, _ ->
-        Some s.Dataflow.meth = fst src && s.Dataflow.triple = snd src
-      | None, _ -> false)
-    g.Dataflow.edges
+  let node (m, t) = { Dataflow.triple = t; meth = m } in
+  Dataflow.has_edge g (Option.map (fun m -> node (m, snd src)) (fst src)) (node dst)
 
 let test_dataflow_graph () =
   let store, _, pt = fig6_setup () in
@@ -274,6 +265,224 @@ let test_merge_spill_veto () =
     (stars plan);
   Helpers.check_store_vs_oracle g (Engine.to_store e) src
 
+(* ------------------------------------------------------------------ *)
+(* Flow equivalence against the sorted-edge-list greedy                *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference data flow builder: every edge materialized, weighted
+   by its target's TMC and sorted by (weight, target, source), and the
+   greedy of Figure 9 as a first-match scan of that list. OR- and
+   OPTIONAL-connectivity are recomputed from ancestor lists. *)
+module Ref = struct
+  module PT = Sparql.Pattern_tree
+
+  type edge = { src : Dataflow.node option; dst : Dataflow.node; weight : float }
+
+  let lca pt a b =
+    let up n = n :: PT.ancestors pt n in
+    List.find (fun n -> List.mem n (up b)) (up a)
+
+  (* Ancestors of [p] strictly below LCA(p, p'), nearest first. *)
+  let up_to_lca pt p p' =
+    let l = lca pt p p' in
+    if p = l then []
+    else
+      let rec take = function x :: r when x <> l -> x :: take r | _ -> [] in
+      take (PT.ancestors pt p)
+
+  let or_connected pt a b =
+    PT.kind pt (lca pt pt.PT.leaf_node.(a) pt.PT.leaf_node.(b)) = PT.K_or
+
+  let opt_connected pt a b =
+    List.exists
+      (fun n -> PT.kind pt n = PT.K_opt)
+      (up_to_lca pt pt.PT.leaf_node.(b) pt.PT.leaf_node.(a))
+
+  (* Definitions 3.9-3.11 over the two paths up to the LCA. *)
+  let mergeable k pt a b =
+    let na = pt.PT.leaf_node.(a) and nb = pt.PT.leaf_node.(b) in
+    PT.kind pt (lca pt na nb) = k
+    && List.for_all (fun n -> PT.kind pt n = k) (up_to_lca pt na nb @ up_to_lca pt nb na)
+
+  let opt_mergeable pt a b =
+    let na = pt.PT.leaf_node.(a) and nb = pt.PT.leaf_node.(b) in
+    PT.kind pt (lca pt na nb) = PT.K_and
+    && List.for_all (fun n -> PT.kind pt n = PT.K_and) (up_to_lca pt na nb)
+    && (match up_to_lca pt nb na with
+        | guard :: above ->
+          PT.kind pt guard = PT.K_opt
+          && List.for_all (fun n -> PT.kind pt n = PT.K_and) above
+        | [] -> false)
+
+  let build pt stats dict =
+    let pat i = (PT.triple pt i).PT.pat in
+    let nodes =
+      List.concat_map
+        (fun i ->
+          List.map (fun m -> { Dataflow.triple = i; meth = m }) [ Cost.Sc; Cost.Acs; Cost.Aco ])
+        (List.init (PT.n_triples pt) Fun.id)
+    in
+    let cost (nd : Dataflow.node) = Cost.tmc stats dict (pat nd.triple) nd.meth in
+    let edges =
+      List.concat_map
+        (fun (dst : Dataflow.node) ->
+          let r = Dataflow.required (pat dst.triple) dst.meth in
+          if Sparql.Ast.VarSet.is_empty r then [ { src = None; dst; weight = cost dst } ]
+          else
+            List.filter_map
+              (fun (src : Dataflow.node) ->
+                if
+                  src.triple <> dst.triple
+                  && Sparql.Ast.VarSet.subset r (Dataflow.produced (pat src.triple) src.meth)
+                  && (not (or_connected pt src.triple dst.triple))
+                  && not (opt_connected pt dst.triple src.triple)
+                then Some { src = Some src; dst; weight = cost dst }
+                else None)
+              nodes)
+        nodes
+    in
+    let key e =
+      ( e.dst.triple, e.dst.meth,
+        Option.map (fun (n : Dataflow.node) -> (n.triple, n.meth)) e.src )
+    in
+    List.sort
+      (fun a b ->
+        let c = compare a.weight b.weight in
+        if c <> 0 then c else compare (key a) (key b))
+      edges
+
+  let optimal_flow objective pt edges : Dataflow.flow =
+    let n = PT.n_triples pt in
+    let edges =
+      match objective with
+      | Dataflow.Best -> edges
+      | Dataflow.Worst ->
+        let sc, indexed = List.partition (fun e -> e.dst.meth = Cost.Sc) edges in
+        List.rev indexed @ sc
+    in
+    let in_tree = Hashtbl.create 16 in
+    let method_of = Array.make n Cost.Sc and pos_of = Array.make n (-1) in
+    let parent_of = Array.make n None in
+    let order = ref [] in
+    for step = 0 to n - 1 do
+      let e =
+        List.find
+          (fun e ->
+            pos_of.(e.dst.triple) < 0
+            &&
+            match e.src with
+            | None -> true
+            | Some s -> Hashtbl.mem in_tree (s.Dataflow.triple, s.meth))
+          edges
+      in
+      let t = e.dst.triple in
+      method_of.(t) <- e.dst.meth;
+      pos_of.(t) <- step;
+      parent_of.(t) <- e.src;
+      Hashtbl.replace in_tree (t, e.dst.meth) ();
+      order := e.dst :: !order
+    done;
+    { Dataflow.order = List.rev !order; method_of; pos_of; parent_of }
+end
+
+let check_flow_equivalent ~what pt stats dict =
+  let g = Dataflow.build pt stats dict in
+  let edges = Ref.build pt stats dict in
+  List.iter
+    (fun (objective, oname) ->
+      let want = Ref.optimal_flow objective pt edges in
+      let got = Dataflow.optimal_flow ~objective pt g in
+      let what = Printf.sprintf "%s (%s)" what oname in
+      let nodes = List.map Dataflow.id_of_node in
+      let parents a = Array.to_list (Array.map (Option.map Dataflow.id_of_node) a) in
+      Alcotest.(check (list int)) (what ^ " order") (nodes want.order) (nodes got.order);
+      Alcotest.(check (list int)) (what ^ " pos_of")
+        (Array.to_list want.pos_of) (Array.to_list got.pos_of);
+      Alcotest.(check (list (option int))) (what ^ " parent_of")
+        (parents want.parent_of) (parents got.parent_of);
+      Alcotest.(check bool) (what ^ " method_of") true (want.method_of = got.method_of))
+    [ (Dataflow.Best, "best"); (Dataflow.Worst, "worst") ];
+  (* The parse-tree relations the graph and the merger use agree with
+     their list-based definitions on every pair of distinct triples. *)
+  let n = Sparql.Pattern_tree.n_triples pt in
+  for a = 0 to n - 1 do
+    for b = 0 to n - 1 do
+      if a <> b then
+        List.iter
+          (fun (r, want, got) ->
+            if want pt a b <> got pt a b then Alcotest.failf "%s: %s t%d t%d" what r a b)
+          [ ("or_connected", Ref.or_connected, Sparql.Pattern_tree.or_connected);
+            ("opt_connected", Ref.opt_connected, Sparql.Pattern_tree.opt_connected);
+            ("and_mergeable", Ref.mergeable Sparql.Pattern_tree.K_and,
+             Sparql.Pattern_tree.and_mergeable);
+            ("or_mergeable", Ref.mergeable Sparql.Pattern_tree.K_or,
+             Sparql.Pattern_tree.or_mergeable);
+            ("opt_mergeable", Ref.opt_mergeable, Sparql.Pattern_tree.opt_mergeable) ]
+    done
+  done;
+  (* The implicit graph has exactly the reference's edges. *)
+  let all = List.init (3 * n) Dataflow.node_of_id in
+  List.iter
+    (fun dst ->
+      List.iter
+        (fun src ->
+          let want = List.exists (fun (e : Ref.edge) -> e.src = src && e.dst = dst) edges in
+          if Dataflow.has_edge g src dst <> want then
+            Alcotest.failf "%s: edge %s -> %s" what
+              (match src with None -> "root" | Some s -> Dataflow.node_to_string pt s)
+              (Dataflow.node_to_string pt dst))
+        (None :: List.map Option.some all))
+    all
+
+let workload_suites =
+  [ ("micro", Workloads.Micro.generate, Workloads.Micro.queries);
+    ("lubm", Workloads.Lubm.generate, Workloads.Lubm.queries);
+    ("sp2b", Workloads.Sp2b.generate, Workloads.Sp2b.queries);
+    ("dbpedia", Workloads.Dbpedia.generate, Workloads.Dbpedia.queries);
+    ("prbench", Workloads.Prbench.generate, Workloads.Prbench.queries);
+    ("snowflake", Workloads.Snowflake.generate, Workloads.Snowflake.queries) ]
+
+let test_flow_equivalence_workloads () =
+  List.iter
+    (fun (wname, generate, queries) ->
+      let store = Loader.create () in
+      Loader.load store (generate ~scale:3000);
+      List.iter
+        (fun (qname, src) ->
+          let pt = Sparql.Pattern_tree.of_query (Sparql.Parser.parse src) in
+          check_flow_equivalent ~what:(wname ^ "/" ^ qname) pt (Loader.stats store)
+            (Loader.dictionary store))
+        queries)
+    workload_suites
+
+let rec has p (pat : Sparql.Ast.pattern) =
+  p pat
+  ||
+  match pat with
+  | Sparql.Ast.Group ps | Sparql.Ast.Union ps -> List.exists (has p) ps
+  | Sparql.Ast.Optional q -> has p q
+  | Sparql.Ast.Bgp _ | Sparql.Ast.Filter _ -> false
+
+let test_flow_equivalence_fuzz () =
+  let st = Random.State.make [| 2013 |] in
+  let opt = ref 0 and union = ref 0 and filter = ref 0 in
+  for case = 1 to 500 do
+    let triples, vocab = Fuzz.Gen_graph.generate st in
+    let store = Loader.create ~layout:(Layout.make ~dph_cols:4 ~rph_cols:4) () in
+    Loader.load store triples;
+    let q = Fuzz.Gen_query.generate st vocab in
+    let count r f = if has f q.Sparql.Ast.where then incr r in
+    count opt (function Sparql.Ast.Optional _ -> true | _ -> false);
+    count union (function Sparql.Ast.Union _ -> true | _ -> false);
+    count filter (function Sparql.Ast.Filter _ -> true | _ -> false);
+    check_flow_equivalent ~what:(Printf.sprintf "fuzz case %d" case)
+      (Sparql.Pattern_tree.of_query q) (Loader.stats store) (Loader.dictionary store)
+  done;
+  List.iter
+    (fun (name, r) ->
+      if !r < 50 then Alcotest.failf "only %d of 500 queries have %s" !r name)
+    [ ("OPTIONAL", opt); ("UNION", union); ("FILTER", filter) ]
+
 let suite =
   [ Alcotest.test_case "TMC (Def 3.1)" `Quick test_tmc;
     Alcotest.test_case "produced/required (Defs 3.2/3.3)" `Quick test_produced_required;
@@ -284,4 +493,8 @@ let suite =
     Alcotest.test_case "syntactic exec tree" `Quick test_exec_tree_syntactic;
     Alcotest.test_case "merging (Fig 11)" `Quick test_merge_fig11;
     Alcotest.test_case "merging disabled" `Quick test_merge_disabled;
-    Alcotest.test_case "spill veto" `Quick test_merge_spill_veto ]
+    Alcotest.test_case "spill veto" `Quick test_merge_spill_veto;
+    Alcotest.test_case "flow = reference greedy (workloads)" `Quick
+      test_flow_equivalence_workloads;
+    Alcotest.test_case "flow = reference greedy (fuzz)" `Quick
+      test_flow_equivalence_fuzz ]

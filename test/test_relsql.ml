@@ -323,6 +323,36 @@ let expr_eval_identities =
       in
       Value.equal lhs rhs)
 
+(* ------------------------------------------------------------------ *)
+(* Column resolution                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_resolve () =
+  let layout : Expr_eval.layout =
+    [| (Some "T0", "entry"); (Some "T0", "val0"); (Some "T1", "entry");
+       (Some "T1", "val1"); (None, "s") |]
+  in
+  let resolve = Expr_eval.resolve layout in
+  (* Qualified: the qualifier picks between two same-named columns. *)
+  Alcotest.(check int) "T0.entry" 0 (resolve (Some "T0", "entry"));
+  Alcotest.(check int) "T1.entry" 2 (resolve (Some "T1", "entry"));
+  (* Unqualified: a name held by one column resolves to it, whatever
+     its qualifier. *)
+  Alcotest.(check int) "val1" 3 (resolve (None, "val1"));
+  Alcotest.(check int) "s" 4 (resolve (None, "s"));
+  let raises what want col =
+    match resolve col with
+    | i -> Alcotest.failf "%s: resolved to %d" what i
+    | exception Expr_eval.Unknown_column msg ->
+      Alcotest.(check string) what want msg
+  in
+  raises "ambiguous" "entry (ambiguous)" (None, "entry");
+  raises "missing unqualified" "nope" (None, "nope");
+  raises "missing qualified" "T2.entry" (Some "T2", "entry");
+  raises "qualifier must match" "T1.val0" (Some "T1", "val0");
+  (* An unqualified layout column does not answer a qualified name. *)
+  raises "qualified vs unqualified" "T0.s" (Some "T0", "s")
+
 let suite =
   [ Alcotest.test_case "value ordering" `Quick test_value_order;
     Alcotest.test_case "value printing" `Quick test_value_roundtrip;
@@ -344,5 +374,6 @@ let suite =
     Alcotest.test_case "query timeout" `Quick test_timeout;
     Alcotest.test_case "hash join fallback" `Quick test_hash_join_fallback;
     Alcotest.test_case "pp/parse cases" `Quick test_pp_parse_cases;
+    Alcotest.test_case "column resolution" `Quick test_resolve;
     QCheck_alcotest.to_alcotest expr_roundtrip;
     QCheck_alcotest.to_alcotest expr_eval_identities ]

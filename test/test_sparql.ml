@@ -67,6 +67,32 @@ let test_parse_errors () =
       | _ -> Alcotest.fail ("should not parse: " ^ src))
     bad
 
+let test_error_positions () =
+  let line_col = Alcotest.(pair int int) in
+  (* Offsets map to 1-based line and column; a newline ends its line. *)
+  let src = "ab\ncd\n\nef" in
+  List.iter
+    (fun (pos, want) ->
+      Alcotest.check line_col (Printf.sprintf "offset %d" pos) want
+        (Parser.line_col src pos))
+    [ (0, (1, 1)); (1, (1, 2)); (2, (1, 3)); (3, (2, 1)); (4, (2, 2));
+      (6, (3, 1)); (7, (4, 1)); (9, (4, 3)) ];
+  (* Errors carry the offset of the token the parser failed at. *)
+  let at src =
+    match parse src with
+    | exception Parser.Parse_error (_, pos) -> Parser.line_col src pos
+    | exception Lexer.Lex_error (_, pos) -> Parser.line_col src pos
+    | _ -> Alcotest.fail ("should not parse: " ^ src)
+  in
+  Alcotest.check line_col "missing object"
+    (3, 10) (at "SELECT ?x\nWHERE {\n  ?x <p> }");
+  Alcotest.check line_col "undeclared prefix"
+    (2, 6) (at "SELECT ?x WHERE {\n  ?x foo:b ?y }");
+  Alcotest.check line_col "lexical error"
+    (2, 12) (at "SELECT ?x\nWHERE { ?x & ?y }");
+  Alcotest.check line_col "end of input"
+    (1, 25) (at "SELECT ?x WHERE { ?x <p>")
+
 (* ------------------------------------------------------------------ *)
 (* Printer round trip                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -141,6 +167,37 @@ let test_triples_under_and_filters () =
   let node, _ = List.hd pt.Pattern_tree.filters in
   Alcotest.(check int) "filter scopes over all 3 triples" 3
     (List.length (Pattern_tree.triples_under pt node))
+
+(* Every relation of a triple with itself: LCA and paths are defined and
+   no predicate holds. LQ4's three UNION branches of five triples each
+   cover OR, AND and leaf nodes at depth 2. *)
+let test_equal_arguments () =
+  let pt =
+    Pattern_tree.of_query (parse (List.assoc "LQ4" Workloads.Lubm.queries))
+  in
+  let fig6 = fig6_tree () in
+  List.iter
+    (fun pt ->
+      for t = 0 to Pattern_tree.n_triples pt - 1 do
+        let leaf = pt.Pattern_tree.leaf_node.(t) in
+        let name r = Printf.sprintf "%s t%d t%d" r t t in
+        Alcotest.(check int) (name "lca") leaf (Pattern_tree.lca pt leaf leaf);
+        Alcotest.(check (list int)) (name "up_to_lca") []
+          (Pattern_tree.up_to_lca pt leaf leaf);
+        List.iter
+          (fun (r, f) -> Alcotest.(check bool) (name r) false (f pt t t))
+          [ ("or_connected", Pattern_tree.or_connected);
+            ("opt_connected", Pattern_tree.opt_connected);
+            ("and_mergeable", Pattern_tree.and_mergeable);
+            ("or_mergeable", Pattern_tree.or_mergeable);
+            ("opt_mergeable", Pattern_tree.opt_mergeable) ]
+      done;
+      (* An interior node with itself: the LCA is the node, the path empty. *)
+      let r = pt.Pattern_tree.root in
+      Alcotest.(check int) "lca root root" r (Pattern_tree.lca pt r r);
+      Alcotest.(check (list int)) "up_to_lca root root" []
+        (Pattern_tree.up_to_lca pt r r))
+    [ pt; fig6 ]
 
 let test_in_optional () =
   let pt = fig6_tree () in
@@ -312,6 +369,7 @@ let suite =
     Alcotest.test_case "parse modifiers" `Quick test_parse_modifiers;
     Alcotest.test_case "parse literals" `Quick test_parse_literals;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "parse error positions" `Quick test_error_positions;
     Alcotest.test_case "pp roundtrip" `Quick test_pp_roundtrip_cases;
     Alcotest.test_case "fig7: tree shape" `Quick test_tree_shape;
     Alcotest.test_case "fig7: or-connected" `Quick test_or_connected;
@@ -319,6 +377,7 @@ let suite =
     Alcotest.test_case "fig7: mergeability defs" `Quick test_mergeable;
     Alcotest.test_case "filter scopes" `Quick test_triples_under_and_filters;
     Alcotest.test_case "in_optional" `Quick test_in_optional;
+    Alcotest.test_case "relations with equal arguments" `Quick test_equal_arguments;
     Alcotest.test_case "eval: join" `Quick test_eval_join;
     Alcotest.test_case "eval: optional" `Quick test_eval_optional;
     Alcotest.test_case "eval: union" `Quick test_eval_union;
