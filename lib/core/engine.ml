@@ -408,12 +408,12 @@ let query_analyzed ?timeout ?options t (q : Sparql.Ast.query) :
   let r, stats =
     Relsql.Executor.run_analyzed ?timeout (Loader.database t.loader) stmt
   in
-  Relsql.Opstats.add_child stats
-    (Relsql.Opstats.make
-       (Relsql.Plan_cache.stats_to_string (Relsql.Plan_cache.stats t.cache)));
-  Relsql.Opstats.add_child stats
-    (Relsql.Opstats.make (Relsql.Scan_cache.stats_to_string
-       (Relsql.Database.scan_cache (Loader.database t.loader))));
+  stats.Relsql.Opstats.children <-
+    stats.Relsql.Opstats.children
+    @ [ Relsql.Opstats.make
+          (Relsql.Plan_cache.stats_to_string (Relsql.Plan_cache.stats t.cache));
+        Relsql.Opstats.make (Relsql.Scan_cache.stats_to_string
+          (Relsql.Database.scan_cache (Loader.database t.loader))) ];
   (decode_results t q r, stats)
 
 (** Parse and evaluate a SPARQL string. Repeated texts skip parsing and

@@ -1,11 +1,10 @@
-(** A database is a named catalog of {!Table.t}. The executor materializes
-    common table expressions into an overlay database so that CTE names
-    resolve like ordinary tables without polluting the base catalog. *)
+(** A database is a named catalog of {!Table.t}. Common table
+    expressions never enter it: the planner resolves their names from
+    its own scope, and the executor keeps their rows as batches. *)
 
 type t = {
   name : string;
   tables : (string, Table.t) Hashtbl.t;
-  parent : t option; (* overlay chain used for CTE scopes *)
   mutable parallelism : int;
       (* domains the executor may use for statements against this
          database when the caller does not say otherwise *)
@@ -20,8 +19,7 @@ type t = {
          the leapfrog operator, installed by the layer that owns
          cardinality statistics; [None] disables WCOJ planning *)
   scan_cache : Scan_cache.t;
-      (* shared scan-result cache; overlays alias their parent's so CTE
-         scopes see (and warm) the same entries *)
+      (* shared scan-result cache *)
   mutable extvp : Extvp.t option;
       (* semi-join-reduction registry; reduction tables resolve through
          {!find} without ever entering the catalog (so {!epoch} and
@@ -49,20 +47,11 @@ let default_compress = ref false
 let default_wcoj = ref false
 
 let create name =
-  { name; tables = Hashtbl.create 16; parent = None;
+  { name; tables = Hashtbl.create 16;
     parallelism = max 1 !default_parallelism;
     join_partitions = max 0 !default_join_partitions;
     wcoj = !default_wcoj; wcoj_selector = None;
     scan_cache = Scan_cache.create (); extvp = None }
-
-(** [overlay db] is a scratch database whose lookups fall back to [db].
-    Tables created in the overlay shadow same-named tables beneath. *)
-let overlay parent =
-  { name = parent.name ^ "+"; tables = Hashtbl.create 8; parent = Some parent;
-    parallelism = parent.parallelism;
-    join_partitions = parent.join_partitions;
-    wcoj = parent.wcoj; wcoj_selector = parent.wcoj_selector;
-    scan_cache = parent.scan_cache; extvp = parent.extvp }
 
 (** Set how many domains statements against this database may use. *)
 let set_parallelism t n = t.parallelism <- max 1 n
@@ -105,22 +94,15 @@ let create_table t name schema =
   Hashtbl.add t.tables name table;
   table
 
-(** Register an already-built table (e.g. a materialized CTE). Replaces
-    any same-named table in this scope. *)
-let add_table t table = Hashtbl.replace t.tables (Table.name table) table
-
-let rec find t name =
+let find t name =
   match Hashtbl.find_opt t.tables name with
   | Some table -> Some table
   | None ->
-    (match t.parent with
-     | Some p -> find p name
-     | None ->
-       (* Root scope: semi-join reductions materialize lazily on first
-          resolve — this is the "first planner request" trigger. *)
-       (match t.extvp with
-        | Some r when Extvp.is_extvp_name name -> Extvp.resolve r name
-        | _ -> None))
+    (* Semi-join reductions materialize lazily on first resolve — this
+       is the "first planner request" trigger. *)
+    (match t.extvp with
+     | Some r when Extvp.is_extvp_name name -> Extvp.resolve r name
+     | _ -> None)
 
 let find_exn t name =
   match find t name with
@@ -129,19 +111,10 @@ let find_exn t name =
 
 let mem t name = find t name <> None
 
-(** Whether [name] resolves to a table registered in an overlay scope —
-    i.e. a materialized CTE whose rows live in the executor's batch
-    stash, not in the table store. The leapfrog join reads table rows
-    directly, so its planner eligibility check must exclude these. *)
-let rec is_materialized t name =
-  match t.parent with
-  | None -> false (* root catalog: real row data *)
-  | Some p -> Hashtbl.mem t.tables name || is_materialized p name
-
 let drop_table t name = Hashtbl.remove t.tables name
 
-(* Merge the tables of this scope (not the overlay parents) that pass
-   [due]; returns how many actually merged. *)
+(* Merge the tables that pass [due]; returns how many actually
+   merged. *)
 let merge_where due t =
   Hashtbl.fold
     (fun _ tbl n ->
@@ -158,19 +131,19 @@ let merge_all = merge_where (fun _ -> true)
     epilogue of [--compress] stores. *)
 let merge_due = merge_where Table.merge_due
 
-(** {!Table.check} every table in this scope. *)
+(** {!Table.check} every table. *)
 let check t = Hashtbl.iter (fun _ tbl -> Table.check tbl) t.tables
 
-(** Per-table {!Table.compression_report}s for this scope, sorted by
-    table name ([rdfstore stats]). *)
+(** Per-table {!Table.compression_report}s, sorted by table name
+    ([rdfstore stats]). *)
 let compression_reports t =
   Hashtbl.fold (fun _ tbl acc -> Table.compression_report tbl :: acc) t.tables []
   |> List.sort (fun a b ->
          String.compare a.Table.r_table b.Table.r_table)
 
-(** [snapshot t] is an immutable copy-on-write view of the root
-    catalog: every table is captured with {!Table.snapshot} (sharing
-    the packed main, deep-copying delta rows and tombstones), so
+(** [snapshot t] is an immutable copy-on-write view of the catalog:
+    every table is captured with {!Table.snapshot} (sharing the packed
+    main, deep-copying delta rows and tombstones), so
     readers can keep scanning the snapshot while the writer mutates —
     later writes land in the live table's private delta side (or a
     freshly packed image on merge) without disturbing the view. The
@@ -183,7 +156,7 @@ let compression_reports t =
     (WCOJ is a plan-shape knob, so results are unchanged). *)
 let snapshot t =
   let s =
-    { name = t.name ^ "@snap"; tables = Hashtbl.create 16; parent = None;
+    { name = t.name ^ "@snap"; tables = Hashtbl.create 16;
       parallelism = t.parallelism; join_partitions = t.join_partitions;
       wcoj = t.wcoj; wcoj_selector = None;
       scan_cache = Scan_cache.create (); extvp = None }
@@ -194,11 +167,7 @@ let snapshot t =
   s
 
 let table_names t =
-  let rec collect t acc =
-    let acc = Hashtbl.fold (fun name _ a -> name :: a) t.tables acc in
-    match t.parent with Some p -> collect p acc | None -> acc
-  in
-  List.sort_uniq String.compare (collect t [])
+  List.sort String.compare (Hashtbl.fold (fun name _ a -> name :: a) t.tables [])
 
 (** A stamp over the catalog: folds every table's name and
     {!Table.epoch} (sorted, so hash iteration order is irrelevant). Any
@@ -206,15 +175,10 @@ let table_names t =
     changes the stamp, giving the engine's statement cache and ExtVP
     one shared invalidation signal instead of ad-hoc clears. *)
 let epoch t =
-  let items = ref [] in
-  let rec collect t =
-    Hashtbl.iter
-      (fun name tbl -> items := (name, Table.epoch tbl) :: !items)
-      t.tables;
-    match t.parent with Some p -> collect p | None -> ()
+  let items =
+    Hashtbl.fold (fun name tbl acc -> (name, Table.epoch tbl) :: acc) t.tables []
   in
-  collect t;
   List.fold_left
     (fun acc (name, v) -> (acc * 31) + Hashtbl.hash name + (v * 7))
-    (17 + List.length !items)
-    (List.sort compare !items)
+    (17 + List.length items)
+    (List.sort compare items)

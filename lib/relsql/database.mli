@@ -1,7 +1,6 @@
-(** A database is a named catalog of {!Table.t}. The executor
-    materializes common table expressions into an overlay database so
-    that CTE names resolve like ordinary tables without polluting the
-    base catalog. *)
+(** A database is a named catalog of {!Table.t}. Common table
+    expressions never enter it: the planner resolves their names from
+    its own scope, and the executor keeps their rows as batches. *)
 
 type t
 
@@ -30,35 +29,25 @@ val default_wcoj : bool ref
 
 val create : string -> t
 
-(** [overlay db] is a scratch database whose lookups fall back to [db].
-    Tables created in the overlay shadow same-named tables beneath. *)
-val overlay : t -> t
-
 (** Create and register an empty table; raises [Invalid_argument] on a
-    duplicate name in this scope. *)
+    duplicate name. *)
 val create_table : t -> string -> Schema.t -> Table.t
 
-(** Register an already-built table (e.g. a materialized CTE),
-    replacing any same-named table in this scope. *)
-val add_table : t -> Table.t -> unit
-
 (** Set how many domains statements against this database may use
-    (clamped to at least 1). Overlays inherit their parent's setting at
-    creation. *)
+    (clamped to at least 1). *)
 val set_parallelism : t -> int -> unit
 
 val parallelism : t -> int
 
 (** Set the radix partition count for parallel hash-join builds
     (rounded up to a power of two by the executor; clamped to at
-    least 0). 0 = auto. Overlays inherit their parent's setting at
-    creation. *)
+    least 0). 0 = auto. *)
 val set_join_partitions : t -> int -> unit
 
 val join_partitions : t -> int
 
 (** Enable or disable WCOJ planning for statements against this
-    database. Overlays inherit the setting at creation. *)
+    database. *)
 val set_wcoj : t -> bool -> unit
 
 val wcoj : t -> bool
@@ -66,20 +55,18 @@ val wcoj : t -> bool
 (** Install (or clear) the statistics-informed chooser between binary
     join trees and the leapfrog operator (see {!Wcoj.selector}). The
     planner only considers WCOJ when both {!wcoj} is set and a selector
-    is installed. Overlays inherit the selector at creation. *)
+    is installed. *)
 val set_wcoj_selector : t -> Wcoj.selector option -> unit
 
 val wcoj_selector : t -> Wcoj.selector option
 
-(** The shared scan-result cache (see {!Scan_cache}); overlays alias
-    their parent's. *)
+(** The shared scan-result cache (see {!Scan_cache}). *)
 val scan_cache : t -> Scan_cache.t
 
 (** Install (or clear) the semi-join-reduction registry
     (see {!Extvp}). Reduction tables resolve through {!find} lazily but
     never enter the catalog — {!epoch}, {!table_names} and
-    {!merge_all} do not see them. Overlays alias their parent's
-    registry at creation. *)
+    {!merge_all} do not see them. *)
 val set_extvp : t -> Extvp.t option -> unit
 
 val extvp : t -> Extvp.t option
@@ -88,15 +75,10 @@ val find : t -> string -> Table.t option
 val find_exn : t -> string -> Table.t
 val mem : t -> string -> bool
 
-(** Whether [name] resolves to a table registered in an overlay scope —
-    a materialized CTE whose rows live in the executor's batch stash
-    rather than the table store. *)
-val is_materialized : t -> string -> bool
 val drop_table : t -> string -> unit
 val table_names : t -> string list
 
-(** Fold every table's delta in this scope (not overlay parents) into
-    its packed main ({!Table.merge}); returns the number of tables that
+(** Fold every table's delta into its packed main ({!Table.merge}); returns the number of tables that
     actually merged. The bulk-load epilogue of [--compress] stores and
     the eager compaction behind [rdfstore merge]. *)
 val merge_all : t -> int
@@ -106,21 +88,19 @@ val merge_all : t -> int
     stores. *)
 val merge_due : t -> int
 
-(** {!Table.check} every table in this scope (not overlay parents);
-    raises [Failure] on the first violation. *)
+(** {!Table.check} every table; raises [Failure] on the first violation. *)
 val check : t -> unit
 
-(** Per-table {!Table.compression_report}s for this scope, sorted by
-    table name. *)
+(** Per-table {!Table.compression_report}s, sorted by table name. *)
 val compression_reports : t -> Table.compression_report list
 
-(** [snapshot db] is an immutable copy-on-write view of [db]'s root
+(** [snapshot db] is an immutable copy-on-write view of [db]'s
     catalog: every table is captured via {!Table.snapshot}, so a reader
     can keep executing against the snapshot while a writer commits to
     [db] — later writes land in the live tables' private delta sides
-    and never disturb the view. The snapshot has its own scan cache (cache
-    entries are keyed per table epoch, i.e. per-snapshot-valid), no
-    reduction registry, and no WCOJ selector (a closure over the
+    and never disturb the view. The snapshot has its own scan cache
+    (cache entries are keyed per table epoch, i.e. per-snapshot-valid),
+    no reduction registry, and no WCOJ selector (a closure over the
     owner's live statistics). *)
 val snapshot : t -> t
 

@@ -7,9 +7,10 @@
     per candidate row, hash joins key their build side once per input
     batch, and selections run as a single in-place pass.
 
-    Every node also fills an {!Opstats.t} record (rows in/out, index
-    probes, hash-build size, wall time); {!run_analyzed} returns the
-    resulting tree — the engine's EXPLAIN ANALYZE.
+    Under {!run_analyzed} every node also fills its own {!Opstats.t}
+    record (rows in/out, index probes, hash-build size, wall time) and
+    the resulting tree is returned — the engine's EXPLAIN ANALYZE. A
+    plain {!run} makes no labels, estimates or clock reads.
 
     A soft per-query timeout is enforced by a row-operation counter,
     which is how the benchmark harness reproduces the paper's timeout
@@ -236,10 +237,9 @@ let finalize ticker pool stats ~distinct
 (* ------------------------------------------------------------------ *)
 
 (** Per-statement execution context. CTE results stay resident as
-    batches: the scope database holds a schema-only table per CTE (so
-    the planner resolves the name — it consults only [indexed_columns],
-    never row data, so plan shapes are unchanged) and a Scan over a CTE
-    name copies the stashed batch instead of re-reading a row store. *)
+    batches: the planner resolves a CTE name from its scope list, and a
+    Scan over a CTE name copies the stashed batch instead of re-reading
+    a row store. *)
 type ctx = {
   db : Database.t;
   ticker : ticker;
@@ -248,36 +248,33 @@ type ctx = {
   join_parts : int;
       (* resolved radix partition count for hash-join builds (a power
          of two; 1 = sequential inline build) *)
+  analyze : bool;
+      (* give every node its own labelled, timed {!Opstats.t} carrying
+         the planner's estimate; otherwise every node counts into one
+         scratch record that nobody reads *)
+  mutable scope : string list;
+      (* CTE names the running part was planned with (for estimates) *)
 }
 
-let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
+(* Run [plan]; [stats] is the record its operator counts into. *)
+let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
   let db = ctx.db and ticker = ctx.ticker in
-  let stats = Opstats.make (Planner.node_label plan) in
-  stats.Opstats.est_rows <- Planner.estimate db plan;
-  let t0 = Unix.gettimeofday () in
-  (* Execute an input plan, recording it as a child and its cardinality
-     as consumed rows. *)
+  (* Execute an input plan, counting its cardinality as consumed rows. *)
   let child p =
-    let b, st = exec_plan ctx p in
-    Opstats.add_child stats st;
+    let b = exec ctx stats p in
     stats.Opstats.rows_in <- stats.Opstats.rows_in + Batch.length b;
     b
-  in
-  let finish out =
-    stats.Opstats.rows_out <- Batch.length out;
-    stats.Opstats.seconds <- Unix.gettimeofday () -. t0;
-    (out, stats)
   in
   match plan with
   | Planner.Empty_row ->
     let out = Batch.create ~capacity:1 [||] in
     Batch.push_row out [||];
-    finish out
+    out
   | Planner.Extvp_scan { input; _ } ->
     (* Pure marker: the wrapped access path does the work; this node
        keeps the reduction substitution (and its est-vs-actual q-error)
        visible in EXPLAIN ANALYZE. *)
-    finish (child input)
+    child input
   | Planner.Scan { table; alias; filter; cols } ->
     (match Hashtbl.find_opt ctx.ctes table with
      | Some src ->
@@ -291,7 +288,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         | Some e -> Batch.retain out (Expr_eval.compile_pred layout e)
         | None -> ());
        (match cols with
-        | None -> finish out
+        | None -> out
         | Some cs ->
           let out_layout =
             Array.of_list (List.map (fun n -> (Some alias, n)) cs)
@@ -300,7 +297,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
             Array.map (fun (_, n) -> Expr_eval.resolve layout (Some alias, n))
               out_layout
           in
-          finish (Batch.project out out_layout sel))
+          Batch.project out out_layout sel)
      | None ->
        let t = Database.find_exn db table in
        (* Fused filter/projection scans consult the shared scan cache:
@@ -325,7 +322,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
           in
           stats.Opstats.rows_in <- Batch.length out;
           tick_bulk ticker (Batch.length out);
-          finish out
+          out
         | None ->
        if ckey <> None then stats.Opstats.cache_misses <- 1;
        let layout = table_layout t alias in
@@ -548,7 +545,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
            out
        in
        Option.iter (fun k -> Scan_cache.add scache k out) ckey;
-       finish out))
+       out))
   | Planner.Index_lookup { table; alias; col; keys; filter; cols } ->
     let t = Database.find_exn db table in
     let layout = table_layout t alias in
@@ -646,7 +643,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
             stats.Opstats.rows_in <- stats.Opstats.rows_in + 1;
             handle_rid out rid))
       keys;
-    finish out
+    out
   | Planner.Values_rows { rows; alias; cols } ->
     let layout = Array.of_list (List.map (fun c -> (Some alias, c)) cols) in
     let out = Batch.create ~capacity:(List.length rows) layout in
@@ -655,12 +652,10 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         Batch.push_row out
           (Array.of_list (List.map (fun e -> Expr_eval.eval_const e) exprs)))
       rows;
-    finish out
+    out
   | Planner.Subplan { plan; alias } ->
     let b = child plan in
-    finish
-      (Batch.with_layout b
-         (Array.map (fun (_, n) -> (Some alias, n)) (Batch.layout b)))
+    Batch.with_layout b (Array.map (fun (_, n) -> (Some alias, n)) (Batch.layout b))
   | Planner.Inl_join { outer; table; alias; col; key; kind; residual; cols } ->
     let o = child outer in
     let t = Database.find_exn db table in
@@ -891,7 +886,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         done;
         out
     in
-    finish out
+    out
   | Planner.Hash_join { left; right; left_keys; right_keys; kind; residual } ->
     let l = child left in
     let r = child right in
@@ -1052,12 +1047,12 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
            parts.(mi) <- out);
        let out = Batch.concat layout parts in
        tick_bulk ticker (nl + Batch.length out);
-       finish out
+       out
      | None ->
        let out = Batch.create ~capacity:(min 1024 nl) layout in
        tick_bulk ticker nl;
        probe_range out (Array.make (lw + rw) Value.Null) 0 nl;
-       finish out)
+       out)
   | Planner.Nl_join { left; right; kind; cond } ->
     let l = child left in
     let r = child right in
@@ -1087,7 +1082,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         Batch.push_row out scratch
       end
     done;
-    finish out
+    out
   | Planner.Values_join { outer; rows; alias; cols } ->
     let o = child outer in
     let vals_layout = Array.of_list (List.map (fun c -> (Some alias, c)) cols) in
@@ -1108,21 +1103,20 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
           Batch.push_row out scratch)
         compiled
     done;
-    finish out
+    out
   | Planner.Wcoj { atoms; var_order; n_vars; outputs; est_rows = _ } ->
     (* Leapfrog runs sequentially against base tables only (the planner
-       excludes materialized CTEs), so the result is bit-identical
+       never makes a CTE an atom), so the result is bit-identical
        regardless of the domain count. *)
-    finish
-      (Leapfrog.run ~tick:(tick_bulk ticker) ~stats db atoms ~var_order
-         ~n_vars ~outputs)
+    Leapfrog.run ~tick:(tick_bulk ticker) ~stats db atoms ~var_order ~n_vars
+      ~outputs
   | Planner.Filter (p, e) ->
     let b = child p in
     let keep = Expr_eval.compile_pred (Batch.layout b) e in
     Batch.retain b (fun row ->
         tick ticker;
         keep row);
-    finish b
+    b
   | Planner.Project { input; items; distinct; order_by; limit; offset } ->
     let b = child input in
     let in_layout = Batch.layout b in
@@ -1148,9 +1142,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
        in
        tick_bulk ticker (Batch.length b);
        let out = Batch.project b out_layout cols in
-       finish
-         (finalize ticker ctx.pool stats ~distinct ~sort_keys:[] ~limit ~offset
-            out)
+       finalize ticker ctx.pool stats ~distinct ~sort_keys:[] ~limit ~offset out
      | None ->
     let fns =
       Array.of_list (List.map (fun (e, _) -> Expr_eval.compile in_layout e) items)
@@ -1188,7 +1180,7 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
           col.(i) <- (match src with `In f -> f scratch | `Out f -> f orow))
         sort_srcs sort_keys
     done;
-    finish (finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out))
+    finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out)
   | Planner.Aggregate { input; keys; items; distinct; order_by; limit; offset } ->
     let b = child input in
     let in_layout = Batch.layout b in
@@ -1521,10 +1513,10 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
         done;
         List.map (fun (_, col, asc) -> (col, asc)) cols
     in
-    finish (finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out)
+    finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out
   | Planner.Union_plan { all; parts } ->
     (match parts with
-     | [] -> finish (Batch.create [||])
+     | [] -> Batch.create [||]
      | _ ->
        let batches = List.map child parts in
        let first = List.hd batches in
@@ -1542,22 +1534,34 @@ let rec exec_plan ctx (plan : Planner.plan) : Batch.t * Opstats.t =
                true
              end)
        end;
-       finish out)
+       out)
+
+(* Run [plan] as an input of [parent]. Unanalyzed, that is all: the
+   node counts into [parent]'s record, so every node of the statement
+   shares one scratch record. Analyzed, the node gets its own record
+   with its label, the planner's estimate and its wall time, linked
+   under [parent]. *)
+and exec ctx parent plan =
+  if not ctx.analyze then exec_plan ctx parent plan
+  else begin
+    let stats = Opstats.make (Planner.node_label plan) in
+    stats.Opstats.est_rows <- Planner.estimate ~ctes:ctx.scope ctx.db plan;
+    let t0 = Unix.gettimeofday () in
+    let out = exec_plan ctx stats plan in
+    Opstats.finish stats ~rows_out:(Batch.length out)
+      ~seconds:(Unix.gettimeofday () -. t0);
+    Opstats.add_child parent stats;
+    out
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Statement execution                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let materialize name (b : Batch.t) : Table.t =
-  let schema = Schema.make (Batch.column_names b) in
-  let t = Table.create name schema in
-  for i = 0 to Batch.length b - 1 do
-    ignore (Table.insert t (Batch.row_copy b i))
-  done;
-  t
-
-(** Run a full statement: materialize each CTE in order into an overlay
-    database, then evaluate the body, collecting per-operator stats.
+(** Run a full statement: evaluate each CTE in order into a resident
+    batch, then the body. Analyzed, the returned tree has the statement
+    at its root and a [CTE <name>] / [body] wrapper over each part's
+    operator tree; unanalyzed, the returned record is scratch.
     [timeout] is in seconds of wall time for the whole statement.
     [domains] caps the worker domains hot operators may fan out over
     (default: the database's {!Database.parallelism}; 1 keeps every
@@ -1565,13 +1569,12 @@ let materialize name (b : Batch.t) : Table.t =
     radix partition count for parallel hash-join builds (default: the
     database's {!Database.join_partitions}; 0 = auto from the pool
     size). Neither knob changes results — only how the work is split. *)
-let run_with_stats ?timeout ?domains ?join_partitions db (stmt : stmt) :
-    Batch.t * Opstats.t =
+let run_with_stats ~analyze ?timeout ?domains ?join_partitions db (stmt : stmt)
+    : Batch.t * Opstats.t =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
   let ticker = { deadline; ops = 0 } in
-  let t0 = Unix.gettimeofday () in
+  let t0 = if analyze then Unix.gettimeofday () else 0.0 in
   let root = Opstats.make "statement" in
-  let scope = Database.overlay db in
   let pool =
     Dpool.get
       (match domains with Some n -> n | None -> Database.parallelism db)
@@ -1582,38 +1585,42 @@ let run_with_stats ?timeout ?domains ?join_partitions db (stmt : stmt) :
        | Some n -> n
        | None -> Database.join_partitions db)
   in
-  let ctx = { db = scope; ticker; ctes = Hashtbl.create 4; pool; join_parts } in
-  let wrap label (b, st) =
-    let w = Opstats.make label in
-    Opstats.add_child w st;
-    w.Opstats.rows_in <- st.Opstats.rows_in;
-    w.Opstats.rows_out <- Batch.length b;
-    w.Opstats.seconds <- st.Opstats.seconds;
-    Opstats.add_child root w;
-    root.Opstats.rows_in <- root.Opstats.rows_in + Batch.length b;
-    b
+  let ctx =
+    { db; ticker; ctes = Hashtbl.create 4; pool; join_parts; analyze; scope = [] }
   in
+  (* [name] is the CTE's, [None] for the body. *)
+  let run_part name scope plan =
+    ctx.scope <- scope;
+    if not analyze then exec_plan ctx root plan
+    else begin
+      let w =
+        Opstats.make (match name with Some n -> "CTE " ^ n | None -> "body")
+      in
+      let b = exec ctx w plan in
+      let st = List.hd w.Opstats.children in
+      w.Opstats.rows_in <- st.Opstats.rows_in;
+      Opstats.finish w ~rows_out:(Batch.length b) ~seconds:st.Opstats.seconds;
+      Opstats.add_child root w;
+      root.Opstats.rows_in <- root.Opstats.rows_in + Batch.length b;
+      b
+    end
+  in
+  let ctes, (body_scope, body) = Planner.plan_stmt db stmt in
   List.iter
-    (fun (name, q) ->
-      let plan = Planner.plan_query scope q in
-      let b = wrap ("CTE " ^ name) (exec_plan ctx plan) in
-      (* The result stays resident as a batch; the scope only gets a
-         schema-only table so later plans resolve the name. *)
-      Database.add_table scope
-        (Table.create name (Schema.make (Batch.column_names b)));
-      Hashtbl.replace ctx.ctes name b)
-    stmt.ctes;
-  let plan = Planner.plan_query scope stmt.body in
-  let b = wrap "body" (exec_plan ctx plan) in
-  root.Opstats.rows_out <- Batch.length b;
-  root.Opstats.seconds <- Unix.gettimeofday () -. t0;
+    (fun (name, scope, plan) ->
+      Hashtbl.replace ctx.ctes name (run_part (Some name) scope plan))
+    ctes;
+  let b = run_part None body_scope body in
+  if analyze then
+    Opstats.finish root ~rows_out:(Batch.length b)
+      ~seconds:(Unix.gettimeofday () -. t0);
   (b, root)
 
 let run ?timeout ?domains ?join_partitions db stmt =
-  fst (run_with_stats ?timeout ?domains ?join_partitions db stmt)
+  fst (run_with_stats ~analyze:false ?timeout ?domains ?join_partitions db stmt)
 
 let run_analyzed ?timeout ?domains ?join_partitions db stmt =
-  run_with_stats ?timeout ?domains ?join_partitions db stmt
+  run_with_stats ~analyze:true ?timeout ?domains ?join_partitions db stmt
 
 (** Explain: the physical plans of each CTE and the body, as text. With
     [~analyze:true] the statement is also executed and the per-operator
@@ -1621,19 +1628,16 @@ let run_analyzed ?timeout ?domains ?join_partitions db stmt =
 let explain ?(analyze = false) ?timeout ?domains ?join_partitions db
     (stmt : stmt) : string =
   let buf = Buffer.create 512 in
-  let scope = Database.overlay db in
+  let ctes, (_, body) = Planner.plan_stmt db stmt in
   List.iter
-    (fun (name, q) ->
+    (fun (name, _, plan) ->
       Buffer.add_string buf ("CTE " ^ name ^ ":\n");
-      let plan = Planner.plan_query scope q in
-      Buffer.add_string buf (Planner.plan_to_string plan);
-      (* Register an empty table so later CTEs/body resolve the name. *)
-      Database.add_table scope (Table.create name (Schema.make [])))
-    stmt.ctes;
+      Buffer.add_string buf (Planner.plan_to_string plan))
+    ctes;
   Buffer.add_string buf "body:\n";
-  Buffer.add_string buf (Planner.plan_to_string (Planner.plan_query scope stmt.body));
+  Buffer.add_string buf (Planner.plan_to_string body);
   if analyze then begin
-    let _, stats = run_with_stats ?timeout ?domains ?join_partitions db stmt in
+    let _, stats = run_analyzed ?timeout ?domains ?join_partitions db stmt in
     Buffer.add_string buf "analyze:\n";
     Buffer.add_string buf (Opstats.to_string stats)
   end;

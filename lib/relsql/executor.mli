@@ -20,13 +20,11 @@ val par_min_rows : int ref
 
 val column_names : result -> string list
 
-(** Materialize a result as a named table (used for CTEs; the result's
-    column names become the schema and must be unique). *)
-val materialize : string -> result -> Table.t
-
-(** Run a full statement: materialize each CTE in order into an overlay
-    database, then evaluate the body. [timeout] is wall-clock seconds
-    for the whole statement; raises {!Timeout} on expiry. [domains] is
+(** Run a full statement: evaluate each CTE in order into a resident
+    batch, then the body. It pays only for its operators: per-node
+    labels, estimates and clock reads are made by {!run_analyzed}
+    alone. [timeout] is wall-clock seconds for the whole statement;
+    raises {!Timeout} on expiry. [domains] is
     the total parallelism (including the calling domain) hot operators
     may fan out over; it defaults to the database's
     {!Database.parallelism} and 1 keeps every operator on its

@@ -1,6 +1,6 @@
 (** Per-operator execution metrics (the EXPLAIN ANALYZE tree).
 
-    Every physical plan node run by {!Executor} fills one of these:
+    Every physical plan node of an analyzed run fills one of these:
     rows consumed from its inputs, rows produced, index probes issued,
     hash-build size and inclusive wall time. The tree mirrors the plan
     shape, with synthetic [CTE <name>] / [body] wrappers at statement
@@ -54,8 +54,16 @@ let make label =
     blocks_skipped = 0; rows_unpacked = 0; delta_rows = 0;
     tombstones_skipped = 0; est_rows = -1; children = [] }
 
-(** Append a child (keeps plan order). *)
-let add_child parent child = parent.children <- parent.children @ [ child ]
+(** Add a child: while a node runs, its children gather newest first;
+    {!finish} puts them in plan order. *)
+let add_child parent child = parent.children <- child :: parent.children
+
+(** Close a node: record its output cardinality and inclusive wall
+    time, and put its children in plan order. *)
+let finish node ~rows_out ~seconds =
+  node.rows_out <- rows_out;
+  node.seconds <- seconds;
+  node.children <- List.rev node.children
 
 let rec fold f acc node = List.fold_left (fold f) (f acc node) node.children
 

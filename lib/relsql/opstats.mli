@@ -44,8 +44,15 @@ type t = {
 
 val make : string -> t
 
-(** Append a child (keeps plan order). *)
+(** Add a child: while a node runs, its children gather newest first
+    (constant time, whatever the fan-out); {!finish} puts them in plan
+    order. *)
 val add_child : t -> t -> unit
+
+(** Close a node: record its output cardinality and inclusive wall
+    time, and put its children in plan order. Every node of a returned
+    tree is closed. *)
+val finish : t -> rows_out:int -> seconds:float -> unit
 
 (** Preorder fold over the tree. *)
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a

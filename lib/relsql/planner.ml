@@ -119,32 +119,43 @@ let from_alias = function
   | From_subquery { alias; _ } -> alias
   | From_values { alias; _ } -> alias
 
-(** Aliases an expression depends on. Unqualified references depend on
-    "anything", which we encode as [None] entries the caller treats
-    conservatively. *)
-let expr_aliases e =
-  List.filter_map (fun (q, _) -> q) (expr_columns e)
+(* Whether [e] reads some qualified column. *)
+let has_qualified e =
+  fold_columns (fun acc q _ -> acc || q <> None) false e
 
+(* Whether every column [e] reads is qualified by one of [aliases];
+   unqualified references fail conservatively (they stay at the top),
+   and expressions with no column references at all (constants) pass. *)
 let refers_only_to aliases e =
-  let refs = expr_columns e in
-  List.for_all
-    (fun (q, _) ->
-      match q with
-      | Some a -> List.exists (String.equal a) aliases
-      | None -> false (* conservative: keep unqualified refs at the top *))
-    refs
-  (* Expressions with no column references at all (constants) are fine. *)
-  || refs = []
+  fold_columns
+    (fun ok q _ ->
+      ok
+      && match q with Some a -> List.exists (String.equal a) aliases | None -> false)
+    true e
 
 (* ------------------------------------------------------------------ *)
 (* Access-path selection                                               *)
 (* ------------------------------------------------------------------ *)
 
-let table_index_cols db table_name =
-  match Database.find db table_name with
-  | None -> []
-  | Some t ->
-    List.map (fun pos -> Schema.column (Table.schema t) pos) (Table.indexed_columns t)
+(* The names a statement part resolves: the catalog, shadowed by the
+   CTEs bound before it. A CTE's rows live in the executor as a batch,
+   not in a table, so its name is unindexed, never a leapfrog atom, and
+   estimates as 0 rows. *)
+type scope = { db : Database.t; ctes : string list }
+
+let is_cte sc name = List.exists (String.equal name) sc.ctes
+
+let table_index_cols sc table_name =
+  if is_cte sc table_name then []
+  else
+    match Database.find sc.db table_name with
+    | Some t ->
+      List.map (fun pos -> Schema.column (Table.schema t) pos) (Table.indexed_columns t)
+    | None -> []
+
+let table_rows sc name =
+  if is_cte sc name then 0
+  else match Database.find sc.db name with Some t -> Table.row_count t | None -> 1000
 
 let is_indexed c indexed = List.exists (String.equal c) indexed
 
@@ -176,8 +187,8 @@ let hash_keys_of_conjunct ~outer_aliases ~inner_alias = function
   | Binop (Eq, lhs, rhs) ->
     let lhs_outer = refers_only_to outer_aliases lhs
     and rhs_outer = refers_only_to outer_aliases rhs
-    and lhs_inner = refers_only_to [ inner_alias ] lhs && expr_aliases lhs <> []
-    and rhs_inner = refers_only_to [ inner_alias ] rhs && expr_aliases rhs <> [] in
+    and lhs_inner = refers_only_to [ inner_alias ] lhs && has_qualified lhs
+    and rhs_inner = refers_only_to [ inner_alias ] rhs && has_qualified rhs in
     if lhs_outer && rhs_inner then Some (lhs, rhs)
     else if rhs_outer && lhs_inner then Some (rhs, lhs)
     else None
@@ -192,43 +203,38 @@ let hash_keys_of_conjunct ~outer_aliases ~inner_alias = function
     in memory); everything above applies textbook selectivity fudge
     factors. Being wrong only costs a larger build table, never a wrong
     answer. *)
-let rec estimate db (plan : plan) : int =
-  let table_rows name =
-    match Database.find db name with
-    | Some t -> Table.row_count t
-    | None -> 1000
-  in
+let rec estimate sc (plan : plan) : int =
   match plan with
   | Empty_row -> 1
   | Scan { table; filter; _ } ->
-    let n = table_rows table in
+    let n = table_rows sc table in
     (match filter with Some _ -> max 1 (n / 3) | None -> n)
   | Index_lookup { table; keys; _ } ->
-    let n = table_rows table in
+    let n = table_rows sc table in
     min n (List.length keys * max 1 (n / 20))
   | Values_rows { rows; _ } -> List.length rows
-  | Subplan { plan; _ } -> estimate db plan
+  | Subplan { plan; _ } -> estimate sc plan
   | Inl_join { outer; _ } ->
     (* Index joins are typically key-to-few; assume ~1 match per row. *)
-    estimate db outer
+    estimate sc outer
   | Hash_join { left; right; _ } | Nl_join { left; right; _ } ->
-    max (estimate db left) (estimate db right)
+    max (estimate sc left) (estimate sc right)
   | Values_join { outer; rows; _ } ->
-    estimate db outer * max 1 (List.length rows)
+    estimate sc outer * max 1 (List.length rows)
   | Wcoj { est_rows; _ } -> max 1 est_rows
   | Extvp_scan { input; _ } ->
     (* The reduction's own row count: this is the smaller cardinality
        that feeds the hash-join build-side swap and index-NL choice. *)
-    estimate db input
-  | Filter (p, _) -> max 1 (estimate db p / 3)
+    estimate sc input
+  | Filter (p, _) -> max 1 (estimate sc p / 3)
   | Project { input; limit; _ } ->
-    let n = estimate db input in
+    let n = estimate sc input in
     (match limit with Some l -> min n (max 0 l) | None -> n)
   | Aggregate { input; keys; limit; _ } ->
-    let n = if keys = [] then 1 else max 1 (estimate db input / 4) in
+    let n = if keys = [] then 1 else max 1 (estimate sc input / 4) in
     (match limit with Some l -> min n (max 0 l) | None -> n)
   | Union_plan { parts; _ } ->
-    List.fold_left (fun a p -> a + estimate db p) 0 parts
+    List.fold_left (fun a p -> a + estimate sc p) 0 parts
 
 (** Cost of a hash join that builds on [build] and probes with [probe],
     in abstract row-touch units. Building costs more per row than
@@ -242,8 +248,8 @@ let rec estimate db (plan : plan) : int =
     the morsel-parallel, and the partitioned-build paths, and the
     seq≡par bit-identity guarantee would be vacuous if they planned
     differently. *)
-let hash_join_cost db ~build ~probe =
-  (3 * estimate db build) + (2 * estimate db probe)
+let hash_join_cost sc ~build ~probe =
+  (3 * estimate sc build) + (2 * estimate sc probe)
 
 (** Build a hash join with the cheaper input as the build side. The
     executor always builds on [right] and probes [left], so for INNER
@@ -254,11 +260,11 @@ let hash_join_cost db ~build ~probe =
     reordering the output layout is safe — and since the same plan is
     executed by both the sequential and parallel paths, their outputs
     stay identical. *)
-let hash_join db ~left ~right ~left_keys ~right_keys ~kind ~residual =
+let hash_join sc ~left ~right ~left_keys ~right_keys ~kind ~residual =
   if
     kind = Inner
-    && hash_join_cost db ~build:left ~probe:right
-       < hash_join_cost db ~build:right ~probe:left
+    && hash_join_cost sc ~build:left ~probe:right
+       < hash_join_cost sc ~build:right ~probe:left
   then
     Hash_join
       { left = right; right = left; left_keys = right_keys;
@@ -277,7 +283,8 @@ let hash_join db ~left ~right ~left_keys ~right_keys ~kind ~residual =
     the binary alternative. Any unrecognized construct — LEFT joins,
     subqueries, materialized CTE references, expressions — falls back to
     the binary path by returning [None]. *)
-let wcoj_of_select db (s : select) : (binary_est:int -> plan option) option =
+let wcoj_of_select sc (s : select) : (binary_est:int -> plan option) option =
+  let db = sc.db in
   match Database.wcoj_selector db, s.from with
   | _, (None | Some (From_subquery _ | From_values _)) | None, _ -> None
   | Some _, _ when not (Database.wcoj db) -> None
@@ -302,8 +309,7 @@ let wcoj_of_select db (s : select) : (binary_est:int -> plan option) option =
         = List.length aliases
         && List.for_all
              (fun (_, tname) ->
-               Database.mem db tname
-               && not (Database.is_materialized db tname))
+               (not (is_cte sc tname)) && Database.mem db tname)
              tables
       in
       if not schemas_ok then None
@@ -470,17 +476,17 @@ let wcoj_of_select db (s : select) : (binary_est:int -> plan option) option =
       end
     end
 
-let rec plan_query db (q : query) : plan =
+let rec plan_query sc (q : query) : plan =
   match q with
-  | Select s -> plan_select db s
+  | Select s -> plan_select sc s
   | Union { all; parts } ->
-    Union_plan { all; parts = List.map (plan_query db) parts }
+    Union_plan { all; parts = List.map (plan_query sc) parts }
 
-and plan_base db (item : from_item) (conjs : expr list) : plan * expr list =
+and plan_base sc (item : from_item) (conjs : expr list) : plan * expr list =
   (* Plan the first FROM item, consuming conjuncts pushed into it. *)
   match item with
   | From_table { table; alias } ->
-    let indexed = table_index_cols db table in
+    let indexed = table_index_cols sc table in
     let key, rest =
       let rec pick acc = function
         | [] -> (None, List.rev acc)
@@ -507,7 +513,7 @@ and plan_base db (item : from_item) (conjs : expr list) : plan * expr list =
     in
     (plan, rest)
   | From_subquery { query; alias } ->
-    let inner = plan_query db query in
+    let inner = plan_query sc query in
     let plan = Subplan { plan = inner; alias } in
     let local, rest = List.partition (refers_only_to [ alias ]) conjs in
     let plan =
@@ -522,7 +528,7 @@ and plan_base db (item : from_item) (conjs : expr list) : plan * expr list =
     in
     (plan, rest)
 
-and plan_join db outer outer_aliases { kind; item; on } avail_conjs :
+and plan_join sc outer outer_aliases { kind; item; on } avail_conjs :
   plan * expr list =
   (* [avail_conjs] are WHERE conjuncts not yet applied; for INNER joins we
      may consume those that become evaluable here. LEFT joins only use
@@ -544,7 +550,7 @@ and plan_join db outer outer_aliases { kind; item; on } avail_conjs :
     in
     (plan, deferred)
   | From_table { table; alias } ->
-    let indexed = table_index_cols db table in
+    let indexed = table_index_cols sc table in
     let inl, rest =
       let rec pick acc = function
         | [] -> (None, List.rev acc)
@@ -584,18 +590,18 @@ and plan_join db outer outer_aliases { kind; item; on } avail_conjs :
          let local, residual =
            List.partition (refers_only_to [ alias ]) non_keys
          in
-         let right, _ = plan_base db (From_table { table; alias }) local in
-         ( hash_join db ~left:outer ~right
+         let right, _ = plan_base sc (From_table { table; alias }) local in
+         ( hash_join sc ~left:outer ~right
              ~left_keys:(List.map fst pairs)
              ~right_keys:(List.map snd pairs)
              ~kind ~residual:(conj_list residual),
            deferred )
        end
        else
-         let right, _ = plan_base db (From_table { table; alias }) [] in
+         let right, _ = plan_base sc (From_table { table; alias }) [] in
          (Nl_join { left = outer; right; kind; cond = conj_list conds }, deferred))
   | From_subquery { query; alias } ->
-    let right = Subplan { plan = plan_query db query; alias } in
+    let right = Subplan { plan = plan_query sc query; alias } in
     let pairs =
       List.filter_map (hash_keys_of_conjunct ~outer_aliases ~inner_alias:alias) conds
     in
@@ -608,7 +614,7 @@ and plan_join db outer outer_aliases { kind; item; on } avail_conjs :
             | None -> true)
           conds
       in
-      ( hash_join db ~left:outer ~right
+      ( hash_join sc ~left:outer ~right
           ~left_keys:(List.map fst pairs)
           ~right_keys:(List.map snd pairs)
           ~kind ~residual:(conj_list residual),
@@ -616,29 +622,29 @@ and plan_join db outer outer_aliases { kind; item; on } avail_conjs :
     end
     else (Nl_join { left = outer; right; kind; cond = conj_list conds }, deferred)
 
-and plan_select db (s : select) : plan =
+and plan_select sc (s : select) : plan =
   let conjs = match s.where with Some e -> conjuncts e | None -> [] in
   let body, leftover =
     match s.from with
     | None -> (Empty_row, conjs)
     | Some first ->
       let binary () =
-        let base, rest = plan_base db first conjs in
+        let base, rest = plan_base sc first conjs in
         let rec chain plan aliases rest = function
           | [] -> (plan, rest)
           | j :: tl ->
-            let plan, rest = plan_join db plan aliases j rest in
+            let plan, rest = plan_join sc plan aliases j rest in
             chain plan (from_alias j.item :: aliases) rest tl
         in
         chain base [ from_alias first ] rest s.joins
       in
-      (match wcoj_of_select db s with
+      (match wcoj_of_select sc s with
        | None -> binary ()
        | Some build ->
          (* Build the binary tree anyway: its estimate parameterizes the
             selector, and it is the plan when the selector declines. *)
          let bplan, brest = binary () in
-         (match build ~binary_est:(estimate db bplan) with
+         (match build ~binary_est:(estimate sc bplan) with
           | Some wplan -> (wplan, []) (* recognition consumed every conjunct *)
           | None -> (bplan, brest)))
   in
@@ -680,36 +686,45 @@ and plan_select db (s : select) : plan =
 (* Column pruning                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Which qualified columns the consumers of a node's output read. Any
-   unqualified reference collapses to [All]: it could resolve to any
-   alias, so nothing below may be pruned. *)
-type needed = All | Only of (string * string) list
+(* Which qualified columns the consumers of a node's output read, as
+   one sorted name set per alias. Any unqualified reference collapses
+   to [All]: it could resolve to any alias, so nothing below may be
+   pruned. *)
+module Names = Set.Make (String)
+module By_alias = Map.Make (String)
 
-let needed_union a b =
-  match a, b with
-  | All, _ | _, All -> All
-  | Only x, Only y -> Only (List.rev_append x y)
+type needed = All | Only of Names.t By_alias.t
 
-let needed_of_exprs es =
-  let cols = List.concat_map expr_columns es in
-  if List.exists (fun (q, _) -> q = None) cols then All
-  else Only (List.map (fun (q, n) -> (Option.get q, n)) cols)
+let alias_cols alias m =
+  match By_alias.find alias m with cs -> cs | exception Not_found -> Names.empty
 
-let opt_to_list = function None -> [] | Some e -> [ e ]
+(* [needed] plus every column [e] reads: one set insertion per
+   reference, never a copy of what was already needed. *)
+let need needed e =
+  fold_columns
+    (fun needed q n ->
+      match needed, q with
+      | All, _ | _, None -> All
+      | Only m, Some a ->
+        let cs = alias_cols a m in
+        let cs' = Names.add n cs in
+        if cs' == cs then needed else Only (By_alias.add a cs' m))
+    needed e
 
-(* Columns of [alias] the consumers read, in a stable order — [None]
+let need_opt needed = function Some e -> need needed e | None -> needed
+let need_all = List.fold_left need
+
+(* Columns of [alias] the consumers read, sorted and distinct — [None]
    when everything must be kept. *)
 let cols_for alias = function
   | All -> None
-  | Only refs ->
-    Some
-      (List.sort_uniq String.compare
-         (List.filter_map (fun (a, n) -> if a = alias then Some n else None) refs))
+  | Only m -> Some (Names.elements (alias_cols alias m))
 
-(** Push column requirements down the plan, narrowing table-access and
-    index-join nodes to the columns their consumers actually read.
-    Intermediate star-join rows shrink from full triple rows to single
-    object columns, which is most of the executor's allocation. *)
+(** Push column requirements down the plan in one pass, narrowing
+    table-access and index-join nodes to the columns their consumers
+    actually read. Intermediate star-join rows shrink from full triple
+    rows to single object columns, which is most of the executor's
+    allocation. *)
 let rec prune (needed : needed) plan =
   match plan with
   | Empty_row | Values_rows _ -> plan
@@ -723,53 +738,45 @@ let rec prune (needed : needed) plan =
     (* An inner-only residual is evaluated on the raw table row, so its
        references need not survive; a cross residual is evaluated on the
        combined output row, so they must. *)
-    let cross =
+    let inner =
       match residual with
-      | Some e when not (refers_only_to [ alias ] e) -> [ e ]
-      | _ -> []
-    in
-    let cols = cols_for alias (needed_union needed (needed_of_exprs cross)) in
-    let outer_needed =
-      needed_union needed (needed_of_exprs (key :: opt_to_list residual))
+      | Some e when not (refers_only_to [ alias ] e) -> need needed e
+      | _ -> needed
     in
     Inl_join
-      { outer = prune outer_needed outer; table; alias; col; key; kind;
-        residual; cols }
+      { outer = prune (need_opt (need needed key) residual) outer; table; alias;
+        col; key; kind; residual; cols = cols_for alias inner }
   | Hash_join { left; right; left_keys; right_keys; kind; residual } ->
-    let n =
-      needed_union needed
-        (needed_of_exprs (left_keys @ right_keys @ opt_to_list residual))
-    in
+    let n = need_opt (need_all (need_all needed left_keys) right_keys) residual in
     Hash_join
       { left = prune n left; right = prune n right; left_keys; right_keys;
         kind; residual }
   | Nl_join { left; right; kind; cond } ->
-    let n = needed_union needed (needed_of_exprs (opt_to_list cond)) in
+    let n = need_opt needed cond in
     Nl_join { left = prune n left; right = prune n right; kind; cond }
   | Values_join { outer; rows; alias; cols } ->
-    let n = needed_union needed (needed_of_exprs (List.concat rows)) in
-    Values_join { outer = prune n outer; rows; alias; cols }
+    Values_join
+      { outer = prune (List.fold_left need_all needed rows) outer; rows; alias; cols }
   | Wcoj ({ outputs; _ } as w) ->
     (* Output columns are copies of the variable bindings; dropping
        unread class members never loses a constraint (the classes and
        atoms are untouched). *)
     (match needed with
      | All -> plan
-     | Only refs ->
-       let keep =
-         List.filter
-           (fun (a, c, _) -> List.exists (fun (a', c') -> a' = a && c' = c) refs)
-           outputs
-       in
-       Wcoj { w with outputs = keep })
+     | Only m ->
+       Wcoj
+         { w with
+           outputs = List.filter (fun (a, c, _) -> Names.mem c (alias_cols a m)) outputs })
   | Extvp_scan { input; name } -> Extvp_scan { input = prune needed input; name }
-  | Filter (p, e) -> Filter (prune (needed_union needed (needed_of_exprs [ e ])) p, e)
+  | Filter (p, e) -> Filter (prune (need needed e) p, e)
   | Project { input; items; distinct; order_by; limit; offset } ->
     (* A projection re-creates every output column, so requirements from
        above reset; sort keys may resolve against the input. *)
     let n =
-      needed_of_exprs
-        (List.map fst items @ List.map (fun o -> o.sort_expr) order_by)
+      List.fold_left
+        (fun n o -> need n o.sort_expr)
+        (List.fold_left (fun n (e, _) -> need n e) (Only By_alias.empty) items)
+        order_by
     in
     Project { input = prune n input; items; distinct; order_by; limit; offset }
   | Aggregate { input; keys; items; distinct; order_by; limit; offset } ->
@@ -785,20 +792,34 @@ let rec prune (needed : needed) plan =
     let n =
       if whole_row_distinct then All
       else
-        needed_of_exprs
-          (keys
-           @ List.concat_map
-               (function
-                 | Ai_plain (e, _) -> [ e ]
-                 | Ai_agg (_, arg, _, _) -> opt_to_list arg)
-               items)
+        List.fold_left
+          (fun n -> function
+            | Ai_plain (e, _) -> need n e
+            | Ai_agg (_, arg, _, _) -> need_opt n arg)
+          (need_all (Only By_alias.empty) keys)
+          items
     in
     Aggregate { input = prune n input; keys; items; distinct; order_by; limit; offset }
   | Union_plan { all; parts } ->
     Union_plan { all; parts = List.map (prune All) parts }
 
-let plan_query db q = prune All (plan_query db q)
-let plan_select db s = prune All (plan_select db s)
+let plan_query ?(ctes = []) db q = prune All (plan_query { db; ctes } q)
+
+let estimate ?(ctes = []) db plan = estimate { db; ctes } plan
+
+(** Plan a statement: each CTE against the catalog plus the CTEs bound
+    before it, then the body against all of them. Returns the CTEs as
+    (name, CTE names in scope, plan), in order, and the body as
+    (CTE names in scope, plan). *)
+let plan_stmt db (stmt : stmt) =
+  let rec go ctes = function
+    | [] -> ([], (ctes, plan_query ~ctes db stmt.body))
+    | (name, q) :: rest ->
+      let cte = (name, ctes, plan_query ~ctes db q) in
+      let tl, body = go (name :: ctes) rest in
+      (cte :: tl, body)
+  in
+  go [] stmt.ctes
 
 (* ------------------------------------------------------------------ *)
 (* Explain                                                             *)

@@ -115,17 +115,24 @@ and agg_item =
   | Ai_agg of Sql_ast.agg_fun * Sql_ast.expr option * bool * string
       (** aggregate, argument ([None] = star), DISTINCT flag, name *)
 
-(** Plan a query against the catalog (index decisions consult the
-    database's tables; CTE names must already be registered). *)
-val plan_query : Database.t -> Sql_ast.query -> plan
+(** Plan a query against the catalog. [ctes] names the statement's CTEs
+    in scope (default none): such a name shadows a same-named table, is
+    unindexed, is never a leapfrog atom, and estimates as 0 rows. *)
+val plan_query : ?ctes:string list -> Database.t -> Sql_ast.query -> plan
 
-val plan_select : Database.t -> Sql_ast.select -> plan
+(** Plan a statement: each CTE against the catalog plus the CTEs bound
+    before it, then the body against all of them. Returns the CTEs as
+    (name, CTE names in scope, plan), in order, and the body as (CTE
+    names in scope, plan). *)
+val plan_stmt :
+  Database.t -> Sql_ast.stmt ->
+  (string * string list * plan) list * (string list * plan)
 
-(** Crude output-cardinality estimate of a plan (rows). Exact for base
-    tables, textbook fudge factors above; the executor records it per
-    operator so EXPLAIN ANALYZE can report estimated-vs-actual
-    (q-error). *)
-val estimate : Database.t -> plan -> int
+(** Crude output-cardinality estimate of a plan (rows), with [ctes] in
+    scope as in {!plan_query}. Exact for base tables, textbook fudge
+    factors above; an analyzed run records it per operator so EXPLAIN
+    ANALYZE can report estimated-vs-actual (q-error). *)
+val estimate : ?ctes:string list -> Database.t -> plan -> int
 
 (** One-line operator description (no children) — shared by the plan
     printer and the {!Opstats} labels of EXPLAIN ANALYZE. *)

@@ -98,19 +98,24 @@ let disj_list = function
 
 let stmt ?(ctes = []) body = { ctes; body }
 
-(** Column qualifiers and names referenced by an expression (used by the
-    planner for pushdown decisions). *)
-let rec expr_columns = function
-  | Const _ -> []
-  | Col (q, n) -> [ (q, n) ]
-  | Binop (_, a, b) -> expr_columns a @ expr_columns b
-  | Not e | Is_null e | Is_not_null e | Like (e, _) -> expr_columns e
+(** Fold [f] over the (qualifier, name) of every column an expression
+    references, left to right (used by the planner for pushdown and
+    pruning decisions). *)
+let rec fold_columns f acc = function
+  | Const _ -> acc
+  | Col (q, n) -> f acc q n
+  | Binop (_, a, b) -> fold_columns f (fold_columns f acc a) b
+  | Not e | Is_null e | Is_not_null e | Like (e, _) | In_list (e, _)
+  | Agg (_, Some e, _) -> fold_columns f acc e
+  | Agg (_, None, _) -> acc
   | Case (whens, els) ->
-    List.concat_map (fun (c, e) -> expr_columns c @ expr_columns e) whens
-    @ (match els with Some e -> expr_columns e | None -> [])
-  | Coalesce es -> List.concat_map expr_columns es
-  | In_list (e, _) -> expr_columns e
-  | Agg (_, e, _) -> (match e with Some e -> expr_columns e | None -> [])
+    let acc =
+      List.fold_left
+        (fun acc (c, e) -> fold_columns f (fold_columns f acc c) e)
+        acc whens
+    in
+    Option.fold ~none:acc ~some:(fold_columns f acc) els
+  | Coalesce es -> List.fold_left (fold_columns f) acc es
 
 (** Split a WHERE expression into its top-level AND conjuncts. *)
 let rec conjuncts = function

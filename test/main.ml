@@ -8,6 +8,7 @@ let () =
       ("coloring", Test_coloring.suite);
       ("loader", Test_loader.suite);
       ("optimizer", Test_optimizer.suite);
+      ("planner", Test_planner.suite);
       ("baselines", Test_baselines.suite);
       ("engine", Test_engine.suite);
       ("workloads", Test_workloads.suite);

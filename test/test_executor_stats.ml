@@ -111,6 +111,64 @@ let test_analyzed_matches_run () =
        (fun a b -> Array.for_all2 Value.equal a b)
        (Batch.to_rows plain) (Batch.to_rows b))
 
+(* Preorder labels of the tree an analyzed run of [stmt] must return:
+   the statement, then a [CTE <name>] / [body] wrapper over each part's
+   operators, all in plan order. *)
+let expected_labels db stmt =
+  let rec labels p = Planner.node_label p :: List.concat_map labels (Planner.children p) in
+  let ctes, (_, body) = Planner.plan_stmt db stmt in
+  ("statement" :: List.concat_map (fun (n, _, p) -> ("CTE " ^ n) :: labels p) ctes)
+  @ ("body" :: labels body)
+
+(* Every workload query returns bit-identical batches from [run] and
+   [run_analyzed] (same columns, rows and order) on a boxed and a
+   compressed engine, sequentially and on two domains with the
+   parallel threshold lowered so small inputs fan out too. Every
+   analyzed tree keeps the invariants and mirrors the plan. *)
+let test_analyzed_matches_run_workloads () =
+  let saved = !Executor.par_min_rows in
+  Executor.par_min_rows := 2;
+  Fun.protect ~finally:(fun () -> Executor.par_min_rows := saved) @@ fun () ->
+  List.iter
+    (fun compress ->
+      List.iter
+        (fun (wname, generate, queries) ->
+          let options = { Db2rdf.Engine.default_options with compress } in
+          let e = Db2rdf.Engine.create ~options () in
+          Db2rdf.Engine.load e (generate ~scale:1500);
+          let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
+          List.iter
+            (fun (qname, src) ->
+              let stmt = Db2rdf.Engine.translate e (Sparql.Parser.parse src) in
+              let labels = expected_labels db stmt in
+              List.iter
+                (fun domains ->
+                  let what =
+                    Printf.sprintf "%s/%s compress=%b domains=%d" wname qname compress
+                      domains
+                  in
+                  let plain = Executor.run ~domains db stmt in
+                  let b, stats = Executor.run_analyzed ~domains db stmt in
+                  Alcotest.(check (list string)) (what ^ ": columns")
+                    (Executor.column_names plain) (Executor.column_names b);
+                  Alcotest.(check int) (what ^ ": cardinality")
+                    (Batch.length plain) (Batch.length b);
+                  Alcotest.(check bool) (what ^ ": same rows, same order") true
+                    (List.for_all2
+                       (fun x y -> Array.for_all2 Value.equal x y)
+                       (Batch.to_rows plain) (Batch.to_rows b));
+                  check_invariants stats;
+                  Alcotest.(check (list string)) (what ^ ": tree mirrors the plan") labels
+                    (List.rev (Opstats.fold (fun acc n -> n.Opstats.label :: acc) [] stats)))
+                [ 1; 2 ])
+            queries)
+        [ ("micro", Workloads.Micro.generate, Workloads.Micro.queries);
+          ("lubm", Workloads.Lubm.generate, Workloads.Lubm.queries);
+          ("sp2b", Workloads.Sp2b.generate, Workloads.Sp2b.queries);
+          ("dbpedia", Workloads.Dbpedia.generate, Workloads.Dbpedia.queries);
+          ("prbench", Workloads.Prbench.generate, Workloads.Prbench.queries) ])
+    [ false; true ]
+
 (* The soft timeout must still fire under the batch executor: its row
    ticker is the mechanism behind the paper's timeout classification. *)
 let test_timeout_still_fires () =
@@ -147,5 +205,7 @@ let suite =
     Alcotest.test_case "index probes counted" `Quick test_index_probes;
     Alcotest.test_case "hash build size" `Quick test_hash_build;
     Alcotest.test_case "analyzed run matches run" `Quick test_analyzed_matches_run;
+    Alcotest.test_case "analyzed run matches run on every workload query" `Slow
+      test_analyzed_matches_run_workloads;
     Alcotest.test_case "timeout under analyze" `Quick test_timeout_still_fires;
     Alcotest.test_case "explain analyze text" `Quick test_explain_analyze_text ]
