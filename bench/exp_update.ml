@@ -24,7 +24,8 @@
     before the write bursts and asserted bit-stable across them.
 
     With [--json-dir] the experiment writes BENCH_update.json: per-phase
-    times (pre-merge update stream, merge, post-merge update stream,
+    times (pre-merge update stream, merge — only where it folded a
+    table, so never for the boxed engine — post-merge update stream,
     live probe, snapshot probe) for both systems, their delta
     accounting (pending delta rows, main tombstones and tables merged),
     and the streams' statement counts. *)
@@ -220,12 +221,16 @@ let run (cfg : Harness.config) =
                   [ measurement r "update-stream" r.s_stream_ms
                       [ ("statements", Harness.J_int stream_len);
                         ("delta_rows", Harness.J_int r.s_delta_rows);
-                        ("tombstones", Harness.J_int r.s_tombstones) ];
-                    measurement r "merge" r.s_merge_ms
-                      [ ("tables_merged", Harness.J_int r.s_merged) ];
-                    measurement r "update-stream-post-merge" r.s_stream2_ms
-                      [ ("statements", Harness.J_int stream_len) ];
-                    measurement r "probe" r.s_probe_ms
-                      [ ("results", Harness.J_int r.s_probe_rows) ];
-                    measurement r "snapshot-probe" r.s_snap_ms [] ])
+                        ("tombstones", Harness.J_int r.s_tombstones) ] ]
+                  (* A merge that folded nothing (the boxed engine never
+                     packs) times only the clock; leave it out. *)
+                  @ (if r.s_merged = 0 then []
+                     else
+                       [ measurement r "merge" r.s_merge_ms
+                           [ ("tables_merged", Harness.J_int r.s_merged) ] ])
+                  @ [ measurement r "update-stream-post-merge" r.s_stream2_ms
+                        [ ("statements", Harness.J_int stream_len) ];
+                      measurement r "probe" r.s_probe_ms
+                        [ ("results", Harness.J_int r.s_probe_rows) ];
+                      measurement r "snapshot-probe" r.s_snap_ms [] ])
                 [ boxed; packed ]) ) ])

@@ -51,11 +51,9 @@ let default_options =
     extvp = false; extvp_build = false;
     extvp_threshold = Relsql.Extvp.default_threshold; extvp_budget_mb = 64 }
 
-(* Plan-shape fingerprint of an options record: the statement cache key
-   must include every knob that changes the translated statement or its
-   physical plan, not just the SPARQL text — two engines sharing a cache
-   but differing in (say) [wcoj] or [parallelism] must not serve each
-   other's plans. *)
+(* A compact id of an options record, covering every knob: benchmark
+   headers print it so two result files can tell their configurations
+   apart. *)
 let options_fingerprint (o : options) =
   Printf.sprintf "O%b%b%b|p%d|l%d|j%d|c%b|w%b|e%b|eb%b|et%.4f|em%d"
     o.optimize o.merge o.late_fuse o.parallelism o.load_domains
@@ -66,16 +64,6 @@ type t = {
   loader : Loader.t;
   dict_state : Dict_table.state;
   options : options;
-  cache : (Sparql.Ast.query * Relsql.Sql_ast.stmt * int) Relsql.Plan_cache.t;
-      (* statement cache keyed by SPARQL source text; each entry is
-         stamped with the Database epoch at translation time, because
-         translation consults Loader.stats — a stale plan could be
-         wrong, not just slow. A mismatched stamp is treated as a miss,
-         the same signal (Table.epoch) that retires scan-cache
-         entries, instead of an ad-hoc clear on every write path.
-         Entries are per-snapshot-valid rather than globally
-         invalidated: a snapshot reader accepts an entry whose stamp
-         equals its own capture stamp even after later commits. *)
   lock : Mutex.t;
       (* serializes writers and the snapshot/translate/decode critical
          sections against them; snapshot readers execute unlocked on
@@ -179,13 +167,11 @@ let create ?(layout = Layout.default) ?(options = default_options) ?direct_map
   Relsql.Extvp.set_budget_bytes reg (options.extvp_budget_mb * 1024 * 1024);
   Relsql.Database.set_extvp db (Some reg);
   let dict_state = Dict_table.create db in
-  { loader; dict_state; options; cache = Relsql.Plan_cache.create ();
-    lock = Mutex.create () }
+  { loader; dict_state; options; lock = Mutex.create () }
 
 (** A view of the same store under different options: shares the loader
-    (data, statistics, dictionary) and the statement cache — cache
-    entries are keyed by the options fingerprint, so views never serve
-    each other's plans. *)
+    (data, statistics, dictionary); every read translates under the
+    view's own options. *)
 let with_options t options = { t with options }
 
 (** The store's semi-join reduction registry (always installed). *)
@@ -253,14 +239,12 @@ let loader t = t.loader
 let dictionary t = Loader.dictionary t.loader
 
 (* Data changes need no explicit cache hooks: every write path bumps
-   Table.epoch, which shifts Database.epoch, which retires
-   cached statements (stamp mismatch on next lookup) and scan-cache
+   Table.epoch, which shifts Database.epoch, which retires scan-cache
    entries (the epoch is part of their key). A bulk load still clears
-   both outright — after a load the dataset shape has typically
-   changed wholesale, so keeping capacity's worth of dead entries
-   around until the LRU cycles them out is pure memory waste. *)
+   the scan cache outright — after a load the dataset shape has
+   typically changed wholesale, so keeping capacity's worth of dead
+   entries around until the LRU cycles them out is pure memory waste. *)
 let load ?parse_s t triples =
-  Relsql.Plan_cache.clear t.cache;
   Relsql.Scan_cache.clear (Relsql.Database.scan_cache (Loader.database t.loader));
   Option.iter Relsql.Extvp.clear (extvp_registry t);
   Loader.load ~domains:t.options.load_domains ?parse_s t.loader triples;
@@ -302,8 +286,8 @@ let merge t =
     Mutex.protect t.lock (fun () ->
       Relsql.Database.merge_all (Loader.database t.loader))
 
-(** Hit/miss/occupancy counters of the statement cache. *)
-let plan_cache_stats t = Relsql.Plan_cache.stats t.cache
+(** Always zero: reads are not cached; kept for the benchmark's report. *)
+let plan_cache_stats _ = { Relsql.Plan_cache.hits = 0; misses = 0; entries = 0 }
 
 (** Hit/miss/occupancy counters of the shared scan cache. *)
 let scan_cache_stats t =
@@ -355,10 +339,10 @@ let merge_ctx t (pt : Sparql.Pattern_tree.t) (q : Sparql.Ast.query) : Merge.ctx 
     merging_enabled = t.options.merge;
   }
 
-(** Full translation of a parsed query to SQL. *)
-let translate ?(options : options option) t (q : Sparql.Ast.query) :
-  Relsql.Sql_ast.stmt =
-  let options = Option.value ~default:t.options options in
+(* Every translation stage of one query, its intermediate results
+   kept: {!translate} returns the statement and {!explain} prints each
+   stage, so EXPLAIN shows exactly the statement a query runs. *)
+let stages (options : options) t (q : Sparql.Ast.query) =
   let pt = Sparql.Pattern_tree.of_query q in
   let stats = Loader.stats t.loader in
   let dict = Loader.dictionary t.loader in
@@ -371,13 +355,20 @@ let translate ?(options : options option) t (q : Sparql.Ast.query) :
   let plan = Merge.of_exec (merge_ctx { t with options } pt q) etree in
   if options.extvp then sync_extvp t options;
   let extvp = if options.extvp then extvp_registry t else None in
-  Sqlgen.generate ~wcoj:options.wcoj ?extvp t.loader pt plan q
+  let stmt = Sqlgen.generate ~wcoj:options.wcoj ?extvp t.loader pt plan q in
+  (pt, flow, etree, plan, stmt)
+
+(** Full translation of a parsed query to SQL. *)
+let translate ?(options : options option) t (q : Sparql.Ast.query) :
+  Relsql.Sql_ast.stmt =
+  let _, _, _, _, stmt = stages (Option.value ~default:t.options options) t q in
+  stmt
 
 (* Align the catalog's WCOJ planning knob with this call's effective
    options before executing: the planner reads it at plan time, and a
    per-call [?options] override must beat the engine default. The
-   reduction registry's retention knobs follow too — a cached statement
-   can still trigger a lazy (re)build at execution time. *)
+   reduction registry's retention knobs follow too — executing a
+   statement can still trigger a lazy (re)build of a reduction. *)
 let apply_exec_options t (options : options) =
   Relsql.Database.set_wcoj (Loader.database t.loader) options.wcoj;
   if options.extvp then sync_extvp t options
@@ -398,9 +389,9 @@ let query ?timeout ?options t (q : Sparql.Ast.query) : Sparql.Ref_eval.results =
   decode_results t q r
 
 (** Evaluate a parsed query and collect per-operator execution metrics
-    (EXPLAIN ANALYZE through the full pipeline). The statement-cache
-    counters ride along as a synthetic child of the root so ANALYZE
-    output surfaces hit rates without a separate channel. *)
+    (EXPLAIN ANALYZE through the full pipeline). The scan-cache counters
+    ride along as a synthetic child of the root so ANALYZE output
+    surfaces hit rates without a separate channel. *)
 let query_analyzed ?timeout ?options t (q : Sparql.Ast.query) :
   Sparql.Ref_eval.results * Relsql.Opstats.t =
   let stmt = translate ?options t q in
@@ -410,45 +401,13 @@ let query_analyzed ?timeout ?options t (q : Sparql.Ast.query) :
   in
   stats.Relsql.Opstats.children <-
     stats.Relsql.Opstats.children
-    @ [ Relsql.Opstats.make
-          (Relsql.Plan_cache.stats_to_string (Relsql.Plan_cache.stats t.cache));
-        Relsql.Opstats.make (Relsql.Scan_cache.stats_to_string
+    @ [ Relsql.Opstats.make (Relsql.Scan_cache.stats_to_string
           (Relsql.Database.scan_cache (Loader.database t.loader))) ];
   (decode_results t q r, stats)
 
-(** Parse and evaluate a SPARQL string. Repeated texts skip parsing and
-    the whole translation pipeline via the statement cache. Entries are
-    keyed by the effective options fingerprint plus the source text —
-    every knob that changes plan shape participates, so ablation callers
-    (and {!with_options} views sharing this cache) never serve each
-    other's statements — and validated against
-    {!Relsql.Database.epoch}: a stamp from before any data change is a
-    miss, and the statement re-translates against current
-    statistics. *)
+(** Parse and evaluate a SPARQL string. *)
 let query_string ?timeout ?options t (src : string) : Sparql.Ref_eval.results =
-  let effective = Option.value ~default:t.options options in
-  let db = Loader.database t.loader in
-  let now = Relsql.Database.epoch db in
-  let key = options_fingerprint effective ^ "\n" ^ src in
-  let prepare () =
-    let q = Sparql.Parser.parse src in
-    let stmt = translate ?options t q in
-    Relsql.Plan_cache.add t.cache key (q, stmt, now);
-    (q, stmt)
-  in
-  let q, stmt =
-    match Relsql.Plan_cache.find t.cache key with
-    | Some (q, stmt, stamp) when stamp = now -> (q, stmt)
-    | Some _ ->
-      (* Resident but stamped before a data change: count it as a
-         miss — no usable result was served — and re-translate. *)
-      Relsql.Plan_cache.note_stale t.cache;
-      prepare ()
-    | None -> prepare ()
-  in
-  apply_exec_options t effective;
-  let r = Relsql.Executor.run ?timeout db stmt in
-  decode_results t q r
+  query ?timeout ?options t (Sparql.Parser.parse src)
 
 (* ------------------------------------------------------------------ *)
 (* SPARQL UPDATE                                                       *)
@@ -502,67 +461,35 @@ let snapshot t : snapshot =
 
 let snapshot_stamp s = s.snap_epoch
 
-(* Translate for a snapshot. A cached statement is accepted when its
-   stamp equals the snapshot's capture stamp — per-snapshot validity:
-   entries are not retired just because the live catalog moved on. On
-   a miss the statement is translated against the live statistics,
-   which is safe for older snapshots because every statistic the
-   generated SQL depends on is monotone: seen-sets only grow, a
-   predicate that became spill-involved or multi-valued later makes
-   the plan chase spill rows/lid lists that the snapshot simply does
-   not have, and storage columns never move once assigned. Runs under
-   the writer lock (translation reads the loader's statistics and
-   dictionary, which a concurrent writer mutates). *)
-let snapshot_prepare s (src : string) =
-  let t = s.snap_engine in
-  Mutex.protect t.lock (fun () ->
-    (* Snapshot databases carry no reduction registry, so statements
-       must not reference [extvp$] tables: translate with ExtVP off,
-       under a distinct cache key so live (possibly substituted) plans
-       and snapshot plans never collide. *)
-    let options =
-      if t.options.extvp then { t.options with extvp = false } else t.options
-    in
-    let key = options_fingerprint options ^ "\n" ^ src in
-    let db = Loader.database t.loader in
-    let now = Relsql.Database.epoch db in
-    match Relsql.Plan_cache.find t.cache key with
-    | Some (q, stmt, stamp) when stamp = s.snap_epoch -> (q, stmt)
-    | (Some _ | None) as hit ->
-      if hit <> None then Relsql.Plan_cache.note_stale t.cache;
-      let q = Sparql.Parser.parse src in
-      let stmt = translate ~options t q in
-      (* Stamp with the live epoch: correct for live callers at the
-         same options; a snapshot at this stamp re-accepts it too. *)
-      Relsql.Plan_cache.add t.cache key (q, stmt, now);
-      (q, stmt))
-
-(** Evaluate a SPARQL string against the snapshot: translation and
-    result decoding synchronize with the writer, execution runs
-    unlocked on the snapshot's private tables and scan cache. *)
+(** Evaluate a SPARQL string against the snapshot. Parsing reads no
+    shared state and runs first, unlocked; translation and result
+    decoding read the loader's statistics and dictionary, which a
+    concurrent writer mutates, so they take the writer lock; execution
+    runs unlocked on the snapshot's private tables and scan cache.
+    Translating against the live statistics is safe for an older
+    snapshot because every statistic the generated SQL depends on is
+    monotone: seen-sets only grow, a predicate that became
+    spill-involved or multi-valued later makes the plan chase spill
+    rows/lid lists that the snapshot simply does not have, and storage
+    columns never move once assigned. Snapshot databases carry no
+    reduction registry, so the statement is translated with ExtVP off. *)
 let snapshot_query_string ?timeout s (src : string) : Sparql.Ref_eval.results =
   let t = s.snap_engine in
-  let q, stmt = snapshot_prepare s src in
+  let q = Sparql.Parser.parse src in
+  let stmt =
+    Mutex.protect t.lock (fun () ->
+      translate ~options:{ t.options with extvp = false } t q)
+  in
   let r = Relsql.Executor.run ?timeout s.snap_db stmt in
   Mutex.protect t.lock (fun () -> decode_results t q r)
 
 (** Human-readable translation trace: flow, execution tree, merged plan,
-    SQL text and physical plan. With [~analyze:true] the statement is
-    also executed and the per-operator metrics appended. *)
+    SQL text and physical plan — the stages {!translate} runs, so the
+    SQL shown is the statement {!query} executes. With [~analyze:true]
+    the statement is also executed and the per-operator metrics
+    appended. *)
 let explain ?(analyze = false) t (q : Sparql.Ast.query) : string =
-  let pt = Sparql.Pattern_tree.of_query q in
-  let stats = Loader.stats t.loader in
-  let dict = Loader.dictionary t.loader in
-  let objective = if t.options.optimize then Dataflow.Best else Dataflow.Worst in
-  let _, flow = Dataflow.compute ~objective pt stats dict in
-  let etree =
-    if t.options.late_fuse then Exec_tree.build pt flow
-    else Exec_tree.build_syntactic pt flow
-  in
-  let plan = Merge.of_exec (merge_ctx t pt q) etree in
-  if t.options.extvp then sync_extvp t t.options;
-  let extvp = if t.options.extvp then extvp_registry t else None in
-  let stmt = Sqlgen.generate ~wcoj:t.options.wcoj ?extvp t.loader pt plan q in
+  let pt, flow, etree, plan, stmt = stages t.options t q in
   apply_exec_options t t.options;
   String.concat "\n"
     [ "== parse tree ==";
@@ -577,8 +504,6 @@ let explain ?(analyze = false) t (q : Sparql.Ast.query) : string =
       Relsql.Sql_pp.to_pretty_string stmt;
       "== physical plan ==";
       Relsql.Executor.explain ~analyze (Loader.database t.loader) stmt;
-      "== plan cache ==";
-      Relsql.Plan_cache.stats_to_string (Relsql.Plan_cache.stats t.cache);
       "== scan cache ==";
       Relsql.Scan_cache.stats_to_string
         (Relsql.Database.scan_cache (Loader.database t.loader)) ]

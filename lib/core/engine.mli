@@ -53,9 +53,8 @@ type options = {
 
 val default_options : options
 
-(** Plan-shape fingerprint of an options record — part of the statement
-    cache key, so two option sets sharing a cache never serve each
-    other's plans. *)
+(** A compact id of an options record, covering every knob — the
+    options id printed in benchmark headers; not a cache key. *)
 val options_fingerprint : options -> string
 
 type t
@@ -81,7 +80,8 @@ val create_colored :
   t * Coloring.result * Coloring.result
 
 (** A view of the same store under different options: shares the loader
-    (data, statistics, dictionary) and the statement cache. *)
+    (data, statistics, dictionary); its reads translate under its own
+    options. *)
 val with_options : t -> options -> t
 
 val loader : t -> Loader.t
@@ -147,20 +147,16 @@ val snapshot : t -> snapshot
 (** The {!Relsql.Database.epoch} the snapshot was captured at. *)
 val snapshot_stamp : snapshot -> int
 
-(** Evaluate a SPARQL string against the snapshot. Translation and
-    decoding synchronize with the writer; execution runs unlocked on
-    the snapshot's private tables and scan cache. Statement-cache
-    entries are per-snapshot-valid: an entry stamped at the snapshot's
-    capture stamp is served even after later commits retired it for
-    live queries. *)
+(** Evaluate a SPARQL string against the snapshot. Parsing runs first,
+    without the writer lock, so a malformed query fails before it
+    blocks the writer; translation (with ExtVP off) and decoding
+    synchronize with the writer; execution runs unlocked on the
+    snapshot's private tables and scan cache. *)
 val snapshot_query_string :
   ?timeout:float -> snapshot -> string -> Sparql.Ref_eval.results
 
-(** Hit/miss/occupancy counters of the statement cache ({!query_string}
-    reuses parsed+translated statements keyed by source text; entries
-    are stamped with the {!Relsql.Database.epoch} and a stamp from
-    before any data change counts as a miss, because translation
-    depends on dataset statistics). *)
+(** Always zero counters: reads are not cached, every {!query_string}
+    parses and translates. Kept for the benchmark report. *)
 val plan_cache_stats : t -> Relsql.Plan_cache.stats
 
 (** Hit/miss/occupancy counters of the shared scan cache (see
@@ -188,13 +184,16 @@ val query_analyzed :
   ?timeout:float -> ?options:options -> t -> Sparql.Ast.query ->
   Sparql.Ref_eval.results * Relsql.Opstats.t
 
-(** Parse and evaluate a SPARQL string. *)
+(** Parse and evaluate a SPARQL string: {!Sparql.Parser.parse}, then
+    {!query}. *)
 val query_string :
   ?timeout:float -> ?options:options -> t -> string -> Sparql.Ref_eval.results
 
 (** Human-readable translation trace: flow, execution tree, merged plan,
-    SQL text and physical plan. [~analyze:true] also executes the
-    statement and appends the per-operator metrics tree. *)
+    SQL text and physical plan — the same stages {!translate} runs, so
+    the SQL shown is the statement {!query} executes. [~analyze:true]
+    also executes the statement and appends the per-operator metrics
+    tree. *)
 val explain : ?analyze:bool -> t -> Sparql.Ast.query -> string
 
 val to_store : ?name:string -> t -> Store.t

@@ -172,8 +172,8 @@ let table_names t =
 (** A stamp over the catalog: folds every table's name and
     {!Table.epoch} (sorted, so hash iteration order is irrelevant). Any
     insert/update/delete or merge — and any table created or dropped —
-    changes the stamp, giving the engine's statement cache and ExtVP
-    one shared invalidation signal instead of ad-hoc clears. *)
+    changes the stamp, giving ExtVP reductions and snapshots one shared
+    version signal instead of ad-hoc clears. *)
 let epoch t =
   let items =
     Hashtbl.fold (fun name tbl acc -> (name, Table.epoch tbl) :: acc) t.tables []

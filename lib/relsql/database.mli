@@ -106,6 +106,6 @@ val snapshot : t -> t
 
 (** A stamp over the catalog, folded from every table's name and
     {!Table.epoch}: changes whenever any table's data changes, a table
-    merges, or a table is created/dropped. One shared invalidation
-    signal for the engine's statement cache and ExtVP reductions. *)
+    merges, or a table is created/dropped. One shared version signal
+    for ExtVP reductions and engine snapshots. *)
 val epoch : t -> int

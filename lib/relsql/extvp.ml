@@ -84,9 +84,10 @@ type t = {
       (* measured-too-coarse reductions, memoized per stamp so the
          planner stops asking until the data changes *)
   mutable last_rejected : (string * int * Table.t) option;
-      (* one-slot scratch: a cached statement may keep referencing a
-         reduction whose measured selectivity failed the threshold;
-         serving the last such build prevents a rebuild per execution *)
+      (* one-slot scratch: a statement may still name a reduction whose
+         measured selectivity failed the threshold (hand-written SQL
+         naming an [extvp$] table); serving the last such build
+         prevents a rebuild per execution *)
   mutable threshold : float;
   mutable budget_bytes : int;
   mutable force : bool;

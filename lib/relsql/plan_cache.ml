@@ -1,12 +1,10 @@
-(** A bounded LRU cache from statement text to a prepared value, with
-    hit/miss counters.
+(** A bounded LRU cache from a string key to a value, with hit/miss
+    counters — the machinery behind {!Scan_cache}.
 
-    The engine keys it by query text and stores the translated/planned
-    statement, so re-running the same text skips parse + plan entirely.
     Capacity is small and evictions scan for the least-recently-used
-    entry — O(capacity), which is noise next to a parse. The cache is
-    not domain-safe; it belongs to the (single) domain that submits
-    queries, like the rest of the session state. *)
+    entry — O(capacity), which is noise next to the scan it saves. The
+    cache is not domain-safe; it belongs to the (single) domain that
+    submits queries, like the rest of the session state. *)
 
 type 'a entry = { value : 'a; mutable last_used : int }
 
@@ -61,20 +59,7 @@ let add t key value =
     counters survive so hit rates remain observable across loads. *)
 let clear t = Hashtbl.reset t.tbl
 
-(** Reclassify the most recent {!find} hit as a miss — for callers that
-    layer their own validity check (a version stamp) on top of the LRU
-    and found the resident entry stale. Keeps the counters meaning
-    "usable results served" rather than "entries touched". *)
-let note_stale t =
-  if t.hits > 0 then begin
-    t.hits <- t.hits - 1;
-    t.misses <- t.misses + 1
-  end
-
 type stats = { hits : int; misses : int; entries : int }
 
 let stats (t : 'a t) = { hits = t.hits; misses = t.misses; entries = length t }
 
-let stats_to_string (s : stats) =
-  Printf.sprintf "plan cache: %d hits, %d misses, %d entries" s.hits s.misses
-    s.entries

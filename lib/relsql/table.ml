@@ -51,7 +51,7 @@ type t = {
   mutable epoch : int;
       (* monotonic: bumped by every insert, set_cell and delete_row and
          by every merge, never reset — the one stamp the scan cache,
-         the statement cache, ExtVP and snapshots key on *)
+         ExtVP and snapshots key on *)
   mutable merges : int;  (* delta-into-main merges performed *)
   mutable tombs : int;
       (* tombstones punched into the main since the last merge *)

@@ -30,8 +30,7 @@ val row_count : t -> int
 (** Monotonic change counter: bumped by {!insert}, {!set_cell},
     {!delete_row} and {!merge}, never reset. Anything a scan could
     observe changing — data or physical form — changes the epoch, so
-    caches (the shared scan cache, the engine's statement cache, ExtVP
-    reductions) key or stamp their entries by it instead of being
+    caches (the shared scan cache, ExtVP reductions) key or stamp their entries by it instead of being
     cleared ad hoc. *)
 val epoch : t -> int
 

@@ -112,8 +112,8 @@ let test_registry_threshold_rejection () =
   let reg, _, built = toy_registry () in
   Alcotest.(check bool) "unselective key not advisable" false
     (Relsql.Extvp.advisable reg k_bad);
-  (* An executor may still demand the table (a cached statement built
-     when it was advisable): the build must succeed, but the measured
+  (* An executor may still demand the table (a statement naming it
+     directly): the build must succeed, but the measured
      selectivity lands it in the rejected memo, not the cache. *)
   let name = Relsql.Extvp.name_of_key k_bad in
   Alcotest.(check bool) "rejected reduction still resolves" true

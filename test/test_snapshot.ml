@@ -1,7 +1,7 @@
 (** Copy-on-write snapshot isolation: a reader's snapshot is
     bit-stable while a writer commits, snapshots carry their own
-    scan-cache and no reduction registry, and the epoch-stamped caches
-    serve each snapshot at its own stamp. *)
+    scan-cache and no reduction registry, and each snapshot answers at
+    its own data version. *)
 
 open Db2rdf
 
@@ -126,34 +126,41 @@ let test_stress_par2 () = stress ~parallelism:2 ~readers:2 ()
 let test_stress_par4 () = stress ~parallelism:4 ~readers:3 ()
 
 (* ------------------------------------------------------------------ *)
-(* Versioned caches                                                    *)
+(* Versioned reads and caches                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** The statement cache serves entries per snapshot stamp: an old
-    snapshot keeps answering from its own data version after a commit
-    re-translates for the live one, and both answers are right. *)
-let test_statement_cache_per_snapshot () =
+(** An old snapshot keeps answering from its own data version after a
+    commit, a new snapshot sees the commit, and the live path agrees. *)
+let test_snapshot_answers_per_version () =
   let e = make_engine () in
   let q = "SELECT ?o WHERE { <s1> <p1> ?o }" in
-  (* populate the cache on the live path *)
   ignore (Engine.query_string e q);
   let s0 = Engine.snapshot e in
   let before = canon (Engine.snapshot_query_string s0 q) in
   Alcotest.(check int) "two objects before" 2 (List.length before);
   Engine.update_string e "INSERT DATA { <s1> <p1> <o7> }";
   let s1 = Engine.snapshot e in
-  (* stale-stamped entry must not leak fresh data into s0, nor pin s1
-     to the old answer *)
+  (* translating against the newer statistics must not leak fresh data
+     into s0, nor pin s1 to the old answer *)
   Alcotest.(check (list string)) "old snapshot's answer stable" before
     (canon (Engine.snapshot_query_string s0 q));
   Alcotest.(check int) "new snapshot sees the insert" 3
     (List.length (canon (Engine.snapshot_query_string s1 q)));
   Alcotest.(check int) "live path agrees" 3
-    (List.length (canon (Engine.query_string e q)));
-  let st = Engine.plan_cache_stats e in
-  Alcotest.(check bool) "statement cache in use" true
-    (st.Relsql.Plan_cache.entries > 0
-     && st.Relsql.Plan_cache.hits + st.Relsql.Plan_cache.misses > 0)
+    (List.length (canon (Engine.query_string e q)))
+
+(** A malformed snapshot query fails with its parse error (parsing
+    comes before the writer lock), and the writer carries on. *)
+let test_snapshot_parse_error () =
+  let e = make_engine () in
+  let s = Engine.snapshot e in
+  (match Engine.snapshot_query_string s "SELECT ?o WHERE { <s1> <p1> ?o" with
+   | _ -> Alcotest.fail "expected a parse error"
+   | exception Sparql.Parser.Parse_error _ -> ());
+  Engine.update_string e "INSERT DATA { <s1> <p1> <o7> }";
+  Alcotest.(check int) "the writer committed" 3
+    (List.length
+       (canon (Engine.query_string e "SELECT ?o WHERE { <s1> <p1> ?o }")))
 
 (** [Database.snapshot] gives the snapshot its own scan cache (no
     sharing with the live writer) and no reduction registry. *)
@@ -301,8 +308,9 @@ let suite =
       test_stress_par2;
     Alcotest.test_case "writer/reader stress (4 domains)" `Quick
       test_stress_par4;
-    Alcotest.test_case "statement cache per snapshot" `Quick
-      test_statement_cache_per_snapshot;
+    Alcotest.test_case "snapshot answers per version" `Quick
+      test_snapshot_answers_per_version;
+    Alcotest.test_case "snapshot parse error" `Quick test_snapshot_parse_error;
     Alcotest.test_case "database snapshot caches" `Quick
       test_database_snapshot_caches;
     Alcotest.test_case "snapshot with live delta bit-stable" `Quick

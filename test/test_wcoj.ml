@@ -2,8 +2,8 @@
     eligibility guards, leapfrog execution against the star-merged
     pipeline (bit-identical across compression and parallelism),
     characteristic-set statistics and their budgeted merge, the
-    cost-model selector, the options-fingerprinted statement cache, and
-    the merge→query→write→query cache epoch invariant. *)
+    cost-model selector, per-view plans under {!Db2rdf.Engine.with_options},
+    and the merge→query→write→query cache epoch invariant. *)
 
 let wcoj_on = { Db2rdf.Engine.default_options with wcoj = true }
 
@@ -319,7 +319,7 @@ let test_decision_vetoes () =
     ()
 
 (* ------------------------------------------------------------------ *)
-(* Statement cache keyed by plan-shape fingerprint (satellite)         *)
+(* Options views                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_options_fingerprint_distinct () =
@@ -332,40 +332,37 @@ let test_options_fingerprint_distinct () =
   Alcotest.(check bool) "parallelism flips the fingerprint" true
     (fp d <> fp { d with parallelism = 4 })
 
-let test_statement_cache_not_shared_across_options () =
+(* A [with_options] view shares the store but translates under its own
+   options: alternating calls on the same text each run their own plan
+   shape, and the answers agree. *)
+let test_options_view_own_plan () =
   let e = load_engine () in
-  let hits e = (Db2rdf.Engine.plan_cache_stats e).Relsql.Plan_cache.hits in
-  let entries e =
-    (Db2rdf.Engine.plan_cache_stats e).Relsql.Plan_cache.entries
-  in
-  ignore (Db2rdf.Engine.query_string e star3);
-  Alcotest.(check int) "first run misses" 0 (hits e);
-  Alcotest.(check int) "first run cached" 1 (entries e);
-  ignore (Db2rdf.Engine.query_string e star3);
-  Alcotest.(check int) "same text + same options hits" 1 (hits e);
-  (* Same text under different plan-shape options must NOT reuse the
-     cached statement: its SQL has a different shape. *)
   let e' = Db2rdf.Engine.with_options e wcoj_on in
   force_wcoj e';
-  let r = Db2rdf.Engine.query_string e' star3 in
-  Alcotest.(check int) "different options miss" 1 (hits e');
-  Alcotest.(check int) "both plans cached side by side" 2 (entries e');
-  ignore (Db2rdf.Engine.query_string e' star3);
-  Alcotest.(check int) "second wcoj run hits its own entry" 2 (hits e');
-  (* And the per-call override takes the same keyed path. *)
-  let r2 = Db2rdf.Engine.query_string ~options:wcoj_on e star3 in
-  Alcotest.(check int) "per-call override hits the wcoj entry" 3 (hits e);
-  Alcotest.(check bool) "cached plans answer identically" true
-    (Sparql.Ref_eval.equal_results r r2)
+  let want = Db2rdf.Engine.query_string e star3 in
+  for round = 1 to 2 do
+    let what = Printf.sprintf "round %d: " round in
+    Alcotest.(check bool) (what ^ "wcoj view answers identically") true
+      (Sparql.Ref_eval.equal_results want (Db2rdf.Engine.query_string e' star3));
+    Alcotest.(check bool) (what ^ "default answers identically") true
+      (Sparql.Ref_eval.equal_results want (Db2rdf.Engine.query_string e star3));
+    Alcotest.(check bool) (what ^ "per-call override answers identically") true
+      (Sparql.Ref_eval.equal_results want
+         (Db2rdf.Engine.query_string ~options:wcoj_on e star3))
+  done;
+  Alcotest.(check bool) "the view's plan is the leapfrog join" true
+    (Helpers.contains (Db2rdf.Engine.explain e' (parse star3)) "LeapfrogJoin");
+  Alcotest.(check bool) "the default plan is not" false
+    (Helpers.contains (Db2rdf.Engine.explain e (parse star3)) "LeapfrogJoin")
 
 (* ------------------------------------------------------------------ *)
 (* Merge → query → write → query (cache epochs)                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Rounds of merge, query, delta write, query: every merge and every
-   write moves the epoch, so neither a cached scan nor a cached
-   statement computed before it may be served after it. Each answer is
-   compared with a boxed engine that applied the same writes. *)
+   write moves the epoch, so no cached scan computed before it may be
+   served after it. Each answer is compared with a boxed engine that
+   applied the same writes. *)
 let test_merge_query_write_query () =
   let e = load_engine () and boxed = load_engine () in
   let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
@@ -374,7 +371,7 @@ let test_merge_query_write_query () =
     Alcotest.(check bool) what true
       (Sparql.Ref_eval.equal_results want (Db2rdf.Engine.query_string e star3))
   in
-  (* Warm the scan and statement caches on the never-merged store. *)
+  (* Warm the scan cache on the never-merged store. *)
   same "boxed answers";
   same "boxed answers (cached)";
   for round = 1 to 2 do
@@ -412,7 +409,7 @@ let suite =
     Alcotest.test_case "decision vetoes" `Quick test_decision_vetoes;
     Alcotest.test_case "options fingerprint distinct" `Quick
       test_options_fingerprint_distinct;
-    Alcotest.test_case "statement cache keyed by options" `Quick
-      test_statement_cache_not_shared_across_options;
+    Alcotest.test_case "options view runs its own plan" `Quick
+      test_options_view_own_plan;
     Alcotest.test_case "merge query write query" `Quick
       test_merge_query_write_query ]
