@@ -64,6 +64,16 @@ let push_row b (src : Value.t array) =
   Array.blit src 0 b.data (b.nrows * b.width) b.width;
   b.nrows <- b.nrows + 1
 
+(** [push_sel b src sel] appends the row whose cell [j] is
+    [src.(sel.(j))] (a column-pruned copy). *)
+let push_sel b (src : Value.t array) (sel : int array) =
+  ensure_room b;
+  let base = b.nrows * b.width in
+  for j = 0 to Array.length sel - 1 do
+    b.data.(base + j) <- src.(sel.(j))
+  done;
+  b.nrows <- b.nrows + 1
+
 let get b i j = b.data.((i * b.width) + j)
 
 let set b i j v = b.data.((i * b.width) + j) <- v

@@ -30,6 +30,10 @@ val with_layout : t -> Expr_eval.layout -> t
     may be a shared scratch — the batch never retains it). *)
 val push_row : t -> Value.t array -> unit
 
+(** [push_sel b src sel] appends the row whose cell [j] is
+    [src.(sel.(j))] (a column-pruned copy). *)
+val push_sel : t -> Value.t array -> int array -> unit
+
 (** [get b i j] is cell [j] of row [i] (unchecked). *)
 val get : t -> int -> int -> Value.t
 

@@ -7,6 +7,15 @@
     per candidate row, hash joins key their build side once per input
     batch, and selections run as a single in-place pass.
 
+    Two pieces are shared by the operators. A row reader is the one
+    place a row id becomes cells: packed codes below the table's main
+    boundary, the boxed delta row above it. Scans (after their
+    zone-map/SWAR block pass), index lookups and index nested-loop
+    probes all read rows through it. A morsel driver runs a row range
+    inline, or as per-morsel private batches concatenated in order; it
+    serves the fused scan, the fused index nested-loop probe and the
+    hash-join probe.
+
     Under {!run_analyzed} every node also fills its own {!Opstats.t}
     record (rows in/out, index probes, hash-build size, wall time) and
     the resulting tree is returned — the engine's EXPLAIN ANALYZE. A
@@ -66,13 +75,15 @@ let par_min_rows = ref 128
 
 (** [morsels_for pool n] decides how to split [n] rows: [None] keeps
     the sequential path, [Some (m, msize)] splits into [m] morsels of
-    [msize] rows (the last one ragged). Several morsels per domain so
-    the atomic claim counter — not a scheduler — balances skew. *)
-let morsels_for pool n =
+    [msize] rows (the last one ragged), [msize] a multiple of [align].
+    Several morsels per domain so the atomic claim counter — not a
+    scheduler — balances skew. *)
+let morsels_for ?(align = 1) pool n =
   if Dpool.size pool <= 1 || n < !par_min_rows then None
   else begin
     let target = 8 * Dpool.size pool in
     let msize = max 1 (max (!par_min_rows / 2) ((n + target - 1) / target)) in
+    let msize = (msize + align - 1) / align * align in
     let m = (n + msize - 1) / msize in
     if m <= 1 then None else Some (m, msize)
   end
@@ -238,8 +249,8 @@ let finalize ticker pool stats ~distinct
 
 (** Per-statement execution context. CTE results stay resident as
     batches: the planner resolves a CTE name from its scope list, and a
-    Scan over a CTE name copies the stashed batch instead of re-reading
-    a row store. *)
+    Scan over a CTE name reads the stashed batch instead of a row
+    store. *)
 type ctx = {
   db : Database.t;
   ticker : ticker;
@@ -255,6 +266,175 @@ type ctx = {
   mutable scope : string list;
       (* CTE names the running part was planned with (for estimates) *)
 }
+
+(* ------------------------------------------------------------------ *)
+(* Row reader                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** The one place a row id becomes cells. Rids below the table's
+    packed-main boundary decode from the packed image — only the
+    [needed] columns, into a per-cursor scratch — and rids at or above
+    it are the boxed delta rows themselves. A filter that compiles to a
+    code predicate is tested on raw packed fields, so a rejected main
+    row decodes nothing; the decoded predicate serves the delta, and
+    the main when no code predicate took the filter over. A reader is
+    immutable and shared by parallel morsels; each morsel reads through
+    its own {!cursor}. *)
+type reader = {
+  table : Table.t;
+  pk : Packed.t;
+  mbase : int;  (* slots below this live in the packed main *)
+  layout : Expr_eval.layout;  (* the full table row's *)
+  code : (int -> bool) option;  (* the filter over packed codes *)
+  keep : Value.t array -> bool;  (* the filter over decoded rows *)
+  needed : int array;  (* columns a main row decodes *)
+  sel : int array option;  (* projected positions; [None] = all *)
+  out_layout : Expr_eval.layout;  (* the projected row's *)
+}
+
+type cursor = {
+  rd : reader;
+  scratch : Value.t array;
+      (* positions outside [needed] stay stale; nothing reads them *)
+  mutable unpacked : int;  (* main rows decoded *)
+  mutable delta : int;  (* delta rows read *)
+}
+
+(* What {!read} answers for a row the filter rejects: an array no table
+   row or scratch can be. *)
+let rejected : Value.t array = [| Value.Null |]
+
+let accept_all _ = true
+
+(** A reader of [t] under [layout] that keeps the rows passing [filter]
+    and projects them to [cols]. [~prefiltered:true] says the caller
+    already applied [filter] to every main rid it reads (the scan's
+    block bitmaps), so those decode untested. Raises
+    [Expr_eval.Unknown_column] when [filter] reads a column outside
+    [layout]. *)
+let make_reader ?(prefiltered = false) t layout filter cols =
+  let pk = Table.packed_view t and mbase = Table.main_slots t in
+  let code =
+    match filter with
+    | Some _ when prefiltered -> Some accept_all
+    | Some e when mbase > 0 -> Packed.compile_code_pred pk layout e
+    | _ -> None
+  in
+  let keep =
+    match filter with
+    | Some e when code = None || Table.slot_count t > mbase ->
+      Expr_eval.compile_pred layout e
+    | _ -> accept_all
+  in
+  let sel, out_layout =
+    match cols with
+    | None -> (None, layout)
+    | Some cs ->
+      let sel =
+        Array.of_list (List.map (Schema.position_exn (Table.schema t)) cs)
+      in
+      let label j n = (fst layout.(sel.(j)), n) in
+      (Some sel, Array.of_list (List.mapi label cs))
+  in
+  let needed =
+    if mbase = 0 then [||]
+    else
+      match sel with
+      | None -> Array.init (Array.length layout) Fun.id
+      | Some sel ->
+        let refs =
+          match (filter, code) with
+          | Some e, None -> Expr_eval.referenced_cols layout e
+          | _ -> []
+        in
+        Array.of_list (List.sort_uniq Int.compare (Array.to_list sel @ refs))
+  in
+  { table = t; pk; mbase; layout; code; keep; needed; sel; out_layout }
+
+let cursor rd =
+  let scratch =
+    if rd.mbase = 0 then [||]
+    else Array.make (Array.length rd.layout) Value.Null
+  in
+  { rd; scratch; unpacked = 0; delta = 0 }
+
+(** The full row at [rid], or {!rejected}. A main row is the cursor's
+    scratch, a delta row the table's own array: callers copy out what
+    they keep before the next read and never write to it. *)
+let[@inline] read c rid =
+  let rd = c.rd in
+  if rid >= rd.mbase then begin
+    c.delta <- c.delta + 1;
+    let row = Table.get rd.table rid in
+    if rd.keep row then row else rejected
+  end
+  else
+    match rd.code with
+    | Some cp ->
+      if cp rid then begin
+        c.unpacked <- c.unpacked + 1;
+        Packed.read_cols rd.pk rid rd.needed c.scratch;
+        c.scratch
+      end
+      else rejected
+    | None ->
+      c.unpacked <- c.unpacked + 1;
+      Packed.read_cols rd.pk rid rd.needed c.scratch;
+      if rd.keep c.scratch then c.scratch else rejected
+
+(** {!read} [rid] and append the projected row to [out] unless rejected. *)
+let[@inline] read_into c out rid =
+  let row = read c rid in
+  if row != rejected then
+    match c.rd.sel with
+    | None -> Batch.push_row out row
+    | Some sel -> Batch.push_sel out row sel
+
+(* ------------------------------------------------------------------ *)
+(* Morsel driver                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let add_counts (dst : Opstats.t) (src : Opstats.t) =
+  let open Opstats in
+  dst.rows_in <- dst.rows_in + src.rows_in;
+  dst.index_probes <- dst.index_probes + src.index_probes;
+  dst.blocks_skipped <- dst.blocks_skipped + src.blocks_skipped;
+  dst.rows_unpacked <- dst.rows_unpacked + src.rows_unpacked;
+  dst.delta_rows <- dst.delta_rows + src.delta_rows;
+  dst.tombstones_skipped <- dst.tombstones_skipped + src.tombstones_skipped
+
+(** [drive ctx stats ~n layout body] runs [body st out lo hi] over
+    [[0, n)] and returns the rows it appended to [out]. Inline, one call
+    covers the whole range into one batch and counts into [stats]. On
+    the pool, each morsel appends to a private batch and counts into a
+    private record; the batches are concatenated in morsel order (the
+    inline output) and the records summed into [stats]. [body] returns
+    the row operations it did; their sum is ticked once, the same on
+    both paths. [align] rounds morsels to whole multiples of it. *)
+let drive ctx (stats : Opstats.t) ?align ~n layout body =
+  let out, ops =
+    match morsels_for ?align ctx.pool n with
+    | None ->
+      (* Capped: a selective operator over a wide table (DPH is ~50
+         columns) would otherwise pre-allocate the full footprint for a
+         handful of surviving rows. *)
+      let out = Batch.create ~capacity:(min 1024 n) layout in
+      (out, body stats out 0 n)
+    | Some (m, msize) ->
+      let parts = Array.make m (Batch.create ~capacity:1 layout) in
+      let counts = Array.init m (fun _ -> Opstats.make "") in
+      let ops = Array.make m 0 in
+      par_section stats ctx.pool ~morsels:m (fun ~worker:_ i ->
+          check_deadline ctx.ticker;
+          let lo = i * msize and hi = min n ((i + 1) * msize) in
+          let out = Batch.create ~capacity:(min 1024 (hi - lo)) layout in
+          ops.(i) <- body counts.(i) out lo hi;
+          parts.(i) <- out);
+      Array.iter (add_counts stats) counts;
+      (Batch.concat layout parts, Array.fold_left ( + ) 0 ops)
+  in
+  tick_bulk ctx.ticker ops;
+  out
 
 (* Run [plan]; [stats] is the record its operator counts into. *)
 let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
@@ -281,23 +461,28 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        let layout =
          Array.map (fun (_, n) -> (Some alias, n)) (Batch.layout src)
        in
-       let out = Batch.with_layout (Batch.copy src) layout in
        stats.Opstats.rows_in <- Batch.length src;
        tick_bulk ticker (Batch.length src);
-       (match filter with
-        | Some e -> Batch.retain out (Expr_eval.compile_pred layout e)
-        | None -> ());
+       (* The stashed batch is shared by every reader of the CTE: a
+          filter retains in a private copy; a projection alone builds
+          its fresh batch straight from it. *)
+       let rows =
+         match filter with
+         | Some e ->
+           let b = Batch.copy src in
+           Batch.retain b (Expr_eval.compile_pred layout e);
+           b
+         | None when cols = None -> Batch.copy src
+         | None -> src
+       in
        (match cols with
-        | None -> out
+        | None -> Batch.with_layout rows layout
         | Some cs ->
           let out_layout =
             Array.of_list (List.map (fun n -> (Some alias, n)) cs)
           in
-          let sel =
-            Array.map (fun (_, n) -> Expr_eval.resolve layout (Some alias, n))
-              out_layout
-          in
-          Batch.project out out_layout sel)
+          Batch.project rows out_layout
+            (Array.map (Expr_eval.resolve layout) out_layout))
      | None ->
        let t = Database.find_exn db table in
        (* Fused filter/projection scans consult the shared scan cache:
@@ -326,154 +511,53 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
         | None ->
        if ckey <> None then stats.Opstats.cache_misses <- 1;
        let layout = table_layout t alias in
-       (* The filter always sees the full table row; [cols] only narrows
-          what is copied into the output (fused selection/projection).
-          Compiled predicates are pure closures over immutable layout
-          data, so they are shared across worker domains; only the
-          projection scratch is per-morsel. *)
-       let compile_keep () =
-         match filter with
-         | Some e -> Expr_eval.compile_pred layout e
-         | None -> fun _ -> true
-       in
-       let sel =
-         Option.map
-           (fun cs ->
-             Array.of_list
-               (List.map (fun n -> Schema.position_exn (Table.schema t) n) cs))
-           cols
-       in
-       let make_push () =
-         match sel with
-         | None -> fun out row -> Batch.push_row out row
-         | Some sel ->
-           let scratch = Array.make (Array.length sel) Value.Null in
-           fun out (row : Value.t array) ->
-             for j = 0 to Array.length sel - 1 do
-               scratch.(j) <- row.(sel.(j))
-             done;
-             Batch.push_row out scratch
-       in
-       let out_layout =
-         match cols with
-         | None -> layout
-         | Some cs -> Array.of_list (List.map (fun n -> (Some alias, n)) cs)
-       in
        (* One slot space, two passes in rid order: the packed main
           (slots below [mbase]), then the boxed delta above it. On the
-          main, zone maps veto whole blocks, an extracted
-          [col = const] conjunct drives the column word-at-a-time
-          (SWAR), and only surviving rows decode — and only the columns
-          the projection or the compiled predicate actually reads. The
-          full predicate is re-applied to every decoded row, so pruning
-          is purely an optimization and the output is identical to a
-          boxed scan's. Packed predicates compile only when the main is
-          non-empty, so a never-merged table pays nothing for them. *)
-       let arity = Schema.arity (Table.schema t) in
-       let pk = Table.packed_view t in
-       let mbase = Table.main_slots t in
-       let nslots = Table.slot_count t in
-       (* A filter made only of (in)equalities, NULL tests and IN lists
-          over columns evaluates on raw packed fields — no decode at all
-          for rejected rows, and survivors then decode only the
-          projected columns. Preferred form is the block evaluator (one
-          SWAR word scan per leaf per block, bitmaps combined bitwise);
-          filters whose leaves need the CASE handling fall back to the
-          per-row code predicate, and everything else to decoded
-          evaluation. *)
-       let bpred, cpred =
+          main, zone maps veto whole blocks, and either the block
+          evaluator (one SWAR word scan per filter leaf per block,
+          bitmaps combined bitwise) or an extracted [col = const]
+          conjunct (word-at-a-time) picks the candidate rows; the
+          reader then tests and decodes each one. *)
+       let pk = Table.packed_view t and mbase = Table.main_slots t in
+       let bpred, zone_ok, pre =
          match filter with
          | Some e when mbase > 0 ->
-           (match Packed.compile_block_pred pk layout e with
-            | Some _ as b -> (b, None)
-            | None -> (None, Packed.compile_code_pred pk layout e))
-         | _ -> (None, None)
+           ( Packed.compile_block_pred pk layout e,
+             Packed.compile_zone_filter pk layout e,
+             Packed.eq_prefilter pk layout e )
+         | _ -> (None, accept_all, None)
        in
-       let code_filtered = bpred <> None || cpred <> None in
-       (* The decoded-row predicate serves the delta, and the main when
-          no code-level predicate took over the whole filter. *)
-       let keep =
-         if code_filtered && nslots = mbase then fun _ -> true
-         else compile_keep ()
-       in
-       let needed =
-         if mbase = 0 then [||]
-         else
-           match sel with
-           | None -> Array.init arity (fun i -> i)
-           | Some sel ->
-             let refs =
-               match filter with
-               | None -> []
-               | Some _ when code_filtered -> []
-               | Some e -> Expr_eval.referenced_cols layout e
-             in
-             Array.of_list (List.sort_uniq Int.compare (Array.to_list sel @ refs))
-       in
-       let zone_ok, pre =
-         match filter with
-         | Some e when mbase > 0 ->
-           (Packed.compile_zone_filter pk layout e, Packed.eq_prefilter pk layout e)
-         | _ -> ((fun _ -> true), None)
-       in
+       let rd = make_reader ~prefiltered:(bpred <> None) t layout filter cols in
        let bs = Packed.block_rows in
-       (* Private scratch and push state per call, so parallel morsels
-          never share mutable rows. Positions outside [needed] stay
-          stale in the scratch; neither [keep] nor the projection reads
-          them. *)
-       let scan_range out lo hi =
-         let push = make_push () in
-         let skipped = ref 0 and unpacked = ref 0 and tombs = ref 0 in
+       let scan_range (st : Opstats.t) out lo hi =
+         let c = cursor rd in
          let mhi = min hi mbase in
          if lo < mhi then begin
-           let scratch = Array.make arity Value.Null in
-           let emit rid =
-             incr unpacked;
-             Packed.read_cols pk rid needed scratch;
-             push out scratch
-           in
-           let visit =
-             match cpred with
-             | Some cp ->
-               fun rid ->
-                 if Table.is_live t rid then begin
-                   if cp rid then emit rid
-                 end
-                 else incr tombs
-             | None ->
-               fun rid ->
-                 if Table.is_live t rid then begin
-                   incr unpacked;
-                   Packed.read_cols pk rid needed scratch;
-                   if keep scratch then push out scratch
-                 end
-                 else incr tombs
+           let visit rid =
+             if Table.is_live t rid then read_into c out rid
+             else
+               st.Opstats.tombstones_skipped <-
+                 st.Opstats.tombstones_skipped + 1
            in
            (* The block evaluator (and its scratch bitmaps) is private
               to this call: parallel morsels never share it. *)
            let beval = Option.map (fun mk -> mk ()) bpred in
            for bi = lo / bs to (mhi - 1) / bs do
              let blo = max lo (bi * bs) and bhi = min mhi ((bi + 1) * bs) in
-             if not (zone_ok bi) then incr skipped
+             if not (zone_ok bi) then
+               st.Opstats.blocks_skipped <- st.Opstats.blocks_skipped + 1
              else
                match beval with
                | Some bev ->
                  let bm = bev blo bhi in
                  for wi = 0 to (bhi - blo - 1) / 63 do
                    let bits = ref bm.(wi) in
-                   if !bits <> 0 then begin
-                     let base = blo + (wi * 63) in
-                     let fi = ref 0 in
-                     while !bits <> 0 do
-                       if !bits land 1 = 1 then begin
-                         let rid = base + !fi in
-                         if Table.is_live t rid then emit rid
-                         else incr tombs
-                       end;
-                       bits := !bits lsr 1;
-                       incr fi
-                     done
-                   end
+                   let rid = ref (blo + (wi * 63)) in
+                   while !bits <> 0 do
+                     if !bits land 1 = 1 then visit !rid;
+                     bits := !bits lsr 1;
+                     incr rid
+                   done
                  done
                | None -> (
                  match pre with
@@ -484,165 +568,44 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
                    done)
            done
          end;
-         (* The boxed delta: code/block predicates only understand
-            packed fields, so it runs the decoded predicate. *)
-         let delta = ref 0 in
-         Table.iter_range
-           (fun _ row ->
-             incr delta;
-             if !delta land 8191 = 0 then check_deadline ticker;
-             if keep row then push out row)
-           t (max lo mbase) hi;
-         (!skipped, !unpacked, !tombs, !delta)
+         for rid = max lo mbase to hi - 1 do
+           if Table.is_live t rid then begin
+             read_into c out rid;
+             if c.delta land 8191 = 0 then check_deadline ticker
+           end
+         done;
+         st.Opstats.rows_unpacked <- st.Opstats.rows_unpacked + c.unpacked;
+         st.Opstats.delta_rows <- st.Opstats.delta_rows + c.delta;
+         st.Opstats.rows_in <- st.Opstats.rows_in + c.unpacked + c.delta;
+         c.unpacked + c.delta
        in
-       let settle (skipped, unpacked, tombs, delta) =
-         stats.Opstats.blocks_skipped <- stats.Opstats.blocks_skipped + skipped;
-         stats.Opstats.rows_unpacked <- stats.Opstats.rows_unpacked + unpacked;
-         stats.Opstats.tombstones_skipped <-
-           stats.Opstats.tombstones_skipped + tombs;
-         stats.Opstats.delta_rows <- stats.Opstats.delta_rows + delta;
-         stats.Opstats.rows_in <- stats.Opstats.rows_in + unpacked + delta;
-         tick_bulk ticker (unpacked + delta)
-       in
-       (* Morsels cover every slot; over a packed main they align to
-          block boundaries so zone pruning and the word-at-a-time pass
-          never split a block across workers. Concatenating the morsel
-          batches in order reproduces the sequential rid order. *)
-       let morsels =
-         match morsels_for ctx.pool nslots with
-         | Some (_, msize) when mbase > 0 ->
-           let msize = (msize + bs - 1) / bs * bs in
-           let m = (nslots + msize - 1) / msize in
-           if m <= 1 then None else Some (m, msize)
-         | ms -> ms
-       in
+       (* Over a packed main, morsels align to block boundaries so zone
+          pruning and the word-at-a-time pass never split a block
+          across workers. *)
        let out =
-         match morsels with
-         | Some (m, msize) ->
-           let parts = Array.make m (Batch.create ~capacity:1 out_layout) in
-           let counts = Array.make m (0, 0, 0, 0) in
-           par_section stats ctx.pool ~morsels:m (fun ~worker:_ i ->
-               check_deadline ticker;
-               let lo = i * msize and hi = min nslots ((i + 1) * msize) in
-               let out = Batch.create ~capacity:(min 1024 (hi - lo)) out_layout in
-               counts.(i) <- scan_range out lo hi;
-               parts.(i) <- out);
-           settle
-             (Array.fold_left
-                (fun (s, u, tb, d) (s', u', tb', d') ->
-                  (s + s', u + u', tb + tb', d + d'))
-                (0, 0, 0, 0) counts);
-           Batch.concat out_layout parts
-         | None ->
-           (* Cap the initial capacity: a selective filter over a wide
-              table (DPH is ~50 columns) would otherwise pre-allocate
-              the full table footprint for a handful of surviving
-              rows. *)
-           let out =
-             Batch.create ~capacity:(min 1024 (Table.row_count t)) out_layout
-           in
-           settle (scan_range out 0 nslots);
-           out
+         drive ctx stats
+           ~align:(if mbase > 0 then bs else 1)
+           ~n:(Table.slot_count t) rd.out_layout scan_range
        in
        Option.iter (fun k -> Scan_cache.add scache k out) ckey;
        out))
   | Planner.Index_lookup { table; alias; col; keys; filter; cols } ->
     let t = Database.find_exn db table in
-    let layout = table_layout t alias in
-    let pos = Schema.position_exn (Table.schema t) col in
-    let compile_keep () =
-      match filter with
-      | Some e -> Expr_eval.compile_pred layout e
-      | None -> fun _ -> true
-    in
-    let push =
-      match cols with
-      | None -> fun out row -> Batch.push_row out row
-      | Some cs ->
-        let sel =
-          Array.of_list
-            (List.map (fun n -> Schema.position_exn (Table.schema t) n) cs)
-        in
-        let scratch = Array.make (Array.length sel) Value.Null in
-        fun out (row : Value.t array) ->
-          for j = 0 to Array.length sel - 1 do
-            scratch.(j) <- row.(sel.(j))
-          done;
-          Batch.push_row out scratch
-    in
-    let out_layout =
-      match cols with
-      | None -> layout
-      | Some cs -> Array.of_list (List.map (fun n -> (Some alias, n)) cs)
-    in
-    (* Rids in the packed main decode into a reused scratch — and only
-       the columns the filter or projection reads. A filter that
-       compiles to a code predicate is tested on the raw packed fields
-       first, so rejected rows decode nothing at all. Rids at or above
-       the main live in the boxed delta: the packed image (and its code
-       predicates) does not cover them, so those take a decoded-row
-       check. *)
-    let keep = compile_keep () in
-    let delta out rid =
-      stats.Opstats.delta_rows <- stats.Opstats.delta_rows + 1;
-      let row = Table.get t rid in
-      if keep row then push out row
-    in
-    let mbase = Table.main_slots t in
-    let handle_rid =
-      if mbase = 0 then delta
-      else begin
-        let pk = Table.packed_view t in
-        let arity = Schema.arity (Table.schema t) in
-        let code_keep =
-          match filter with
-          | None -> None
-          | Some e -> Packed.compile_code_pred pk layout e
-        in
-        let needed =
-          match cols with
-          | None -> Array.init arity (fun i -> i)
-          | Some cs ->
-            let sel =
-              List.map (fun n -> Schema.position_exn (Table.schema t) n) cs
-            in
-            let refs =
-              match (filter, code_keep) with
-              | None, _ | _, Some _ -> []
-              | Some e, None -> Expr_eval.referenced_cols layout e
-            in
-            Array.of_list (List.sort_uniq Int.compare (sel @ refs))
-        in
-        let scratch = Array.make arity Value.Null in
-        match code_keep with
-        | Some cp ->
-          fun out rid ->
-            if rid < mbase then begin
-              if cp rid then begin
-                Packed.read_cols pk rid needed scratch;
-                push out scratch
-              end
-            end
-            else delta out rid
-        | None ->
-          fun out rid ->
-            if rid < mbase then begin
-              Packed.read_cols pk rid needed scratch;
-              if keep scratch then push out scratch
-            end
-            else delta out rid
-      end
-    in
-    let out = Batch.create out_layout in
-    let probe = Table.prober t pos in
+    let rd = make_reader t (table_layout t alias) filter cols in
+    let c = cursor rd in
+    let out = Batch.create rd.out_layout in
+    let probe = Table.prober t (Schema.position_exn (Table.schema t) col) in
     List.iter
       (fun key ->
         stats.Opstats.index_probes <- stats.Opstats.index_probes + 1;
         probe key (fun rid ->
             tick ticker;
             stats.Opstats.rows_in <- stats.Opstats.rows_in + 1;
-            handle_rid out rid))
+            read_into c out rid))
       keys;
+    (* [rows_unpacked] is the packed scan's counter; a lookup reports
+       only the delta rows it visited. *)
+    stats.Opstats.delta_rows <- stats.Opstats.delta_rows + c.delta;
     out
   | Planner.Values_rows { rows; alias; cols } ->
     let layout = Array.of_list (List.map (fun c -> (Some alias, c)) cols) in
@@ -659,234 +622,116 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
   | Planner.Inl_join { outer; table; alias; col; key; kind; residual; cols } ->
     let o = child outer in
     let t = Database.find_exn db table in
-    let inner_table_layout = table_layout t alias in
+    let tlayout = table_layout t alias in
     (* [cols] prunes the inner columns that survive into the output row
        (the planner kept everything the ancestors and any cross-side
-       residual reference); [sel] maps output cell -> table position. *)
-    let inner_layout, sel =
-      match cols with
-      | None ->
-        (inner_table_layout,
-         Array.init (Array.length inner_table_layout) (fun i -> i))
-      | Some cs ->
-        ( Array.of_list (List.map (fun n -> (Some alias, n)) cs),
-          Array.of_list
-            (List.map (fun n -> Schema.position_exn (Table.schema t) n) cs) )
+       residual reference). A residual over the inner table alone goes
+       to the reader, which tests each candidate before anything is
+       copied — a failing candidate (the common case for pred-selective
+       probes) costs no blit. One that also reads outer columns does
+       not compile against the table layout and is checked on the
+       joined row instead. *)
+    let rd, cross =
+      match make_reader t tlayout residual cols with
+      | rd -> (rd, None)
+      | exception Expr_eval.Unknown_column _ ->
+        (make_reader t tlayout None cols, residual)
     in
-    let layout = Array.append (Batch.layout o) inner_layout in
+    let layout = Array.append (Batch.layout o) rd.out_layout in
     let pos = Schema.position_exn (Table.schema t) col in
-    (* A residual that mentions only the inner table's columns is
-       checked against the (full) table row itself, before anything is
-       copied anywhere — a failing candidate (the common case for
-       pred-selective probes) costs one closure call, not a blit. *)
-    (* An inner-only residual that compiles to a code predicate tests
-       raw packed fields before any decode; a successful compile also
-       proves the residual references the inner table alone, so the
-       decoded-row predicate is never built. *)
-    let inner_mbase = Table.main_slots t in
-    let inner_code_keep =
-      match residual with
-      | Some e when inner_mbase > 0 ->
-        Packed.compile_code_pred (Table.packed_view t) inner_table_layout e
-      | _ -> None
-    in
-    let inner_keep, cross_keep =
-      match residual with
-      | None -> ((fun _ -> true), None)
-      | Some e when inner_code_keep <> None ->
-        (* A successful code-pred compile proves the residual is
-           inner-only, so this decoded predicate always compiles. The
-           packed main never consults it — but boxed delta rids do: the
-           code predicate reads raw packed fields that do not exist for
-           them. *)
-        (Expr_eval.compile_pred inner_table_layout e, None)
-      | Some e ->
-        (match Expr_eval.compile_pred inner_table_layout e with
-         | p -> (p, None)
-         | exception Expr_eval.Unknown_column _ ->
-           ((fun _ -> true), Some (Expr_eval.compile_pred layout e)))
-    in
-    let ow = Batch.width o and iw = Array.length inner_layout in
+    let ow = Batch.width o and iw = Array.length rd.out_layout in
     let no = Batch.length o in
-    (* Inner rids in the packed main decode into a reused scratch —
-       only the projected columns plus whatever the inner-side residual
-       reads. Each caller makes its own reader: parallel morsels must
-       not share the scratch. Rids at or above the main are boxed delta
-       rows the packed image does not cover; those read through
-       {!Table.get}. *)
-    let make_read_inner =
-      if inner_mbase = 0 then fun () rid -> Table.get t rid
-      else begin
-        let pk = Table.packed_view t in
-        let refs =
-          match (residual, inner_code_keep) with
-          | None, _ | _, Some _ -> []
-          | Some e, None -> Expr_eval.referenced_cols inner_table_layout e
-        in
-        let needed =
-          Array.of_list (List.sort_uniq Int.compare (Array.to_list sel @ refs))
-        in
-        fun () ->
-          let scratch =
-            Array.make (Array.length inner_table_layout) Value.Null
-          in
-          fun rid ->
-            if rid < inner_mbase then begin
-              Packed.read_cols pk rid needed scratch;
-              scratch
-            end
-            else Table.get t rid
-      end
-    in
-    let out =
-      match cross_keep, key with
-      | None, Col (q, n) ->
-        (* Fused path (the shape of all generated star-join SQL): plain
-           column key and no cross-side residual. Probe straight off the
-           outer batch and blit each match directly into the output —
-           no intermediate scratch row, half the cell writes. All probe
-           state (cursor, matched flag, push closure, counters) lives in
-           [probe_range] so parallel morsels get private instances. *)
-        let ko = Expr_eval.resolve (Batch.layout o) (q, n) in
-        let probe_range ~on_rid_tick probe (out : Batch.t) lo hi =
-          let push =
-            match cols with
-            | None -> fun i irow -> Batch.push_join out ~src:o i irow iw
-            | Some _ -> fun i irow -> Batch.push_join_sel out ~src:o i irow sel
-          in
-          let cur = ref 0 and matched = ref false in
-          let rids = ref 0 and probes = ref 0 in
-          let read_inner = make_read_inner () in
-          let on_rid =
-            match inner_code_keep with
-            | Some cp ->
-              fun rid ->
-                on_rid_tick ();
-                incr rids;
-                if rid < inner_mbase then begin
-                  if cp rid then begin
-                    matched := true;
-                    push !cur (read_inner rid)
-                  end
-                end
-                else begin
-                  let irow = read_inner rid in
-                  if inner_keep irow then begin
-                    matched := true;
-                    push !cur irow
-                  end
-                end
-            | None ->
-              fun rid ->
-                on_rid_tick ();
-                incr rids;
-                let irow = read_inner rid in
-                if inner_keep irow then begin
-                  matched := true;
-                  push !cur irow
-                end
-          in
-          for i = lo to hi - 1 do
-            if i land 8191 = 0 then check_deadline ticker;
-            cur := i;
-            matched := false;
-            let k = Batch.get o i ko in
-            if not (Value.is_null k) then begin
-              incr probes;
-              probe k on_rid
-            end;
-            if (not !matched) && kind = Left_outer then
-              Batch.push_padded out ~src:o i
-          done;
-          (!rids, !probes)
-        in
-        (match morsels_for ctx.pool no with
-         | Some (m, msize) ->
-           (* Parallel probe: [Table.prober_ro] never compacts postings,
-              so worker domains share the index read-only. Each morsel
-              probes a contiguous outer range into a private batch;
-              concatenation in morsel order reproduces the sequential
-              output (postings iterate in insertion order either way). *)
-           let probe = Table.prober_ro t pos in
-           let parts = Array.make m (Batch.create ~capacity:1 layout) in
-           let rids = Array.make m 0 and probes = Array.make m 0 in
-           par_section stats ctx.pool ~morsels:m (fun ~worker:_ mi ->
-               check_deadline ticker;
-               let lo = mi * msize and hi = min no ((mi + 1) * msize) in
-               let b = Batch.create ~capacity:(min 1024 (hi - lo)) layout in
-               let nr, np = probe_range ~on_rid_tick:ignore probe b lo hi in
-               rids.(mi) <- nr;
-               probes.(mi) <- np;
-               parts.(mi) <- b);
-           stats.Opstats.index_probes <-
-             stats.Opstats.index_probes + Array.fold_left ( + ) 0 probes;
-           tick_bulk ticker (Array.fold_left ( + ) 0 rids);
-           Batch.concat layout parts
-         | None ->
-           let out = Batch.create ~capacity:(min 1024 no) layout in
-           let _, probes =
-             probe_range
-               ~on_rid_tick:(fun () -> tick ticker)
-               (Table.prober t pos) out 0 no
+    (match cross, key with
+     | None, Col (q, n) ->
+       (* Fused path (the shape of all generated star-join SQL): plain
+          column key and no cross-side residual. Probe straight off the
+          outer batch and blit each match directly into the output — no
+          intermediate scratch row. Postings iterate in insertion order,
+          so morsels reproduce the sequential output. [Table.prober]
+          compacts postings as it validates them; a pool of several
+          domains may probe concurrently, so it gets the read-only
+          prober. *)
+       let ko = Expr_eval.resolve (Batch.layout o) (q, n) in
+       let probe =
+         if Dpool.size ctx.pool > 1 then Table.prober_ro t pos
+         else Table.prober t pos
+       in
+       drive ctx stats ~n:no layout (fun st out lo hi ->
+           let c = cursor rd in
+           let push =
+             match rd.sel with
+             | None -> fun i irow -> Batch.push_join out ~src:o i irow iw
+             | Some sel ->
+               fun i irow -> Batch.push_join_sel out ~src:o i irow sel
            in
-           stats.Opstats.index_probes <- stats.Opstats.index_probes + probes;
-           out)
-      | _ ->
-        let out = Batch.create ~capacity:(min 1024 no) layout in
-        (* One probe callback for the whole batch — allocating it (and
-           the [matched] flag) per outer row showed up in join-heavy
-           profiles. *)
-        let probe = Table.prober t pos in
-        let matched = ref false in
-        let key_fn = Expr_eval.compile (Batch.layout o) key in
-        let keep =
-          match cross_keep with Some f -> f | None -> fun _ -> true
-        in
-        let scratch = Array.make (ow + iw) Value.Null in
-        let read_inner = make_read_inner () in
-        let accept irow =
-          for j = 0 to iw - 1 do
-            scratch.(ow + j) <- irow.(sel.(j))
-          done;
-          if keep scratch then begin
-            matched := true;
-            Batch.push_row out scratch
-          end
-        in
-        let on_rid =
-          match inner_code_keep with
-          | Some cp ->
-            fun rid ->
-              tick ticker;
-              if rid < inner_mbase then begin
-                if cp rid then accept (read_inner rid)
-              end
-              else begin
-                let irow = read_inner rid in
-                if inner_keep irow then accept irow
-              end
-          | None ->
-            fun rid ->
-              tick ticker;
-              let irow = read_inner rid in
-              if inner_keep irow then accept irow
-        in
-        for i = 0 to no - 1 do
-          Batch.blit_row o i scratch 0;
-          let k = key_fn scratch in
-          matched := false;
-          if not (Value.is_null k) then begin
-            stats.Opstats.index_probes <- stats.Opstats.index_probes + 1;
-            probe k on_rid
-          end;
-          if (not !matched) && kind = Left_outer then begin
-            Array.fill scratch ow iw Value.Null;
-            Batch.push_row out scratch
-          end
-        done;
-        out
-    in
-    out
+           let cur = ref 0 and matched = ref false and rids = ref 0 in
+           let on_rid rid =
+             incr rids;
+             if !rids land 8191 = 0 then check_deadline ticker;
+             let irow = read c rid in
+             if irow != rejected then begin
+               matched := true;
+               push !cur irow
+             end
+           in
+           for i = lo to hi - 1 do
+             if i land 8191 = 0 then check_deadline ticker;
+             cur := i;
+             matched := false;
+             let k = Batch.get o i ko in
+             if not (Value.is_null k) then begin
+               st.Opstats.index_probes <- st.Opstats.index_probes + 1;
+               probe k on_rid
+             end;
+             if (not !matched) && kind = Left_outer then
+               Batch.push_padded out ~src:o i
+           done;
+           !rids)
+     | _ ->
+       let out = Batch.create ~capacity:(min 1024 no) layout in
+       (* One probe callback for the whole batch — allocating it (and
+          the [matched] flag) per outer row showed up in join-heavy
+          profiles. *)
+       let probe = Table.prober t pos in
+       let matched = ref false in
+       let key_fn = Expr_eval.compile (Batch.layout o) key in
+       let keep =
+         match cross with
+         | Some e -> Expr_eval.compile_pred layout e
+         | None -> accept_all
+       in
+       let scratch = Array.make (ow + iw) Value.Null in
+       let c = cursor rd in
+       let on_rid rid =
+         tick ticker;
+         let irow = read c rid in
+         if irow != rejected then begin
+           (match rd.sel with
+            | None -> Array.blit irow 0 scratch ow iw
+            | Some sel ->
+              for j = 0 to iw - 1 do
+                scratch.(ow + j) <- irow.(sel.(j))
+              done);
+           if keep scratch then begin
+             matched := true;
+             Batch.push_row out scratch
+           end
+         end
+       in
+       for i = 0 to no - 1 do
+         Batch.blit_row o i scratch 0;
+         let k = key_fn scratch in
+         matched := false;
+         if not (Value.is_null k) then begin
+           stats.Opstats.index_probes <- stats.Opstats.index_probes + 1;
+           probe k on_rid
+         end;
+         if (not !matched) && kind = Left_outer then begin
+           Array.fill scratch ow iw Value.Null;
+           Batch.push_row out scratch
+         end
+       done;
+       out)
   | Planner.Hash_join { left; right; left_keys; right_keys; kind; residual } ->
     let l = child left in
     let r = child right in
@@ -1031,28 +876,11 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
         end
       done
     in
-    let nl = Batch.length l in
-    (match morsels_for ctx.pool nl with
-     | Some (m, msize) ->
-       (* The build table is frozen before the section starts; workers
-          only read it. Each morsel probes a left-row range into a
-          private batch with private scratch; concatenation in morsel
-          order reproduces the sequential output order. *)
-       let parts = Array.make m (Batch.create ~capacity:1 layout) in
-       par_section stats ctx.pool ~morsels:m (fun ~worker:_ mi ->
-           check_deadline ticker;
-           let lo = mi * msize and hi = min nl ((mi + 1) * msize) in
-           let out = Batch.create ~capacity:(min 1024 (hi - lo)) layout in
-           probe_range out (Array.make (lw + rw) Value.Null) lo hi;
-           parts.(mi) <- out);
-       let out = Batch.concat layout parts in
-       tick_bulk ticker (nl + Batch.length out);
-       out
-     | None ->
-       let out = Batch.create ~capacity:(min 1024 nl) layout in
-       tick_bulk ticker nl;
-       probe_range out (Array.make (lw + rw) Value.Null) 0 nl;
-       out)
+    (* The build table is frozen before the probe starts; morsels only
+       read it, each with private scratch. *)
+    drive ctx stats ~n:(Batch.length l) layout (fun _ out lo hi ->
+        probe_range out (Array.make (lw + rw) Value.Null) lo hi;
+        hi - lo)
   | Planner.Nl_join { left; right; kind; cond } ->
     let l = child left in
     let r = child right in

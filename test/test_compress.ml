@@ -570,6 +570,132 @@ let test_matrix_spill () =
     triples par_queries
 
 (* ------------------------------------------------------------------ *)
+(* Executor: the row reader over a packed main and a live delta        *)
+(* ------------------------------------------------------------------ *)
+
+let reader_row i =
+  let open Relsql.Value in
+  [| Int (i mod 50); Int (i mod 7);
+     (if i mod 9 = 0 then Null else Str (Printf.sprintf "n%d" (i mod 13)));
+     Int (i mod 11) |]
+
+(* [t] (indexed on [k]) plus the outer side [o] of the join shapes. *)
+let reader_db name =
+  let db = Relsql.Database.create name in
+  let t =
+    Relsql.Database.create_table db "t"
+      (Relsql.Schema.make [ "k"; "v"; "w"; "m" ])
+  in
+  Relsql.Table.create_index_on t "k";
+  let o = Relsql.Database.create_table db "o" (Relsql.Schema.make [ "x"; "y" ]) in
+  for i = 0 to 199 do
+    ignore
+      (Relsql.Table.insert o
+         [| Relsql.Value.Int (i mod 60); Relsql.Value.Int (i mod 5) |])
+  done;
+  (db, t)
+
+(* Each scan's filter, by how the packed main evaluates it. *)
+let reader_queries =
+  [ ("scan/block", `Block,
+     "SELECT a.w, a.k FROM t AS a WHERE a.v = 3 OR a.m = 4");
+    ("scan/code", `Code,
+     "SELECT a.w FROM t AS a \
+      WHERE CASE WHEN a.v = 1 THEN a.k WHEN a.v = 2 THEN a.m END = 5");
+    ("scan/decoded", `Decoded, "SELECT a.k FROM t AS a WHERE a.w LIKE 'n1%'");
+    ("scan/unfiltered", `Plan "SeqScan t", "SELECT a.w, a.m FROM t AS a");
+    ("lookup", `Plan "IndexLookup t",
+     "SELECT a.v, a.w FROM t AS a WHERE a.k IN (7, 34) AND a.v <> 2");
+    ("inl/column-key", `Plan "IndexNLJoin(inner) t",
+     "SELECT b.y, a.w FROM o AS b JOIN t AS a ON a.k = b.x");
+    ("inl/code-residual", `Plan "IndexNLJoin(inner) t",
+     "SELECT b.y, a.w FROM o AS b JOIN t AS a ON a.k = b.x AND a.v = 3");
+    ("inl/cross-residual", `Plan "IndexNLJoin(inner) t",
+     "SELECT b.y, a.w FROM o AS b JOIN t AS a ON a.k = b.x AND a.v <> b.y");
+    ("inl/computed-key", `Plan "IndexNLJoin(inner) t",
+     "SELECT b.y, a.w FROM o AS b JOIN t AS a ON a.k = b.x + 1");
+    ("inl/left-outer", `Plan "IndexNLJoin(left) t",
+     "SELECT b.x, a.w FROM o AS b LEFT JOIN t AS a ON a.k = b.x AND a.v = 3") ]
+
+(** Scans, index lookups and both index-join paths over a table with a
+    multi-block packed main, a live delta, tombstones on both sides and
+    a row relocated by [set_cell] return, row for row and in order, what
+    they return over the same rows in a never-merged table — at 1 and 2
+    domains, with morsels small enough that a parallel scan morsel
+    crosses from the main into the delta. *)
+let test_reader_matrix () =
+  let db, t = reader_db "packed" in
+  for i = 0 to 2999 do
+    ignore (Relsql.Table.insert t (reader_row i))
+  done;
+  Relsql.Table.merge t;
+  for rid = 0 to 2999 do
+    if rid mod 97 = 0 then Relsql.Table.delete_row t rid
+  done;
+  for i = 3000 to 3299 do
+    let rid = Relsql.Table.insert t (reader_row i) in
+    if i mod 11 = 0 then Relsql.Table.delete_row t rid
+  done;
+  let moved = Relsql.Table.set_cell t 1234 0 (Relsql.Value.Int 7) in
+  let main = Relsql.Table.main_slots t in
+  Alcotest.(check bool) "main spans several blocks" true
+    (main > 2 * Relsql.Packed.block_rows);
+  Alcotest.(check bool) "set_cell relocated the main row" true (moved >= main);
+  Alcotest.(check bool) "live delta" true (Relsql.Table.delta_rows t > 0);
+  Alcotest.(check bool) "main tombstones" true
+    (Relsql.Table.main_tombstones t > 0);
+  Alcotest.(check bool) "delta tombstones" true
+    (Relsql.Table.slot_count t - Relsql.Table.main_tombstones t
+     > Relsql.Table.row_count t);
+  let boxed, bt = reader_db "boxed" in
+  Relsql.Table.iter
+    (fun _ row -> ignore (Relsql.Table.insert bt (Array.copy row)))
+    t;
+  let layout =
+    Array.map (fun n -> (Some "a", n)) [| "k"; "v"; "w"; "m" |]
+  in
+  let pk = Relsql.Table.packed_view t in
+  with_tiny_morsels (fun () ->
+      List.iter
+        (fun (name, shape, sql) ->
+          let stmt = Relsql.Sql_parser.parse sql in
+          let where =
+            match stmt.Relsql.Sql_ast.body with
+            | Relsql.Sql_ast.Select { where = Some e; _ } -> Some e
+            | _ -> None
+          in
+          let plan = Relsql.Executor.explain db stmt in
+          let expect what ok =
+            Alcotest.(check bool) (name ^ ": " ^ what) true ok
+          in
+          (match shape, where with
+           | `Plan op, _ -> expect op (Helpers.contains plan op)
+           | `Block, Some e ->
+             expect "block filter"
+               (Relsql.Packed.compile_block_pred pk layout e <> None)
+           | `Code, Some e ->
+             expect "code filter only"
+               (Relsql.Packed.compile_block_pred pk layout e = None
+                && Relsql.Packed.compile_code_pred pk layout e <> None)
+           | `Decoded, Some e ->
+             expect "decoded filter"
+               (Relsql.Packed.compile_code_pred pk layout e = None)
+           | _, None -> Alcotest.failf "%s: no WHERE" name);
+          let expected =
+            batch_strings (Relsql.Executor.run ~domains:1 boxed stmt)
+          in
+          Alcotest.(check bool) (name ^ ": non-empty") true (expected <> []);
+          List.iter
+            (fun domains ->
+              Relsql.Scan_cache.clear (Relsql.Database.scan_cache db);
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s: d=%d ≡ never-merged" name domains)
+                expected
+                (batch_strings (Relsql.Executor.run ~domains db stmt)))
+            [ 1; 2 ])
+        reader_queries)
+
+(* ------------------------------------------------------------------ *)
 (* Fuzz: compressed backends vs the reference evaluator                *)
 (* ------------------------------------------------------------------ *)
 
@@ -629,6 +755,8 @@ let suite =
       test_matrix_micro;
     Alcotest.test_case "matrix: spill-heavy compressed ≡ boxed" `Slow
       test_matrix_spill;
+    Alcotest.test_case "matrix: row reader over main + delta ≡ never-merged"
+      `Quick test_reader_matrix;
     Alcotest.test_case "fuzz sweep with compressed storage" `Slow
       test_fuzz_sweep_compressed;
     Alcotest.test_case "corpus replay with compressed storage" `Quick
