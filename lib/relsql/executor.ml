@@ -46,13 +46,15 @@ let tick t =
     | Some d when Unix.gettimeofday () > d -> raise Timeout
     | _ -> ()
 
-(** Account for [n] row operations at once (batch-granular nodes check
-    the clock once instead of once per 8k rows). *)
+(** Account for [n] row operations at once. Like {!tick}, the clock is
+    read only when the count crosses a multiple of 8192. *)
 let tick_bulk t n =
-  t.ops <- t.ops + n;
-  match t.deadline with
-  | Some d when Unix.gettimeofday () > d -> raise Timeout
-  | _ -> ()
+  let before = t.ops in
+  t.ops <- before + n;
+  if t.ops lsr 13 <> before lsr 13 then
+    match t.deadline with
+    | Some d when Unix.gettimeofday () > d -> raise Timeout
+    | _ -> ()
 
 (* Deadline check without op accounting — safe from worker domains,
    which must not mutate the shared ticker. Each morsel body starts

@@ -9,8 +9,24 @@
     - {e Direct}: every non-null cell is a non-negative [Value.Int]
       (dictionary ids — the dominant DB2RDF case) and the code is the
       integer plus one. No decode table at all.
-    - {e Dict}: codes index a first-occurrence decode array of the
-      column's distinct values. Width is [bits(#distinct)].
+    - {e Dict}: codes index a decode array of the column's distinct
+      values sorted by {!Value.compare}, so code order is value order
+      and a constant finds its code by binary search. Width is
+      [bits(#distinct)].
+
+    Either way a code's rank among the column's codes is its value's
+    rank among the column's values, and an image is a canonical
+    function of its cells: the same slots pack to the same words,
+    decode array and zone maps however they got there. Among values
+    {!Value.equal} makes equal (NaN payloads, [0.0] and [-0.0]) the
+    first occurrence in slot order is the one the column decodes to.
+
+    Packing is a merge ({!merge}): an old image plus new slots. The old
+    slots keep their dictionary — its sorted values and the new slots'
+    sorted distinct values merge into one old-to-new code map, and old
+    fields are remapped as ints — so only the new slots' cells are ever
+    hashed or compared. Packing rows from scratch is the merge into
+    {!empty}.
 
     Fields are aligned: a 63-bit word holds [63 / width] fields and no
     field straddles a word boundary, so a field read is one load, one
@@ -18,7 +34,8 @@
 
     Every 1024-row block of every column also carries a {e zone map}:
     null/non-null counts, a float min/max over the numeric cells and a
-    {!Value.compare} min/max over all non-null cells. A conservative
+    {!Value.compare} min/max over all non-null cells — the decoded
+    smallest and largest live code of the block. A conservative
     predicate-vs-zone test lets scans skip whole blocks without
     unpacking a single field; the split between the numeric and the
     total-order range is what keeps skipping sound under
@@ -44,8 +61,8 @@ type zone = {
   z_num_lo : float;  (* float range of the numeric cells (NaNs excluded *)
   z_num_hi : float;  (* from the range but counted in [z_nnum]) *)
   z_has_nan : bool;  (* some numeric cell is NaN *)
-  z_lo : Value.t;  (* Value.compare range over all non-null cells *)
-  z_hi : Value.t;
+  z_lo : Value.t;  (* decode of the block's smallest live non-null code *)
+  z_hi : Value.t;  (* ... and of its largest *)
 }
 
 type col = {
@@ -56,8 +73,10 @@ type col = {
   highs : int;  (* 1 lsl (width-1) broadcast across the fields *)
   words : int array;
   direct : bool;  (* code = int value + 1, no decode table *)
-  dmax : int;  (* Direct: largest encodable int value *)
-  decode : Value.t array;  (* Dict: code-1 -> value; [||] when direct *)
+  dmax : int;  (* Direct: largest int value of the column; 0 when Dict *)
+  decode : Value.t array;
+      (* Dict: code-1 -> value, strictly increasing under Value.compare;
+         [||] when direct *)
   zones : zone array;  (* one per block; [||] when packed without zones *)
   boxed_cell_words : int;
       (* heap words the column's cells would cost as boxed values
@@ -89,107 +108,6 @@ let bits_needed n =
 let broadcast width fpw v =
   let rec go acc i = if i = fpw then acc else go ((acc lsl width) lor v) (i + 1) in
   go 0 0
-
-(* ------------------------------------------------------------------ *)
-(* Packing                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(** [pack ~zones ~ncols ~nrows get ~live] packs the relation whose cell
-    [(rid, pos)] is [get rid pos]. All [nrows] slots are packed —
-    including tombstoned ones, so rid identity is preserved — while
-    zone maps aggregate only slots with [live rid] (dead slots can
-    never survive a scan, so excluding them tightens the maps). *)
-let pack ?(zones = true) ~ncols ~nrows (get : int -> int -> Value.t)
-    ~(live : int -> bool) : t =
-  let nblocks = (nrows + block_rows - 1) / block_rows in
-  let pack_col pos =
-    (* First pass: assign dictionary codes in first-occurrence order,
-       test Direct feasibility, and account the boxed-equivalent size. *)
-    let code_of : (Value.t, int) Hashtbl.t = Hashtbl.create 64 in
-    let decode_rev = ref [] in
-    let ndistinct = ref 0 in
-    let direct_ok = ref true in
-    let dmax = ref 0 in
-    let boxed = ref 0 in
-    for rid = 0 to nrows - 1 do
-      let v = get rid pos in
-      boxed := !boxed + value_heap_words v;
-      match v with
-      | Value.Null -> ()
-      | _ ->
-        (match v with
-         | Value.Int x when x >= 0 -> if x > !dmax then dmax := x
-         | _ -> direct_ok := false);
-        if not (Hashtbl.mem code_of v) then begin
-          incr ndistinct;
-          Hashtbl.add code_of v !ndistinct;
-          decode_rev := v :: !decode_rev
-        end
-    done;
-    let dict_width = bits_needed (max 1 !ndistinct) in
-    let direct_width = bits_needed (!dmax + 1) in
-    let direct = !direct_ok && direct_width <= 62 && direct_width <= dict_width in
-    let width = if direct then direct_width else dict_width in
-    let fpw = 63 / width in
-    let words = Array.make ((nrows + fpw - 1) / max 1 fpw) 0 in
-    let code_of_value v =
-      if Value.is_null v then 0
-      else if direct then (match v with Value.Int x -> x + 1 | _ -> assert false)
-      else Hashtbl.find code_of v
-    in
-    for rid = 0 to nrows - 1 do
-      let code = code_of_value (get rid pos) in
-      words.(rid / fpw) <- words.(rid / fpw) lor (code lsl (rid mod fpw * width))
-    done;
-    let zmaps =
-      if not zones then [||]
-      else
-        Array.init nblocks (fun bi ->
-            let lo = bi * block_rows and hi = min nrows ((bi + 1) * block_rows) in
-            let nonnull = ref 0 and nulls = ref 0 and nnum = ref 0 in
-            let num_lo = ref infinity and num_hi = ref neg_infinity in
-            let has_nan = ref false in
-            let vlo = ref Value.Null and vhi = ref Value.Null in
-            for rid = lo to hi - 1 do
-              if live rid then begin
-                let v = get rid pos in
-                if Value.is_null v then incr nulls
-                else begin
-                  incr nonnull;
-                  (match Value.as_float v with
-                   | Some x ->
-                     incr nnum;
-                     if Float.is_nan x then has_nan := true
-                     else begin
-                       if x < !num_lo then num_lo := x;
-                       if x > !num_hi then num_hi := x
-                     end
-                   | None -> ());
-                  if !nonnull = 1 then begin
-                    vlo := v;
-                    vhi := v
-                  end
-                  else begin
-                    if Value.compare v !vlo < 0 then vlo := v;
-                    if Value.compare v !vhi > 0 then vhi := v
-                  end
-                end
-              end
-            done;
-            { z_nonnull = !nonnull; z_nulls = !nulls; z_nnum = !nnum;
-              z_num_lo = !num_lo; z_num_hi = !num_hi; z_has_nan = !has_nan;
-              z_lo = !vlo; z_hi = !vhi })
-    in
-    let decode =
-      if direct then [||] else Array.of_list (List.rev !decode_rev)
-    in
-    { width; fpw; fmask = (1 lsl width) - 1;
-      ones = broadcast width fpw 1;
-      highs = broadcast width fpw (1 lsl (width - 1));
-      words; direct; dmax = !dmax; decode; zones = zmaps;
-      boxed_cell_words = !boxed }
-  in
-  { nrows; cols = Array.init ncols pack_col }
 
 (* ------------------------------------------------------------------ *)
 (* Field access                                                        *)
@@ -234,6 +152,366 @@ let read_cols t rid (positions : int array) (dst : Value.t array) =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Packing: a merge of an old image and new slots                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The table that hands a column's new values their provisional ids:
+   Value.equal/Value.hash, so NaN payloads and ±0.0 collapse exactly as
+   they do under Value.compare; the first occurrence is kept. *)
+module VT = Hashtbl.Make (struct
+  type t = Value.t
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* Scratch shared by every column of one merge. Each buffer only ever
+   grows, so it is bounded by the largest column it served. *)
+type scratch = {
+  ids : int VT.t;  (* new value -> provisional id *)
+  mutable vals : Value.t array;  (* provisional id -> first occurrence *)
+  prov : int array;  (* new slot -> provisional id, -1 for NULL *)
+  mutable ins : int array;
+      (* provisional id -> index of the equal old value, or
+         [-1 - insertion index] among the old values when there is none *)
+  mutable dmap : int array;  (* provisional id -> new code *)
+  mutable omap : int array;  (* old code -> new code *)
+}
+
+let grow a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+(* The first [i] in [0, n) with [not (below i)], for [below] monotone. *)
+let lower_bound n (below : int -> bool) =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if below mid then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* An old column's distinct values in Value.compare order: the [i]-th
+   of [n] decodes to [value i] under old code [code i], and [find v]
+   is the index of the first value not below [v]. A Dict column is its
+   decode array; a Direct one is the set of codes its fields use. *)
+type old_values = {
+  n : int;
+  value : int -> Value.t;
+  code : int -> int;
+  find : Value.t -> int;
+}
+
+let old_values c ~nrows =
+  if not c.direct then
+    let d = c.decode in
+    let n = Array.length d in
+    { n; value = Array.get d; code = succ;
+      find = (fun v -> lower_bound n (fun i -> Value.compare d.(i) v < 0)) }
+  else begin
+    let used = Bytes.make (c.dmax + 2) '\000' in
+    for rid = 0 to nrows - 1 do
+      Bytes.set used (code_at c rid) '\001'
+    done;
+    let codes = ref [] in
+    for k = c.dmax + 1 downto 1 do
+      if Bytes.get used k = '\001' then codes := k :: !codes
+    done;
+    let codes = Array.of_list !codes in
+    let n = Array.length codes in
+    { n; value = (fun i -> boxed_int (codes.(i) - 1)); code = Array.get codes;
+      find =
+        (function
+          | Value.Int x -> lower_bound n (fun i -> codes.(i) - 1 < x)
+          | Value.Null | Value.Bool _ -> 0
+          | Value.Real _ | Value.Str _ | Value.Lid _ -> n) }
+  end
+
+let no_old = { n = 0; value = (fun _ -> Value.Null); code = succ; find = (fun _ -> 0) }
+
+let no_zone =
+  { z_nonnull = 0; z_nulls = 0; z_nnum = 0; z_num_lo = infinity; z_num_hi = neg_infinity;
+    z_has_nan = false; z_lo = Value.Null; z_hi = Value.Null }
+
+(* One column of [merge]: slots below [base] come from old column [oc]
+   (absent when [base = 0]), slots in [base, nrows) from [get]. *)
+let merge_col s ~zones ~base ~nrows (get : int -> int -> Value.t) ~live
+    (oc : col option) pos =
+  (* New slots: provisional ids, Direct feasibility, boxed size. *)
+  VT.clear s.ids;
+  let nv = ref 0 and new_ok = ref true and new_max = ref 0 in
+  let boxed = ref (match oc with Some c -> c.boxed_cell_words | None -> 0) in
+  for rid = base to nrows - 1 do
+    let v = get rid pos in
+    boxed := !boxed + value_heap_words v;
+    s.prov.(rid - base) <-
+      (match v with
+       | Value.Null -> -1
+       | _ -> (
+         (match v with
+          | Value.Int x when x >= 0 -> if x > !new_max then new_max := x
+          | _ -> new_ok := false);
+         match VT.find s.ids v with
+         | id -> id
+         | exception Not_found ->
+           let id = !nv in
+           VT.add s.ids v id;
+           if id = Array.length s.vals then begin
+             let bigger = Array.make (max 64 (2 * id)) Value.Null in
+             Array.blit s.vals 0 bigger 0 id;
+             s.vals <- bigger
+           end;
+           s.vals.(id) <- v;
+           incr nv;
+           id))
+  done;
+  let nd = !nv in
+  (* Direct feasibility of the union: a Dict decode array is all
+     non-negative Ints iff its two ends are (Ints sort contiguously). *)
+  let old_ok, old_max =
+    match oc with
+    | None -> (true, 0)
+    | Some c when c.direct -> (true, c.dmax)
+    | Some c -> (
+      let d = c.decode in
+      let n = Array.length d in
+      if n = 0 then (true, 0)
+      else
+        match (d.(0), d.(n - 1)) with
+        | Value.Int x, Value.Int y when x >= 0 -> (true, y)
+        | _ -> (false, 0))
+  in
+  let direct_ok = old_ok && !new_ok and dmax = max old_max !new_max in
+  let direct_width = bits_needed (dmax + 1) in
+  (* A Direct column whose width holds the new values stays Direct: its
+     old distinct count already needed at least that width. *)
+  let keep =
+    match oc with Some c -> c.direct && direct_ok && direct_width <= c.width | None -> false
+  in
+  let old = match oc with Some c when not keep -> old_values c ~nrows:base | _ -> no_old in
+  (* Where each new value sits among the old ones. *)
+  s.ins <- grow s.ins nd;
+  let fresh = ref 0 in
+  for id = 0 to nd - 1 do
+    let v = s.vals.(id) in
+    let p = old.find v in
+    if p < old.n && Value.equal (old.value p) v then s.ins.(id) <- p
+    else begin
+      s.ins.(id) <- -1 - p;
+      incr fresh
+    end
+  done;
+  let dict_width = bits_needed (max 1 (old.n + !fresh)) in
+  let direct =
+    keep || (direct_ok && direct_width <= 62 && direct_width <= dict_width)
+  in
+  let width = if direct then direct_width else dict_width in
+  (* Old fields keep their codes when both sides are Direct, or when a
+     Dict column gained no value. *)
+  let same_codes =
+    match oc with
+    | None -> direct
+    | Some c -> if direct then c.direct else (not c.direct) && !fresh = 0
+  in
+  s.dmap <- grow s.dmap nd;
+  let decode =
+    if direct then begin
+      for id = 0 to nd - 1 do
+        match s.vals.(id) with
+        | Value.Int x -> s.dmap.(id) <- x + 1
+        | _ -> assert false
+      done;
+      if not same_codes then begin
+        (* a Dict column of non-negative Ints turning Direct *)
+        s.omap <- grow s.omap (old.n + 1);
+        s.omap.(0) <- 0;
+        for i = 0 to old.n - 1 do
+          match old.value i with
+          | Value.Int x -> s.omap.(old.code i) <- x + 1
+          | _ -> assert false
+        done
+      end;
+      [||]
+    end
+    else if same_codes then begin
+      for id = 0 to nd - 1 do
+        s.dmap.(id) <- s.ins.(id) + 1
+      done;
+      match oc with Some c -> c.decode | None -> [||]
+    end
+    else begin
+      (* Merge the old values with the new ones in Value.compare order;
+         a value on both sides keeps its old occurrence. *)
+      let order = Array.init nd Fun.id in
+      Array.stable_sort (fun a b -> Value.compare s.vals.(a) s.vals.(b)) order;
+      let decode = Array.make (old.n + !fresh) Value.Null in
+      (match oc with
+       | Some c ->
+         s.omap <- grow s.omap (if c.direct then c.dmax + 2 else old.n + 1);
+         s.omap.(0) <- 0
+       | None -> ());
+      let i = ref 0 and k = ref 0 in
+      let take_old () =
+        decode.(!k) <- old.value !i;
+        incr k;
+        s.omap.(old.code !i) <- !k;
+        incr i
+      in
+      for j = 0 to nd - 1 do
+        let id = order.(j) in
+        let p = s.ins.(id) in
+        let stop = if p >= 0 then p else -1 - p in
+        while !i < stop do
+          take_old ()
+        done;
+        if p >= 0 then take_old ()
+        else begin
+          decode.(!k) <- s.vals.(id);
+          incr k
+        end;
+        s.dmap.(id) <- !k
+      done;
+      while !i < old.n do
+        take_old ()
+      done;
+      decode
+    end
+  in
+  (* Code ranges of the numeric values, for the zones' float range:
+     Ints and Reals sort contiguously, NaN first among the Reals. *)
+  let int_first, int_last, real_last, nan_code =
+    if direct then (1, max_int, max_int, -1)
+    else begin
+      let n = Array.length decode in
+      let start r = lower_bound n (fun i -> Value.rank decode.(i) < r) in
+      let ri = start 2 and rr = start 3 and rs = start 4 in
+      let nan =
+        if rr = rs then -1
+        else match decode.(rr) with Value.Real f when Float.is_nan f -> rr + 1 | _ -> -1
+      in
+      (ri + 1, rr, rs, nan)
+    end
+  in
+  let value k = if direct then boxed_int (k - 1) else decode.(k - 1) in
+  let num k =
+    match value k with
+    | Value.Int x -> float_of_int x
+    | Value.Real f -> f
+    | _ -> assert false
+  in
+  (* A block's zone from its live codes: the extreme codes overall, of
+     the Ints and of the non-NaN Reals (0 for "none" in the maxima). *)
+  let zone ~nonnull ~nulls ~nnum ~has_nan ~lo ~hi ~ilo ~ihi ~rlo ~rhi =
+    let num_lo =
+      let a = if ihi > 0 then num ilo else infinity in
+      if rhi > 0 then Float.min a (num rlo) else a
+    and num_hi =
+      let a = if ihi > 0 then num ihi else neg_infinity in
+      if rhi > 0 then Float.max a (num rhi) else a
+    in
+    { z_nonnull = nonnull; z_nulls = nulls; z_nnum = nnum; z_num_lo = num_lo;
+      z_num_hi = num_hi; z_has_nan = has_nan;
+      z_lo = (if nonnull = 0 then Value.Null else value lo);
+      z_hi = (if nonnull = 0 then Value.Null else value hi) }
+  in
+  let fpw = 63 / width in
+  let words = Array.make ((nrows + fpw - 1) / fpw) 0 in
+  let zmaps = Array.make (if zones then (nrows + block_rows - 1) / block_rows else 0) no_zone in
+  (* One pass in slot order: a cursor reads the old fields, another
+     fills the new words, and the live codes feed the block's zone. *)
+  let ow, owidth, ofpw, omask =
+    match oc with Some c -> (c.words, c.width, c.fpw, c.fmask) | None -> ([||], 1, 1, 0)
+  in
+  let oword = ref 0 and ofield = ref 0 in
+  let acc = ref 0 and wi = ref 0 and fi = ref 0 in
+  let nonnull = ref 0 and nulls = ref 0 and nnum = ref 0 and has_nan = ref false in
+  let lo = ref max_int and hi = ref 0 and ilo = ref max_int and ihi = ref 0 in
+  let rlo = ref max_int and rhi = ref 0 in
+  for rid = 0 to nrows - 1 do
+    let k =
+      if rid < base then begin
+        let k = (ow.(!oword) lsr (!ofield * owidth)) land omask in
+        incr ofield;
+        if !ofield = ofpw then begin
+          ofield := 0;
+          incr oword
+        end;
+        if same_codes then k else s.omap.(k)
+      end
+      else
+        let p = s.prov.(rid - base) in
+        if p < 0 then 0 else s.dmap.(p)
+    in
+    acc := !acc lor (k lsl (!fi * width));
+    incr fi;
+    if !fi = fpw then begin
+      words.(!wi) <- !acc;
+      incr wi;
+      acc := 0;
+      fi := 0
+    end;
+    if zones then begin
+      if live rid then begin
+        if k = 0 then incr nulls
+        else begin
+          incr nonnull;
+          if k < !lo then lo := k;
+          if k > !hi then hi := k;
+          if k >= int_first && k <= real_last then begin
+            incr nnum;
+            if k <= int_last then begin
+              if k < !ilo then ilo := k;
+              if k > !ihi then ihi := k
+            end
+            else if k = nan_code then has_nan := true
+            else begin
+              if k < !rlo then rlo := k;
+              if k > !rhi then rhi := k
+            end
+          end
+        end
+      end;
+      if rid land (block_rows - 1) = block_rows - 1 || rid = nrows - 1 then begin
+        zmaps.(rid / block_rows) <-
+          zone ~nonnull:!nonnull ~nulls:!nulls ~nnum:!nnum ~has_nan:!has_nan ~lo:!lo
+            ~hi:!hi ~ilo:!ilo ~ihi:!ihi ~rlo:!rlo ~rhi:!rhi;
+        nonnull := 0; nulls := 0; nnum := 0; has_nan := false;
+        lo := max_int; hi := 0; ilo := max_int; ihi := 0; rlo := max_int; rhi := 0
+      end
+    end
+  done;
+  if !fi > 0 then words.(!wi) <- !acc;
+  { width; fpw; fmask = (1 lsl width) - 1;
+    ones = broadcast width fpw 1;
+    highs = broadcast width fpw (1 lsl (width - 1));
+    words; direct; dmax = (if direct then dmax else 0); decode; zones = zmaps;
+    boxed_cell_words = !boxed }
+
+(** [merge ~ncols old ~nrows get ~live] packs [nrows] slots: those
+    below [nrows old] are [old]'s, the rest have cell [(rid, pos)] =
+    [get rid pos]. Every slot is packed — including tombstoned ones, so
+    rid identity is preserved — while zone maps aggregate only slots
+    with [live rid] (dead slots can never survive a scan, so excluding
+    them tightens the maps). The result equals packing all [nrows]
+    slots' cells from scratch. *)
+let merge ?(zones = true) ~ncols old ~nrows (get : int -> int -> Value.t)
+    ~(live : int -> bool) : t =
+  let base = old.nrows in
+  if base > 0 && Array.length old.cols <> ncols then invalid_arg "Packed.merge: arity";
+  let s =
+    { ids = VT.create 64; vals = [||]; prov = Array.make (nrows - base) 0; ins = [||];
+      dmap = [||]; omap = [||] }
+  in
+  { nrows;
+    cols =
+      Array.init ncols (fun pos ->
+          merge_col s ~zones ~base ~nrows get ~live
+            (if base = 0 then None else Some old.cols.(pos))
+            pos) }
+
+(** [pack ~ncols ~nrows get ~live] packs the relation whose cell
+    [(rid, pos)] is [get rid pos]: the {!merge} into {!empty}. *)
+let pack ?zones ~ncols ~nrows get ~live = merge ?zones ~ncols empty ~nrows get ~live
+
+
+(* ------------------------------------------------------------------ *)
 (* Size accounting                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -272,20 +550,20 @@ let col_bits t pos = t.cols.(pos).width
    instead of risking a false reject. *)
 let max_exact_float_int = 9007199254740992
 
-(* All codes whose decoded value is structurally equal to [v]
-   (Value.equal; a Dict column stores one code per distinct value, but
-   NaN payloads can duplicate, hence "all"). *)
+(* [v]'s code consed onto [acc] when some cell of the column holds a
+   value structurally equal to it (Value.equal): a Dict column's decode
+   array is strictly increasing, so a binary search finds the one code
+   there can be. *)
 let structural_codes c v acc =
   if c.direct then
     match v with
     | Value.Int x when x >= 0 && x <= c.dmax -> (x + 1) :: acc
     | _ -> acc
   else begin
-    let acc = ref acc in
-    for i = Array.length c.decode - 1 downto 0 do
-      if Value.equal c.decode.(i) v then acc := (i + 1) :: !acc
-    done;
-    !acc
+    let d = c.decode in
+    let n = Array.length d in
+    let i = lower_bound n (fun i -> Value.compare d.(i) v < 0) in
+    if i < n && Value.equal d.(i) v then (i + 1) :: acc else acc
   end
 
 (** The exact set of codes of column [pos] whose decoded value compares
@@ -369,29 +647,41 @@ let iter_eq_col c (codes : int array) lo hi (f : int -> unit) =
 
 let iter_eq t pos codes lo hi f = iter_eq_col t.cols.(pos) codes lo hi f
 
-(** [check_zones t ~live] verifies that every zone map still covers the
-    live cells of its block: counts are upper bounds (tombstones only
-    ever remove cells) and every value lies inside its ranges. *)
-let check_zones t ~(live : int -> bool) =
+(** [check t ~live ~exact] verifies the image's invariants: every Dict
+    decode array is strictly increasing under {!Value.compare}, and
+    every zone map covers the live cells of its block — counts are
+    upper bounds (tombstones only ever remove cells) and every value
+    lies inside its ranges. With [exact] (no slot has died since the
+    image was packed) the counts must match and [z_lo]/[z_hi] must be
+    the decode of the block's smallest/largest live non-null code. *)
+let check t ~(live : int -> bool) ~exact =
   let error = ref None in
+  let fail fmt = Printf.ksprintf (fun m -> if !error = None then error := Some m) fmt in
   Array.iteri
     (fun pos c ->
+      for i = 1 to Array.length c.decode - 1 do
+        if Value.compare c.decode.(i - 1) c.decode.(i) >= 0 then
+          fail "column %d: decode %s at code %d does not sort below %s" pos
+            (Value.to_string c.decode.(i - 1)) i (Value.to_string c.decode.(i))
+      done;
       Array.iteri
         (fun bi z ->
           let lo = bi * block_rows and hi = min t.nrows ((bi + 1) * block_rows) in
           let nonnull = ref 0 and nulls = ref 0 and nnum = ref 0 in
+          let klo = ref max_int and khi = ref 0 in
           for rid = lo to hi - 1 do
-            if live rid && !error = None then begin
-              let v = decode_code c (code_at c rid) in
+            if live rid then begin
+              let k = code_at c rid in
+              let v = decode_code c k in
               let outside () =
-                error :=
-                  Some
-                    (Printf.sprintf "column %d block %d: live cell %s outside its zone"
-                       pos bi (Value.to_string v))
+                fail "column %d block %d: live cell %s outside its zone" pos bi
+                  (Value.to_string v)
               in
-              if Value.is_null v then incr nulls
+              if k = 0 then incr nulls
               else begin
                 incr nonnull;
+                klo := min !klo k;
+                khi := max !khi k;
                 if Value.compare v z.z_lo < 0 || Value.compare v z.z_hi > 0 then outside ();
                 match Value.as_float v with
                 | Some x ->
@@ -402,14 +692,23 @@ let check_zones t ~(live : int -> bool) =
               end
             end
           done;
-          if !error = None && (!nonnull > z.z_nonnull || !nulls > z.z_nulls || !nnum > z.z_nnum)
+          let counts_ok =
+            if exact then !nonnull = z.z_nonnull && !nulls = z.z_nulls && !nnum = z.z_nnum
+            else !nonnull <= z.z_nonnull && !nulls <= z.z_nulls && !nnum <= z.z_nnum
+          in
+          if not counts_ok then
+            fail
+              "column %d block %d: %d/%d/%d live non-null/null/numeric cells, zone counts \
+               %d/%d/%d"
+              pos bi !nonnull !nulls !nnum z.z_nonnull z.z_nulls z.z_nnum;
+          if exact && !nonnull > 0
+             && not (Value.equal z.z_lo (decode_code c !klo)
+                     && Value.equal z.z_hi (decode_code c !khi))
           then
-            error :=
-              Some
-                (Printf.sprintf
-                   "column %d block %d: %d/%d/%d live non-null/null/numeric cells, zone \
-                    counts %d/%d/%d"
-                   pos bi !nonnull !nulls !nnum z.z_nonnull z.z_nulls z.z_nnum))
+            fail "column %d block %d: zone range %s..%s, live codes decode to %s..%s" pos bi
+              (Value.to_string z.z_lo) (Value.to_string z.z_hi)
+              (Value.to_string (decode_code c !klo))
+              (Value.to_string (decode_code c !khi)))
         c.zones)
     t.cols;
   match !error with None -> Ok () | Some m -> Error m

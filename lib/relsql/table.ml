@@ -542,10 +542,10 @@ end
 (* ------------------------------------------------------------------ *)
 
 (** Fold the delta into a fresh packed main: compact every posting and
-    run-encode the dense ones, then bit-pack all [nrows] slots — read
-    through {!cell_unsafe}, so the new image comes straight from the old
-    one plus the boxed delta rows, with no boxed copy of the main in
-    between — and start an empty delta. Rids are stable. A no-op unless
+    run-encode the dense ones, then {!Packed.merge} the old image with
+    the boxed delta rows — the old main's fields are remapped as codes,
+    only delta cells are hashed — and start an empty delta. Rids are
+    stable. A no-op unless
     the table has delta rows or fresh main tombstones. Bumps the epoch:
     the data is unchanged, but every cached result keyed on the old
     physical form retires. *)
@@ -574,9 +574,11 @@ let merge t =
             posting_try_runs p)
           entries)
       t.indexes;
+    let base = main_slots t in
     t.main <-
-      Packed.pack ~zones:true ~ncols:(Schema.arity t.schema) ~nrows:t.nrows
-        (cell_unsafe t) ~live:(is_live t);
+      Packed.merge ~ncols:(Schema.arity t.schema) t.main ~nrows:t.nrows
+        (fun rid pos -> t.rows.(rid - base).(pos))
+        ~live:(is_live t);
     t.rows <- [||];
     t.tombs <- 0;
     t.merges <- t.merges + 1;
@@ -672,7 +674,8 @@ let check t =
         fail "column %d postings cover %d of %d live rows" pos !valid
           t.live_count)
     t.indexes;
-  match Packed.check_zones t.main ~live:(is_live t) with
+  (* Until a main slot dies the zones are exactly the merge's. *)
+  match Packed.check t.main ~live:(is_live t) ~exact:(t.tombs = 0) with
   | Ok () -> ()
   | Error m -> fail "%s" m
 

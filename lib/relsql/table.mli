@@ -119,9 +119,10 @@ val storage_size : t -> int
     the delta — none of them re-encode anything. {!merge} folds the
     delta into a fresh packed main. *)
 
-(** Fold the delta into a fresh packed main: re-pack every slot straight
-    from the old image plus the delta rows (fresh zone maps, compacted
-    and run-length-encoded postings) and start an empty delta. Row ids
+(** Fold the delta into a fresh packed main: {!Packed.merge} the old
+    image with the delta rows in code space (old codes remapped, only
+    delta cells hashed; fresh zone maps, compacted and
+    run-length-encoded postings) and start an empty delta. Row ids
     are stable. A no-op unless the table has delta rows or fresh main
     tombstones; bumps {!epoch} and {!merge_count} otherwise. *)
 val merge : t -> unit
@@ -185,8 +186,11 @@ val snapshot : t -> t
     once under its current cell on both the main and the delta side
     (stale entries stay within each posting's stale count), the alive
     bitmap agrees with {!row_count}, the main and the delta partition
-    {!slot_count}, and every zone map covers the live packed cells of
-    its block. Raises [Failure] naming the first violation. *)
+    {!slot_count}, every Dict decode array of the main is strictly
+    increasing, and every zone map covers the live packed cells of its
+    block — exactly (counts, and [z_lo]/[z_hi] the decode of the
+    block's smallest/largest live code) while no main slot has died
+    since the merge. Raises [Failure] naming the first violation. *)
 val check : t -> unit
 
 (** Fraction of cells that are NULL across the given column positions

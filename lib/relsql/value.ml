@@ -15,16 +15,17 @@ type t =
   | Str of string
   | Lid of int
 
+(** The type rank {!compare} orders values of different types by. *)
+let rank = function
+  | Null -> 0 | Bool _ -> 1 | Int _ -> 2 | Real _ -> 3 | Str _ -> 4
+  | Lid _ -> 5
+
 (** Total order over values, used by indexes, DISTINCT and ORDER BY.
     NULLs sort first; values of different runtime types are ordered by a
     fixed type rank. This ordering is only for data structures — SQL
     comparison semantics (where NULL is incomparable) live in
     {!Expr_eval}. *)
 let compare a b =
-  let rank = function
-    | Null -> 0 | Bool _ -> 1 | Int _ -> 2 | Real _ -> 3 | Str _ -> 4
-    | Lid _ -> 5
-  in
   match a, b with
   | Null, Null -> 0
   | Bool x, Bool y -> Stdlib.compare x y

@@ -16,6 +16,10 @@ type t =
   | Str of string
   | Lid of int
 
+(** The type rank {!compare} orders values of different types by:
+    Null 0, Bool 1, Int 2, Real 3, Str 4, Lid 5. *)
+val rank : t -> int
+
 (** Total order over values, used by indexes, DISTINCT and ORDER BY.
     NULLs sort first; values of different runtime types are ordered by a
     fixed type rank. This ordering is only for data structures — SQL

@@ -246,6 +246,224 @@ let test_eq_prefilter () =
   | None -> Alcotest.fail "prefilter should resolve absent constants"
 
 (* ------------------------------------------------------------------ *)
+(* Packed: value-ordered codes                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Cells that stress the value order: Ints and their Real twins
+   ([1] next to [1.0]), NaNs with different payloads, [0.0] and
+   [-0.0], Reals past 2^53, negative ints, strings, lids and bools. *)
+let gen_value : Relsql.Value.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let open Relsql.Value in
+  frequency
+    [ (1, return Null);
+      (4, map (fun i -> Int i) (int_range (-3) 12));
+      (3, map (fun i -> Real (float_of_int i)) (int_range (-3) 12));
+      (1, map (fun f -> Real f) (oneofl [ 0.0; -0.0; 0.5; -2.5; 1e300; 9007199254740994.0 ]));
+      (1,
+       map
+         (fun bits -> Real (Int64.float_of_bits bits))
+         (oneofl [ 0x7FF8000000000000L; 0x7FF8000000000001L; 0xFFF8000000000000L ]));
+      (2, map (fun i -> Str (Printf.sprintf "s%d" i)) (int_range 0 9));
+      (2, map (fun i -> Lid i) (int_range 0 6));
+      (1, map (fun b -> Bool b) bool) ]
+
+(* Bit-exact value equality: [0.0] and [-0.0], or two NaN payloads,
+   are different representatives. *)
+let same_value a b =
+  match (a, b) with
+  | Relsql.Value.Real x, Relsql.Value.Real y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Stdlib.compare a b = 0
+
+(* The pre-sorted-dictionary candidate-code search, kept as the
+   reference: scan the whole decode array with Value.equal. *)
+let linear_eq_codes (c : Relsql.Packed.col) v =
+  let structural v acc =
+    if c.Relsql.Packed.direct then
+      match v with
+      | Relsql.Value.Int x when x >= 0 && x <= c.Relsql.Packed.dmax -> (x + 1) :: acc
+      | _ -> acc
+    else begin
+      let acc = ref acc in
+      for i = Array.length c.Relsql.Packed.decode - 1 downto 0 do
+        if Relsql.Value.equal c.Relsql.Packed.decode.(i) v then acc := (i + 1) :: !acc
+      done;
+      !acc
+    end
+  in
+  match v with
+  | Relsql.Value.Null -> Some []
+  | Relsql.Value.Int x ->
+    Some (structural (Relsql.Value.Real (float_of_int x)) (structural v []))
+  | Relsql.Value.Real f ->
+    let bound = float_of_int Relsql.Packed.max_exact_float_int in
+    if Float.is_integer f && Float.abs f > bound then None
+    else
+      let acc = structural v [] in
+      Some
+        (if Float.is_integer f then structural (Relsql.Value.Int (int_of_float f)) acc
+         else acc)
+  | _ -> Some (structural v [])
+
+let eq_codes_vs_linear =
+  QCheck.Test.make ~name:"eq_codes_col ≡ linear decode scan" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (cells, probes) ->
+          String.concat " " (List.map Relsql.Value.to_string cells)
+          ^ " | "
+          ^ String.concat " " (List.map Relsql.Value.to_string probes))
+        Gen.(pair (list_size (int_range 1 300) gen_value) (list_size (int_range 1 20) gen_value)))
+    (fun (cells, probes) ->
+      let cells = Array.of_list cells in
+      let pk =
+        Relsql.Packed.pack ~ncols:1 ~nrows:(Array.length cells)
+          (fun rid _ -> cells.(rid))
+          ~live:(fun _ -> true)
+      in
+      (match Relsql.Packed.check pk ~live:(fun _ -> true) ~exact:true with
+       | Ok () -> ()
+       | Error m -> QCheck.Test.fail_report m);
+      let c = pk.Relsql.Packed.cols.(0) in
+      let sorted = Option.map (List.sort Int.compare) in
+      List.for_all
+        (fun v ->
+          sorted (Relsql.Packed.eq_codes_col c v) = sorted (linear_eq_codes c v))
+        (probes @ Array.to_list cells))
+
+(* Bit-exact image equality: widths, words, decode representatives and
+   every zone field. *)
+let same_image what (a : Relsql.Packed.t) (b : Relsql.Packed.t) =
+  let open Relsql.Packed in
+  let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let same_zone z w =
+    z.z_nonnull = w.z_nonnull && z.z_nulls = w.z_nulls && z.z_nnum = w.z_nnum
+    && same_float z.z_num_lo w.z_num_lo && same_float z.z_num_hi w.z_num_hi
+    && z.z_has_nan = w.z_has_nan && same_value z.z_lo w.z_lo && same_value z.z_hi w.z_hi
+  in
+  let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "%s: %s" what m) fmt in
+  if a.nrows <> b.nrows || Array.length a.cols <> Array.length b.cols then fail "shape";
+  Array.iteri
+    (fun pos c ->
+      let d = b.cols.(pos) in
+      if c.width <> d.width || c.direct <> d.direct || c.dmax <> d.dmax then
+        fail "column %d: width %d/%d direct %b/%b dmax %d/%d" pos c.width d.width c.direct
+          d.direct c.dmax d.dmax;
+      if c.words <> d.words then fail "column %d: words" pos;
+      if Array.length c.decode <> Array.length d.decode
+         || not (Array.for_all2 same_value c.decode d.decode)
+      then fail "column %d: decode" pos;
+      if Array.length c.zones <> Array.length d.zones
+         || not (Array.for_all2 same_zone c.zones d.zones)
+      then fail "column %d: zones" pos;
+      if c.boxed_cell_words <> d.boxed_cell_words then fail "column %d: boxed words" pos)
+    a.cols;
+  true
+
+type write =
+  | Insert of int  (* rows, drawn from the next values of the stream *)
+  | Delete of int  (* slot, modulo the slot count *)
+  | Set of int * int  (* slot, column *)
+  | Flip of int  (* slot whose id column gets a lid or a negative int *)
+  | Jump  (* one row whose id is twice the slot count *)
+  | Merge
+
+(* Column 0 holds the slot's own id, so it stays Direct and widens as
+   the table grows, until a [Jump] id needs a wider field than the
+   distinct count does (Direct -> Dict, and back once the ids catch
+   up); column 1 dense ids until a [Flip] lands; column 2 the mixed
+   cells of [gen_value]; column 3 strings (Dict). *)
+let merge_cell g ~slots col =
+  let open Relsql.Value in
+  match col with
+  | 0 -> Int slots
+  | 1 -> if QCheck.Gen.int_bound 20 g = 0 then Null else Int (QCheck.Gen.int_bound slots g)
+  | 2 -> gen_value g
+  | _ -> Str (Printf.sprintf "v%03d" (QCheck.Gen.int_bound 400 g))
+
+(** Random writes and merges over a table, mirrored cell for cell into
+    a boxed model of its slots (dead ones included). After every merge
+    the packed main must equal, bit for bit, the model's cells packed
+    from scratch — so no write, width growth or Direct/Dict flip leaves
+    a trace of the order of merges that led to it, and each value class
+    decodes to its first occurrence in slot order. *)
+let merge_vs_pack =
+  QCheck.Test.make ~name:"Table.merge ≡ packing the same cells from scratch" ~count:60
+    QCheck.(
+      make
+        ~print:(fun (seed, ws) ->
+          Printf.sprintf "seed %d: %s" seed
+            (String.concat " "
+               (List.map
+                  (function
+                    | Insert n -> Printf.sprintf "I%d" n
+                    | Delete r -> Printf.sprintf "D%d" r
+                    | Set (r, c) -> Printf.sprintf "S%d/%d" r c
+                    | Flip r -> Printf.sprintf "F%d" r
+                    | Jump -> "J"
+                    | Merge -> "M")
+                  ws)))
+        Gen.(
+          pair int
+            (list_size (int_range 1 40)
+               (frequency
+                  [ (3, map (fun n -> Insert n) (int_range 1 700));
+                    (3, map (fun r -> Delete r) nat);
+                    (3, map2 (fun r c -> Set (r, c)) nat (int_bound 3));
+                    (1, map (fun r -> Flip r) nat);
+                    (1, return Jump);
+                    (3, return Merge) ]))))
+    (fun (seed, writes) ->
+      let g = Random.State.make [| seed |] in
+      let t = Relsql.Table.create "M" (Relsql.Schema.make [ "id"; "flip"; "mixed"; "str" ]) in
+      let model = ref [||] in
+      let set rid pos v =
+        let rid' = Relsql.Table.set_cell t rid pos v in
+        if rid' <> rid then begin
+          let row = Array.copy !model.(rid) in
+          row.(pos) <- v;
+          model := Array.append !model [| row |]
+        end
+        else if not (Relsql.Value.equal !model.(rid).(pos) v) then !model.(rid).(pos) <- v
+      in
+      let check_merged () =
+        Relsql.Table.merge t;
+        Relsql.Table.check t;
+        let n = Relsql.Table.slot_count t in
+        n = 0
+        || same_image "merge vs pack" (Relsql.Table.packed_view t)
+             (Relsql.Packed.pack ~ncols:4 ~nrows:n
+                (fun rid pos -> !model.(rid).(pos))
+                ~live:(Relsql.Table.is_live t))
+      in
+      List.for_all
+        (fun w ->
+          let n = Relsql.Table.slot_count t in
+          let insert rows =
+            Array.iter (fun row -> ignore (Relsql.Table.insert t (Array.copy row))) rows;
+            model := Array.append !model rows
+          in
+          (match w with
+           | Insert k -> insert (Array.init k (fun i -> Array.init 4 (merge_cell g ~slots:(n + i))))
+           | Jump ->
+             let row = Array.init 4 (merge_cell g ~slots:n) in
+             row.(0) <- Relsql.Value.Int ((2 * n) + 1);
+             insert [| row |]
+           | Delete r -> if n > 0 then Relsql.Table.delete_row t (r mod n)
+           | Set (r, c) ->
+             if n > 0 && Relsql.Table.is_live t (r mod n) then
+               set (r mod n) c (merge_cell g ~slots:n c)
+           | Flip r ->
+             if n > 0 && Relsql.Table.is_live t (r mod n) then
+               set (r mod n) 1
+                 (if r mod 2 = 0 then Relsql.Value.Lid 3 else Relsql.Value.Int (-1))
+           | Merge -> ());
+          w <> Merge || check_merged ())
+        writes
+      && check_merged ())
+
+(* ------------------------------------------------------------------ *)
 (* Table: merge rounds / postings                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -744,6 +962,8 @@ let suite =
     Alcotest.test_case "packed: zone filter soundness (incl. NaN)" `Quick
       test_zone_filter_sound;
     Alcotest.test_case "packed: equality prefilter" `Quick test_eq_prefilter;
+    QCheck_alcotest.to_alcotest eq_codes_vs_linear;
+    QCheck_alcotest.to_alcotest merge_vs_pack;
     Alcotest.test_case "table: RLE postings survive freeze" `Quick
       test_merge_postings_roundtrip;
     Alcotest.test_case "table: merge round invariants" `Quick
