@@ -1,14 +1,16 @@
 (** Physical plan interpreter over row batches.
 
     Each plan node materializes into a {!Batch.t}: an ordered column
-    layout plus one flat growable value vector. Execution is bottom-up
-    and fully materializing, but batch-at-a-time: operators blit rows
-    through reused scratch arrays instead of allocating a fresh array
-    per candidate row, hash joins key their build side once per input
-    batch, and selections run as a single in-place pass.
+    layout plus one flat growable vector of immediate cell codes
+    ({!Cell}). Execution is bottom-up and fully materializing, but
+    batch-at-a-time: operators read their inputs through row views in
+    place and write rows with int stores, hash joins key their build
+    side once per input batch, and selections run as a single in-place
+    pass. Values are built only for computed expressions; ids become
+    terms in the engine's result decoding alone.
 
     Two pieces are shared by the operators. A row reader is the one
-    place a row id becomes cells: packed codes below the table's main
+    place a row id becomes cells: packed fields below the table's main
     boundary, the boxed delta row above it. Scans (after their
     zone-map/SWAR block pass), index lookups and index nested-loop
     probes all read rows through it. A morsel driver runs a row range
@@ -123,22 +125,91 @@ let table_layout table alias : Expr_eval.layout =
   let schema = Table.schema table in
   Array.init (Schema.arity schema) (fun i -> (Some alias, Schema.column schema i))
 
-(* A hashable key for DISTINCT / multi-column hash joins. *)
+(* A self-contained key of several cells (multi-column hash joins,
+   GROUP BY, DISTINCT aggregate arguments): component [j] is an inline
+   code, or [Cell.boxed] with its value at [vals.(j)] ([vals] stays
+   empty while no component is boxed). The encoding is canonical, so
+   keys are equal exactly when their values are {!Value.equal}
+   componentwise. *)
 module Key = struct
-  type t = Value.t list
-  let equal a b = List.length a = List.length b && List.for_all2 Value.equal a b
-  let hash l = List.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 l
+  type t = { codes : int array; vals : Value.t array }
+
+  let equal a b =
+    let n = Array.length a.codes in
+    n = Array.length b.codes
+    &&
+    let rec go j =
+      j >= n
+      || a.codes.(j) = b.codes.(j)
+         && (a.codes.(j) <> Cell.boxed || Value.equal a.vals.(j) b.vals.(j))
+         && go (j + 1)
+    in
+    go 0
+
+  let hash k =
+    let h = ref 17 in
+    Array.iteri
+      (fun j c ->
+        h := (!h * 31) + if c = Cell.boxed then Value.hash k.vals.(j) else Cell.mix c)
+      k.codes;
+    !h
+
+  let has_null k = Array.exists (fun c -> c = Cell.null) k.codes
+
+  (* Component [j], decoded. *)
+  let value k j =
+    let c = k.codes.(j) in
+    if c = Cell.boxed then k.vals.(j) else Cell.inline_value c
+
+  let make n (get : int -> Value.t array ref -> int) =
+    let codes = Array.make n 0 and vals = ref [||] in
+    for j = 0 to n - 1 do
+      codes.(j) <- get j vals
+    done;
+    { codes; vals = !vals }
+
+  (* Component [j] of a key under construction holding [v]: its inline
+     code, or [boxed] with [v] recorded. *)
+  let put n (vals : Value.t array ref) j v =
+    let k = Cell.inline v in
+    if k <> Cell.boxed then k
+    else begin
+      if !vals == [||] then vals := Array.make n Value.Null;
+      !vals.(j) <- v;
+      Cell.boxed
+    end
+
+  (** The key of the operands on the row under view [r]. *)
+  let of_operands (ops : Expr_eval.operand array) (r : Expr_eval.row) =
+    let n = Array.length ops in
+    make n (fun j vals ->
+        match ops.(j) with
+        | Expr_eval.Code f ->
+          let x = f r in
+          if x < Cell.null then put n vals j (Cell.side_value r.Expr_eval.side x) else x
+        | Expr_eval.Value f -> put n vals j (f r))
+
+  (** The key of the first [n] cells of the row under view [r]. *)
+  let of_row n (r : Expr_eval.row) =
+    make n (fun j vals ->
+        let x = r.Expr_eval.cells.(r.Expr_eval.base + j) in
+        if x < Cell.null then put n vals j (Cell.side_value r.Expr_eval.side x) else x)
+
+  let of_value v = make 1 (fun j vals -> put 1 vals j v)
 end
 
 module KeyTbl = Hashtbl.Make (Key)
 
-(* Single-value keys (the common case for generated star-join SQL) skip
-   the list wrapper entirely. *)
-module VTbl = Hashtbl.Make (struct
-  type t = Value.t
-  let equal = Value.equal
-  let hash = Value.hash
-end)
+(* The code in context [dst] of an operand on the row under view [r]. *)
+let[@inline] operand_cell dst (o : Expr_eval.operand) (r : Expr_eval.row) =
+  match o with
+  | Expr_eval.Code f -> Cell.import dst r.Expr_eval.side (f r)
+  | Expr_eval.Value f -> Cell.encode dst (f r)
+
+(* One ORDER BY key per row: codes in the key's own side context. *)
+type sort_key = { keys : int array; kside : Cell.side; asc : bool }
+
+let sort_key n asc = { keys = Array.make n Cell.null; kside = Cell.side (); asc }
 
 (* Stable parallel sort of an index array: split into contiguous
    chunks, stable-sort each on the pool, then k-way merge preferring
@@ -173,55 +244,58 @@ let par_stable_sort ticker pool (stats : Opstats.t) cmp (arr : int array) =
       heads.(!best) <- heads.(!best) + 1
     done
 
+(* The positions of [idx] whose row of [b] is the first of its value
+   (DISTINCT / UNION): rows are hashed and compared in place, cell by
+   cell — no per-row key is built. *)
+let first_occurrences ticker b (idx : int array) =
+  let w = Batch.width b and side = Batch.side b in
+  let row_hash i =
+    let h = ref 17 in
+    for j = 0 to w - 1 do
+      h := (!h * 31) + Cell.hash side (Batch.cell b i j)
+    done;
+    !h
+  in
+  let rows_eq a c =
+    let rec go j =
+      j >= w || (Cell.equal side (Batch.cell b a j) side (Batch.cell b c j) && go (j + 1))
+    in
+    go 0
+  in
+  let n = Array.length idx in
+  let seen : (int, int list ref) Hashtbl.t = Hashtbl.create (max 16 n) in
+  let kept = Array.make n 0 in
+  let k = ref 0 in
+  Array.iter
+    (fun i ->
+      tick ticker;
+      let h = row_hash i in
+      let bucket =
+        match Hashtbl.find seen h with
+        | b -> b
+        | exception Not_found ->
+          let b = ref [] in
+          Hashtbl.add seen h b;
+          b
+      in
+      if not (List.exists (fun j -> rows_eq i j) !bucket) then begin
+        bucket := i :: !bucket;
+        kept.(!k) <- i;
+        incr k
+      end)
+    idx;
+  Array.sub kept 0 !k
+
 (** DISTINCT, ORDER BY (over precomputed per-row key columns), then
     OFFSET/LIMIT, applied to a computed output batch via an index
     permutation. *)
-let finalize ticker pool stats ~distinct
-    ~(sort_keys : (Value.t array * bool) list) ~limit ~offset (out : Batch.t)
-    : Batch.t =
+let finalize ticker pool stats ~distinct ~(sort_keys : sort_key list) ~limit ~offset
+    (out : Batch.t) : Batch.t =
   if (not distinct) && sort_keys = [] && limit = None && offset = None then out
   else begin
     let n = Batch.length out in
     let idx = ref (Array.init n (fun i -> i)) in
-    if distinct then begin
-      (* Dedupe by hashing rows in place — no per-row key allocation. *)
-      let w = Batch.width out in
-      let row_hash i =
-        let h = ref 17 in
-        for j = 0 to w - 1 do
-          h := (!h * 31) + Value.hash (Batch.get out i j)
-        done;
-        !h
-      in
-      let rows_eq a b =
-        let rec go j =
-          j >= w || (Value.equal (Batch.get out a j) (Batch.get out b j) && go (j + 1))
-        in
-        go 0
-      in
-      let seen : (int, int list ref) Hashtbl.t = Hashtbl.create (max 16 n) in
-      let kept = Array.make n 0 in
-      let k = ref 0 in
-      Array.iter
-        (fun i ->
-          tick ticker;
-          let h = row_hash i in
-          let bucket =
-            match Hashtbl.find seen h with
-            | b -> b
-            | exception Not_found ->
-              let b = ref [] in
-              Hashtbl.add seen h b;
-              b
-          in
-          if not (List.exists (fun j -> rows_eq i j) !bucket) then begin
-            bucket := i :: !bucket;
-            kept.(!k) <- i;
-            incr k
-          end)
-        !idx;
-      idx := Array.sub kept 0 !k
-    end;
+    if distinct then idx := first_occurrences ticker out !idx;
     (match sort_keys with
      | [] -> ()
      | ks ->
@@ -229,9 +303,9 @@ let finalize ticker pool stats ~distinct
          (fun a b ->
            let rec cmp = function
              | [] -> 0
-             | ((col : Value.t array), asc) :: rest ->
-               let c = Value.compare col.(a) col.(b) in
-               if c <> 0 then if asc then c else -c else cmp rest
+             | k :: rest ->
+               let c = Cell.compare k.kside k.keys.(a) k.kside k.keys.(b) in
+               if c <> 0 then if k.asc then c else -c else cmp rest
            in
            cmp ks)
          !idx);
@@ -274,44 +348,48 @@ type ctx = {
 (* ------------------------------------------------------------------ *)
 
 (** The one place a row id becomes cells. Rids below the table's
-    packed-main boundary decode from the packed image — only the
-    [needed] columns, into a per-cursor scratch — and rids at or above
-    it are the boxed delta rows themselves. A filter that compiles to a
-    code predicate is tested on raw packed fields, so a rejected main
-    row decodes nothing; the decoded predicate serves the delta, and
-    the main when no code predicate took the filter over. A reader is
-    immutable and shared by parallel morsels; each morsel reads through
-    its own {!cursor}. *)
+    packed-main boundary read their cells straight from the packed
+    fields — only the [needed] columns, into a per-cursor scratch — and
+    rids at or above it are boxed delta rows: the filter reads one
+    through a boxed view (each cell encoded as it is read, so a
+    rejected row encodes about what the old value predicate read), and
+    a kept row encodes its projected cells. A filter that compiles to
+    a code predicate is tested on raw packed fields, so a rejected main
+    row reads nothing; the compiled cell predicate serves the delta,
+    and the main when no code predicate took the filter over. A reader
+    is immutable and shared by parallel morsels; each morsel reads
+    through its own {!cursor}. *)
 type reader = {
   table : Table.t;
   pk : Packed.t;
   mbase : int;  (* slots below this live in the packed main *)
   layout : Expr_eval.layout;  (* the full table row's *)
   code : (int -> bool) option;  (* the filter over packed codes *)
-  keep : Value.t array -> bool;  (* the filter over decoded rows *)
-  needed : int array;  (* columns a main row decodes *)
+  keep : Expr_eval.row -> bool;  (* the filter over a read row *)
+  needed : int array;  (* columns a main row reads *)
+  projected : int array;  (* the projection's columns, or all *)
   sel : int array option;  (* projected positions; [None] = all *)
   out_layout : Expr_eval.layout;  (* the projected row's *)
 }
 
 type cursor = {
   rd : reader;
-  scratch : Value.t array;
-      (* positions outside [needed] stay stale; nothing reads them *)
-  mutable unpacked : int;  (* main rows decoded *)
+  cells : int array;
+      (* the row read last; positions outside [needed]/[projected] stay
+         stale, nothing reads them *)
+  side : Cell.side;  (* its side values *)
+  view : Expr_eval.row;  (* a view of [cells] *)
+  boxed : Expr_eval.row;  (* a view of a delta row, for the filter *)
+  mutable unpacked : int;  (* main rows read *)
   mutable delta : int;  (* delta rows read *)
 }
-
-(* What {!read} answers for a row the filter rejects: an array no table
-   row or scratch can be. *)
-let rejected : Value.t array = [| Value.Null |]
 
 let accept_all _ = true
 
 (** A reader of [t] under [layout] that keeps the rows passing [filter]
     and projects them to [cols]. [~prefiltered:true] says the caller
     already applied [filter] to every main rid it reads (the scan's
-    block bitmaps), so those decode untested. Raises
+    block bitmaps), so those read untested. Raises
     [Expr_eval.Unknown_column] when [filter] reads a column outside
     [layout]. *)
 let make_reader ?(prefiltered = false) t layout filter cols =
@@ -338,59 +416,72 @@ let make_reader ?(prefiltered = false) t layout filter cols =
       let label j n = (fst layout.(sel.(j)), n) in
       (Some sel, Array.of_list (List.mapi label cs))
   in
-  let needed =
-    if mbase = 0 then [||]
-    else
-      match sel with
-      | None -> Array.init (Array.length layout) Fun.id
-      | Some sel ->
-        let refs =
-          match (filter, code) with
-          | Some e, None -> Expr_eval.referenced_cols layout e
-          | _ -> []
-        in
-        Array.of_list (List.sort_uniq Int.compare (Array.to_list sel @ refs))
+  let projected =
+    match sel with Some sel -> sel | None -> Array.init (Array.length layout) Fun.id
   in
-  { table = t; pk; mbase; layout; code; keep; needed; sel; out_layout }
+  let needed =
+    match filter with
+    | _ when mbase = 0 -> [||]
+    | Some e when code = None ->
+      (* The main runs the filter on read cells too. *)
+      let refs = List.map (Expr_eval.resolve layout) (Expr_eval.column_refs e) in
+      Array.append projected
+        (Array.of_list
+           (List.filter (fun p -> not (Array.exists (Int.equal p) projected)) refs))
+    | _ -> projected
+  in
+  { table = t; pk; mbase; layout; code; keep; needed; projected; sel; out_layout }
 
 let cursor rd =
-  let scratch =
-    if rd.mbase = 0 then [||]
-    else Array.make (Array.length rd.layout) Value.Null
-  in
-  { rd; scratch; unpacked = 0; delta = 0 }
+  (* Only as wide as the last column a row read writes. *)
+  let top w ps = Array.fold_left (fun w p -> max w (p + 1)) w ps in
+  let cells = Array.make (top (top 0 rd.needed) rd.projected) Cell.null in
+  let side = Cell.side () in
+  { rd; cells; side;
+    view = { Expr_eval.cells; base = 0; side; values = [||] };
+    boxed = { Expr_eval.cells; base = 0; side; values = [||] };
+    unpacked = 0; delta = 0 }
 
-(** The full row at [rid], or {!rejected}. A main row is the cursor's
-    scratch, a delta row the table's own array: callers copy out what
-    they keep before the next read and never write to it. *)
+(** Read the row at [rid] into the cursor; [false] when the filter
+    rejects it. The cells stay valid until the next read: callers copy
+    out what they keep. *)
 let[@inline] read c rid =
   let rd = c.rd in
+  Cell.clear c.side;
   if rid >= rd.mbase then begin
     c.delta <- c.delta + 1;
     let row = Table.get rd.table rid in
-    if rd.keep row then row else rejected
+    c.boxed.Expr_eval.values <- row;
+    rd.keep c.boxed
+    && begin
+      let ps = rd.projected in
+      for i = 0 to Array.length ps - 1 do
+        let p = ps.(i) in
+        c.cells.(p) <- Cell.encode c.side row.(p)
+      done;
+      true
+    end
   end
   else
     match rd.code with
     | Some cp ->
-      if cp rid then begin
+      cp rid
+      && begin
         c.unpacked <- c.unpacked + 1;
-        Packed.read_cols rd.pk rid rd.needed c.scratch;
-        c.scratch
+        Packed.read_cols rd.pk rid rd.needed c.cells c.side;
+        true
       end
-      else rejected
     | None ->
       c.unpacked <- c.unpacked + 1;
-      Packed.read_cols rd.pk rid rd.needed c.scratch;
-      if rd.keep c.scratch then c.scratch else rejected
+      Packed.read_cols rd.pk rid rd.needed c.cells c.side;
+      rd.keep c.view
 
 (** {!read} [rid] and append the projected row to [out] unless rejected. *)
 let[@inline] read_into c out rid =
-  let row = read c rid in
-  if row != rejected then
+  if read c rid then
     match c.rd.sel with
-    | None -> Batch.push_row out row
-    | Some sel -> Batch.push_sel out row sel
+    | None -> Batch.push_cells out c.cells c.side
+    | Some sel -> Batch.push_sel out c.cells c.side sel
 
 (* ------------------------------------------------------------------ *)
 (* Morsel driver                                                       *)
@@ -417,10 +508,7 @@ let drive ctx (stats : Opstats.t) ?align ~n layout body =
   let out, ops =
     match morsels_for ?align ctx.pool n with
     | None ->
-      (* Capped: a selective operator over a wide table (DPH is ~50
-         columns) would otherwise pre-allocate the full footprint for a
-         handful of surviving rows. *)
-      let out = Batch.create ~capacity:(min 1024 n) layout in
+      let out = Batch.create ~upto:n layout in
       (out, body stats out 0 n)
     | Some (m, msize) ->
       let parts = Array.make m (Batch.create ~capacity:1 layout) in
@@ -429,7 +517,7 @@ let drive ctx (stats : Opstats.t) ?align ~n layout body =
       par_section stats ctx.pool ~morsels:m (fun ~worker:_ i ->
           check_deadline ctx.ticker;
           let lo = i * msize and hi = min n ((i + 1) * msize) in
-          let out = Batch.create ~capacity:(min 1024 (hi - lo)) layout in
+          let out = Batch.create ~upto:(hi - lo) layout in
           ops.(i) <- body counts.(i) out lo hi;
           parts.(i) <- out);
       Array.iter (add_counts stats) counts;
@@ -465,18 +553,12 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        in
        stats.Opstats.rows_in <- Batch.length src;
        tick_bulk ticker (Batch.length src);
-       (* The stashed batch is shared by every reader of the CTE: a
-          filter retains in a private copy; a projection alone builds
-          its fresh batch straight from it. *)
-       let rows =
-         match filter with
-         | Some e ->
-           let b = Batch.copy src in
-           Batch.retain b (Expr_eval.compile_pred layout e);
-           b
-         | None when cols = None -> Batch.copy src
-         | None -> src
-       in
+       (* The stashed batch is shared by every reader of the CTE: each
+          reads it through a holder of its own, which copies before
+          any write; a projection builds its fresh batch straight from
+          it. *)
+       let rows = Batch.share src in
+       Option.iter (fun e -> Batch.retain rows (Expr_eval.compile_pred layout e)) filter;
        (match cols with
         | None -> Batch.with_layout rows layout
         | Some cs ->
@@ -519,7 +601,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
           evaluator (one SWAR word scan per filter leaf per block,
           bitmaps combined bitwise) or an extracted [col = const]
           conjunct (word-at-a-time) picks the candidate rows; the
-          reader then tests and decodes each one. *)
+          reader then tests and reads each one. *)
        let pk = Table.packed_view t and mbase = Table.main_slots t in
        let bpred, zone_ok, pre =
          match filter with
@@ -597,10 +679,12 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     let c = cursor rd in
     let out = Batch.create rd.out_layout in
     let probe = Table.prober t (Schema.position_exn (Table.schema t) col) in
+    let kside = Cell.side () in
     List.iter
       (fun key ->
         stats.Opstats.index_probes <- stats.Opstats.index_probes + 1;
-        probe key (fun rid ->
+        Cell.clear kside;
+        probe kside (Cell.encode kside key) (fun rid ->
             tick ticker;
             stats.Opstats.rows_in <- stats.Opstats.rows_in + 1;
             read_into c out rid))
@@ -630,7 +714,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        residual reference). A residual over the inner table alone goes
        to the reader, which tests each candidate before anything is
        copied — a failing candidate (the common case for pred-selective
-       probes) costs no blit. One that also reads outer columns does
+       probes) costs no copy. One that also reads outer columns does
        not compile against the table layout and is checked on the
        joined row instead. *)
     let rd, cross =
@@ -641,18 +725,24 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     in
     let layout = Array.append (Batch.layout o) rd.out_layout in
     let pos = Schema.position_exn (Table.schema t) col in
-    let ow = Batch.width o and iw = Array.length rd.out_layout in
-    let no = Batch.length o in
+    let iw = Array.length rd.out_layout in
+    let no = Batch.length o and oside = Batch.side o in
+    (* Append the joined row of outer row [i] and the row [c] read. *)
+    let push_match out c i =
+      match rd.sel with
+      | None -> Batch.push_join out ~src:o i c.cells c.side iw
+      | Some sel -> Batch.push_join_sel out ~src:o i c.cells c.side sel
+    in
     (match cross, key with
      | None, Col (q, n) ->
        (* Fused path (the shape of all generated star-join SQL): plain
           column key and no cross-side residual. Probe straight off the
-          outer batch and blit each match directly into the output — no
-          intermediate scratch row. Postings iterate in insertion order,
-          so morsels reproduce the sequential output. [Table.prober]
-          compacts postings as it validates them; a pool of several
-          domains may probe concurrently, so it gets the read-only
-          prober. *)
+          outer batch's key cell and write each match directly into the
+          output — no intermediate scratch row. Postings iterate in
+          insertion order, so morsels reproduce the sequential output.
+          [Table.prober] compacts postings as it validates them; a pool
+          of several domains may probe concurrently, so it gets the
+          read-only prober. *)
        let ko = Expr_eval.resolve (Batch.layout o) (q, n) in
        let probe =
          if Dpool.size ctx.pool > 1 then Table.prober_ro t pos
@@ -660,78 +750,63 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        in
        drive ctx stats ~n:no layout (fun st out lo hi ->
            let c = cursor rd in
-           let push =
-             match rd.sel with
-             | None -> fun i irow -> Batch.push_join out ~src:o i irow iw
-             | Some sel ->
-               fun i irow -> Batch.push_join_sel out ~src:o i irow sel
-           in
            let cur = ref 0 and matched = ref false and rids = ref 0 in
            let on_rid rid =
              incr rids;
              if !rids land 8191 = 0 then check_deadline ticker;
-             let irow = read c rid in
-             if irow != rejected then begin
+             if read c rid then begin
                matched := true;
-               push !cur irow
+               push_match out c !cur
              end
            in
            for i = lo to hi - 1 do
              if i land 8191 = 0 then check_deadline ticker;
              cur := i;
              matched := false;
-             let k = Batch.get o i ko in
-             if not (Value.is_null k) then begin
+             let k = Batch.cell o i ko in
+             if k <> Cell.null then begin
                st.Opstats.index_probes <- st.Opstats.index_probes + 1;
-               probe k on_rid
+               probe oside k on_rid
              end;
              if (not !matched) && kind = Left_outer then
                Batch.push_padded out ~src:o i
            done;
            !rids)
      | _ ->
-       let out = Batch.create ~capacity:(min 1024 no) layout in
+       let out = Batch.create ~upto:no layout in
        (* One probe callback for the whole batch — allocating it (and
           the [matched] flag) per outer row showed up in join-heavy
-          profiles. *)
+          profiles. A cross residual is tested on the row once it is
+          written, which is popped again when it fails. *)
        let probe = Table.prober t pos in
-       let matched = ref false in
-       let key_fn = Expr_eval.compile (Batch.layout o) key in
-       let keep =
-         match cross with
-         | Some e -> Expr_eval.compile_pred layout e
-         | None -> accept_all
-       in
-       let scratch = Array.make (ow + iw) Value.Null in
+       let matched = ref false and cur = ref 0 in
+       let key_of = Expr_eval.operand (Batch.layout o) key in
+       let keep = Option.map (Expr_eval.compile_pred layout) cross in
        let c = cursor rd in
+       let ov = Batch.view o and jv = Batch.view out and kside = Cell.side () in
        let on_rid rid =
          tick ticker;
-         let irow = read c rid in
-         if irow != rejected then begin
-           (match rd.sel with
-            | None -> Array.blit irow 0 scratch ow iw
-            | Some sel ->
-              for j = 0 to iw - 1 do
-                scratch.(ow + j) <- irow.(sel.(j))
-              done);
-           if keep scratch then begin
-             matched := true;
-             Batch.push_row out scratch
-           end
+         if read c rid then begin
+           let m = Batch.mark out in
+           push_match out c !cur;
+           match keep with
+           | None -> matched := true
+           | Some keep ->
+             Batch.point jv out (Batch.length out - 1);
+             if keep jv then matched := true else Batch.pop out m
          end
        in
        for i = 0 to no - 1 do
-         Batch.blit_row o i scratch 0;
-         let k = key_fn scratch in
+         Batch.point ov o i;
+         cur := i;
          matched := false;
-         if not (Value.is_null k) then begin
+         Cell.clear kside;
+         let k = operand_cell kside key_of ov in
+         if k <> Cell.null then begin
            stats.Opstats.index_probes <- stats.Opstats.index_probes + 1;
-           probe k on_rid
+           probe kside k on_rid
          end;
-         if (not !matched) && kind = Left_outer then begin
-           Array.fill scratch ow iw Value.Null;
-           Batch.push_row out scratch
-         end
+         if (not !matched) && kind = Left_outer then Batch.push_padded out ~src:o i
        done;
        out)
   | Planner.Hash_join { left; right; left_keys; right_keys; kind; residual } ->
@@ -739,178 +814,161 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     let r = child right in
     let llay = Batch.layout l and rlay = Batch.layout r in
     let layout = Array.append llay rlay in
-    let keep =
-      match residual with
-      | Some e -> Expr_eval.compile_pred layout e
-      | None -> fun _ -> true
-    in
-    let lw = Batch.width l and rw = Batch.width r in
+    let keep = Option.map (Expr_eval.compile_pred layout) residual in
     let nr = Batch.length r in
-    let rscratch = Array.make rw Value.Null in
-    (* Build once over the right batch; [probe row f] calls [f] on the
-       matching build row indices in build order. The sequential builds'
-       backward loops make the cons-lists come out forward; the
-       partitioned build appends ascending per partition — either way
-       matches replay in global build order, so every build strategy
-       emits bit-identical output. *)
-    (* A build key that is a plain column reads straight out of the
-       right batch — no full-row blit just to extract one cell (DPH/RPH
-       rows are wide, so the blit dominated single-key builds). *)
-    let direct_rk =
-      match right_keys with
-      | [ Col (q, n) ] -> (
-        match Expr_eval.resolve rlay (q, n) with
-        | kc -> Some kc
-        | exception Expr_eval.Unknown_column _ -> None)
-      | _ -> None
-    in
-    let probe : Value.t array -> (int -> unit) -> unit =
+    let rside = Batch.side r in
+    (* Build once over the right batch; [probe view f] calls [f] on the
+       matching build row indices in build order. Single keys go to a
+       {!Table.Join_hash} (one partition inline, radix partitions on
+       the pool), added in ascending build order; multi-column keys to
+       a {!Key} table whose cons-lists the backward loop makes come out
+       forward. Either way matches replay in global build order, so
+       every build strategy emits bit-identical output. *)
+    let probe : Expr_eval.row -> (int -> unit) -> unit =
       match
-        ( List.map (Expr_eval.compile llay) left_keys,
-          List.map (Expr_eval.compile rlay) right_keys )
+        ( List.map (Expr_eval.operand llay) left_keys,
+          List.map (Expr_eval.operand rlay) right_keys )
       with
-      | [ lf ], [ rf ] when ctx.join_parts > 1 && nr >= !par_min_rows ->
-        (* Radix-partitioned parallel build (Balkesen et al., ICDE
-           2013, morselized): extract keys, two-phase histogram/scatter
-           them into hash partitions, then build disjoint per-partition
-           sub-tables — one morsel per partition, so no two workers
-           ever touch the same hash table and the "merge" is just the
-           sub-table array. [Dpool.partition] keeps each partition's
-           rows in ascending build order regardless of how workers
-           claimed morsels; probes route by the same hash the scatter
-           used and replay matches in that order. *)
-        let bt0 = Unix.gettimeofday () in
-        let keys = Array.make nr Value.Null in
-        let kw =
-          Dpool.run_ranges ctx.pool ~n:nr (fun ~worker:_ ~lo ~hi ->
-              check_deadline ticker;
-              match direct_rk with
-              | Some kc ->
-                for i = lo to hi - 1 do
-                  keys.(i) <- Batch.get r i kc
-                done
-              | None ->
-                let scratch = Array.make rw Value.Null in
-                for i = lo to hi - 1 do
-                  Batch.blit_row r i scratch 0;
-                  keys.(i) <- rf scratch
-                done)
+      | [ lop ], [ rop ] ->
+        (* Probing only reads: a cell key in the left batch's context,
+           a computed key by its value — so parallel morsels share the
+           closure. *)
+        let probe_key jh (v : Expr_eval.row) f =
+          match lop with
+          | Expr_eval.Code g ->
+            let k = g v in
+            if k <> Cell.null then Table.Join_hash.iter_matches jh v.Expr_eval.side k f
+          | Expr_eval.Value g ->
+            let k = g v in
+            if k <> Value.Null then Table.Join_hash.iter_matches_value jh k f
         in
-        let jh = Table.Join_hash.create ~parts:ctx.join_parts in
-        let starts, perm =
-          Dpool.partition ctx.pool ~n:nr ~parts:ctx.join_parts
-            ~part_of:(fun i ->
-              let k = keys.(i) in
-              if Value.is_null k then -1 else Table.Join_hash.part_of jh k)
-        in
-        let bw =
-          Dpool.run ctx.pool ~morsels:ctx.join_parts (fun ~worker:_ p ->
-              check_deadline ticker;
-              for s = starts.(p) to starts.(p + 1) - 1 do
-                let i = perm.(s) in
-                Table.Join_hash.add jh p keys.(i) i
-              done)
-        in
-        tick_bulk ticker nr;
-        stats.Opstats.build_rows <-
-          stats.Opstats.build_rows + starts.(ctx.join_parts);
-        stats.Opstats.partitions <- ctx.join_parts;
-        stats.Opstats.build_workers <- max kw bw;
-        stats.Opstats.build_ms <- (Unix.gettimeofday () -. bt0) *. 1000.0;
-        fun row f ->
-          let k = lf row in
-          if not (Value.is_null k) then Table.Join_hash.iter_matches jh k f
-      | [ lf ], [ rf ] ->
-        let tbl = VTbl.create (max 16 nr) in
-        for i = nr - 1 downto 0 do
-          tick ticker;
-          let k =
-            match direct_rk with
-            | Some kc -> Batch.get r i kc
-            | None ->
-              Batch.blit_row r i rscratch 0;
-              rf rscratch
-          in
-          if not (Value.is_null k) then begin
-            stats.Opstats.build_rows <- stats.Opstats.build_rows + 1;
-            VTbl.replace tbl k
-              (i :: (try VTbl.find tbl k with Not_found -> []))
-          end
-        done;
-        fun row f ->
-          let k = lf row in
-          if not (Value.is_null k) then
-            List.iter f (try VTbl.find tbl k with Not_found -> [])
-      | lfs, rfs ->
+        (match rop with
+         | Expr_eval.Code rf when ctx.join_parts > 1 && nr >= !par_min_rows ->
+           (* Radix-partitioned parallel build (Balkesen et al., ICDE
+              2013, morselized): extract key cells, two-phase
+              histogram/scatter them into hash partitions, then build
+              disjoint per-partition sub-tables — one morsel per
+              partition, so no two workers ever touch the same hash
+              table and the "merge" is just the sub-table array.
+              [Dpool.partition] keeps each partition's rows in
+              ascending build order regardless of how workers claimed
+              morsels; probes route by the same hash the scatter used
+              and replay matches in that order. The key cells read the
+              right batch's context, which no worker writes. *)
+           let bt0 = Unix.gettimeofday () in
+           let keys = Array.make nr Cell.null in
+           let kw =
+             Dpool.run_ranges ctx.pool ~n:nr (fun ~worker:_ ~lo ~hi ->
+                 check_deadline ticker;
+                 let v = Batch.view r in
+                 for i = lo to hi - 1 do
+                   Batch.point v r i;
+                   keys.(i) <- rf v
+                 done)
+           in
+           let jh = Table.Join_hash.create ~parts:ctx.join_parts in
+           let starts, perm =
+             Dpool.partition ctx.pool ~n:nr ~parts:ctx.join_parts
+               ~part_of:(fun i ->
+                 let k = keys.(i) in
+                 if k = Cell.null then -1 else Table.Join_hash.part_of jh rside k)
+           in
+           let bw =
+             Dpool.run ctx.pool ~morsels:ctx.join_parts (fun ~worker:_ p ->
+                 check_deadline ticker;
+                 for s = starts.(p) to starts.(p + 1) - 1 do
+                   let i = perm.(s) in
+                   Table.Join_hash.add jh p rside keys.(i) i
+                 done)
+           in
+           tick_bulk ticker nr;
+           stats.Opstats.build_rows <-
+             stats.Opstats.build_rows + starts.(ctx.join_parts);
+           stats.Opstats.partitions <- ctx.join_parts;
+           stats.Opstats.build_workers <- max kw bw;
+           stats.Opstats.build_ms <- (Unix.gettimeofday () -. bt0) *. 1000.0;
+           probe_key jh
+         | _ ->
+           let jh = Table.Join_hash.create ~parts:1 in
+           let v = Batch.view r and bside = Cell.side () in
+           for i = 0 to nr - 1 do
+             tick ticker;
+             Batch.point v r i;
+             Cell.clear bside;
+             let k = operand_cell bside rop v in
+             if k <> Cell.null then begin
+               stats.Opstats.build_rows <- stats.Opstats.build_rows + 1;
+               Table.Join_hash.add jh 0 bside k i
+             end
+           done;
+           probe_key jh)
+      | lops, rops ->
+        let lops = Array.of_list lops and rops = Array.of_list rops in
         let tbl = KeyTbl.create (max 16 nr) in
+        let v = Batch.view r in
         for i = nr - 1 downto 0 do
           tick ticker;
-          Batch.blit_row r i rscratch 0;
-          let k = List.map (fun f -> f rscratch) rfs in
-          if not (List.exists Value.is_null k) then begin
+          Batch.point v r i;
+          let k = Key.of_operands rops v in
+          if not (Key.has_null k) then begin
             stats.Opstats.build_rows <- stats.Opstats.build_rows + 1;
             KeyTbl.replace tbl k
               (i :: (try KeyTbl.find tbl k with Not_found -> []))
           end
         done;
-        fun row f ->
-          let k = List.map (fun f -> f row) lfs in
-          if not (List.exists Value.is_null k) then
+        fun v f ->
+          let k = Key.of_operands lops v in
+          if not (Key.has_null k) then
             List.iter f (try KeyTbl.find tbl k with Not_found -> [])
     in
-    let probe_range out scratch lo hi =
-      let matched = ref false in
-      let emit j =
-        Batch.blit_row r j scratch lw;
-        if keep scratch then begin
-          matched := true;
-          Batch.push_row out scratch
-        end
-      in
-      for i = lo to hi - 1 do
-        if i land 8191 = 0 then check_deadline ticker;
-        Batch.blit_row l i scratch 0;
-        matched := false;
-        probe scratch emit;
-        if (not !matched) && kind = Left_outer then begin
-          Array.fill scratch lw rw Value.Null;
-          Batch.push_row out scratch
-        end
-      done
-    in
     (* The build table is frozen before the probe starts; morsels only
-       read it, each with private scratch. *)
+       read it, each with a private view. A residual is tested on the
+       joined row once it is written, which is popped again when it
+       fails. *)
     drive ctx stats ~n:(Batch.length l) layout (fun _ out lo hi ->
-        probe_range out (Array.make (lw + rw) Value.Null) lo hi;
+        let lv = Batch.view l and jv = Batch.view out in
+        let matched = ref false and cur = ref 0 in
+        let emit j =
+          match keep with
+          | None ->
+            matched := true;
+            Batch.push_pair out ~left:l !cur ~right:r j
+          | Some keep ->
+            let m = Batch.mark out in
+            Batch.push_pair out ~left:l !cur ~right:r j;
+            Batch.point jv out (Batch.length out - 1);
+            if keep jv then matched := true else Batch.pop out m
+        in
+        for i = lo to hi - 1 do
+          if i land 8191 = 0 then check_deadline ticker;
+          Batch.point lv l i;
+          cur := i;
+          matched := false;
+          probe lv emit;
+          if (not !matched) && kind = Left_outer then Batch.push_padded out ~src:l i
+        done;
         hi - lo)
   | Planner.Nl_join { left; right; kind; cond } ->
     let l = child left in
     let r = child right in
     let layout = Array.append (Batch.layout l) (Batch.layout r) in
-    let keep =
-      match cond with
-      | Some e -> Expr_eval.compile_pred layout e
-      | None -> fun _ -> true
-    in
-    let lw = Batch.width l and rw = Batch.width r in
-    let scratch = Array.make (lw + rw) Value.Null in
-    let out = Batch.create ~capacity:(min 1024 (Batch.length l)) layout in
+    let keep = Option.map (Expr_eval.compile_pred layout) cond in
+    let out = Batch.create ~upto:(Batch.length l) layout in
+    let jv = Batch.view out in
     let matched = ref false in
     for i = 0 to Batch.length l - 1 do
-      Batch.blit_row l i scratch 0;
       matched := false;
       for j = 0 to Batch.length r - 1 do
         tick ticker;
-        Batch.blit_row r j scratch lw;
-        if keep scratch then begin
-          matched := true;
-          Batch.push_row out scratch
-        end
+        let m = Batch.mark out in
+        Batch.push_pair out ~left:l i ~right:r j;
+        match keep with
+        | None -> matched := true
+        | Some keep ->
+          Batch.point jv out (Batch.length out - 1);
+          if keep jv then matched := true else Batch.pop out m
       done;
-      if (not !matched) && kind = Left_outer then begin
-        Array.fill scratch lw rw Value.Null;
-        Batch.push_row out scratch
-      end
+      if (not !matched) && kind = Left_outer then Batch.push_padded out ~src:l i
     done;
     out
   | Planner.Values_join { outer; rows; alias; cols } ->
@@ -919,18 +977,23 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     let layout = Array.append (Batch.layout o) vals_layout in
     (* Row expressions may reference outer columns (lateral). *)
     let compiled =
-      List.map (fun exprs -> List.map (Expr_eval.compile (Batch.layout o)) exprs) rows
+      List.map
+        (fun exprs -> Array.of_list (List.map (Expr_eval.operand (Batch.layout o)) exprs))
+        rows
     in
-    let ow = Batch.width o and vw = Array.length vals_layout in
-    let scratch = Array.make (ow + vw) Value.Null in
-    let out = Batch.create ~capacity:(min 1024 (Batch.length o)) layout in
+    let ow = Batch.width o in
+    let out = Batch.create ~upto:(Batch.length o) layout in
+    let oside = Batch.side out and ov = Batch.view o in
     for i = 0 to Batch.length o - 1 do
-      Batch.blit_row o i scratch 0;
+      Batch.point ov o i;
       List.iter
-        (fun fns ->
+        (fun ops ->
           tick ticker;
-          List.iteri (fun j f -> scratch.(ow + j) <- f scratch) fns;
-          Batch.push_row out scratch)
+          Batch.push_padded out ~src:o i;
+          let oi = Batch.length out - 1 in
+          for j = 0 to Array.length ops - 1 do
+            Batch.set_cell out oi (ow + j) (operand_cell oside ops.(j) ov)
+          done)
         compiled
     done;
     out
@@ -951,7 +1014,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     let b = child input in
     let in_layout = Batch.layout b in
     (* All-column projections (the shape star-join SQL generates) skip
-       per-row closure dispatch: resolve each column once and blit. *)
+       per-row closure dispatch: resolve each column once and copy. *)
     let plain_cols =
       if order_by <> [] then None
       else
@@ -974,8 +1037,8 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        let out = Batch.project b out_layout cols in
        finalize ticker ctx.pool stats ~distinct ~sort_keys:[] ~limit ~offset out
      | None ->
-    let fns =
-      Array.of_list (List.map (fun (e, _) -> Expr_eval.compile in_layout e) items)
+    let ops =
+      Array.of_list (List.map (fun (e, _) -> Expr_eval.operand in_layout e) items)
     in
     let out_layout =
       Array.of_list (List.map (fun (_, name) -> (None, name)) items)
@@ -988,33 +1051,39 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     let sort_srcs =
       List.map
         (fun { sort_expr; asc } ->
-          match Expr_eval.compile in_layout sort_expr with
-          | f -> (`In f, asc)
+          match Expr_eval.operand in_layout sort_expr with
+          | f -> (`In f, sort_key n asc)
           | exception Expr_eval.Unknown_column _ ->
-            (`Out (Expr_eval.compile out_layout sort_expr), asc))
+            (`Out (Expr_eval.operand out_layout sort_expr), sort_key n asc))
         order_by
     in
-    let sort_keys =
-      List.map (fun (_, asc) -> (Array.make n Value.Null, asc)) sort_srcs
-    in
-    let scratch = Array.make (Batch.width b) Value.Null in
-    let orow = Array.make (Array.length fns) Value.Null in
     let out = Batch.create ~capacity:n out_layout in
+    let oside = Batch.side out in
+    let iv = Batch.view b and ov = Batch.view out in
     for i = 0 to n - 1 do
       tick ticker;
-      Batch.blit_row b i scratch 0;
-      Array.iteri (fun j f -> orow.(j) <- f scratch) fns;
-      Batch.push_row out orow;
-      List.iter2
-        (fun (src, _) ((col : Value.t array), _) ->
-          col.(i) <- (match src with `In f -> f scratch | `Out f -> f orow))
-        sort_srcs sort_keys
+      Batch.point iv b i;
+      let oi = Batch.add_row out in
+      for j = 0 to Array.length ops - 1 do
+        Batch.set_cell out oi j (operand_cell oside ops.(j) iv)
+      done;
+      List.iter
+        (fun (src, k) ->
+          k.keys.(i) <-
+            (match src with
+             | `In f -> operand_cell k.kside f iv
+             | `Out f ->
+               Batch.point ov out oi;
+               operand_cell k.kside f ov))
+        sort_srcs
     done;
-    finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out)
+    finalize ticker ctx.pool stats ~distinct ~sort_keys:(List.map snd sort_srcs) ~limit
+      ~offset out)
   | Planner.Aggregate { input; keys; items; distinct; order_by; limit; offset } ->
     let b = child input in
     let in_layout = Batch.layout b in
-    let key_fns = List.map (Expr_eval.compile in_layout) keys in
+    let w = Batch.width b in
+    let key_ops = Array.of_list (List.map (Expr_eval.operand in_layout) keys) in
     (* One accumulator per output item. *)
     let module Acc = struct
       type t = {
@@ -1073,8 +1142,8 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
       | None -> acc.Acc.maximum <- Some v
       | Some m -> if value_lt m v then acc.Acc.maximum <- Some v
     in
-    let arg_value arg scratch =
-      match arg with None -> Value.Bool true | Some f -> f scratch
+    let arg_value arg row =
+      match arg with None -> Value.Bool true | Some f -> f row
     in
     (* count-star counts every row; with an argument NULLs don't count *)
     let counted arg v =
@@ -1082,8 +1151,8 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     in
     (* Arg-less COUNT DISTINCT is distinct over whole input rows, not
        over the constant the arg-less case evaluates to. *)
-    let distinct_key arg v scratch =
-      match arg with Some _ -> [ v ] | None -> Array.to_list scratch
+    let distinct_key arg v row =
+      match arg with Some _ -> Key.of_value v | None -> Key.of_row w row
     in
     let n = Batch.length b in
     let out_layout =
@@ -1092,13 +1161,16 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
            (function `Plain (_, n) -> (None, n) | `Agg (_, _, _, n) -> (None, n))
            compiled_items)
     in
-    let emit_group (first_row, accs) =
+    (* A group's output row; [first] is the index of its first input
+       row, -1 for the empty group of an aggregate without GROUP BY. *)
+    let gv = Batch.view b in
+    let emit_group (first, accs) =
+      if first >= 0 then Batch.point gv b first;
       let ai = ref 0 in
       Array.of_list
         (List.map
            (function
-             | `Plain (f, _) ->
-               if Array.length first_row = 0 then Value.Null else f first_row
+             | `Plain (f, _) -> if first < 0 then Value.Null else f gv
              | `Agg (fn, _, _, _) ->
                let acc = accs.(!ai) in
                incr ai;
@@ -1118,19 +1190,17 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
     let out =
       match morsels_for ctx.pool n with
       | None ->
-        let groups : (Value.t array * Acc.t array) KeyTbl.t =
-          KeyTbl.create 64
-        in
+        let groups : (int * Acc.t array) KeyTbl.t = KeyTbl.create 64 in
         let order = ref [] in
-        let scratch = Array.make (Batch.width b) Value.Null in
+        let v = Batch.view b in
         for i = 0 to n - 1 do
           tick ticker;
-          Batch.blit_row b i scratch 0;
-          let key = List.map (fun f -> f scratch) key_fns in
+          Batch.point v b i;
+          let key = Key.of_operands key_ops v in
           let _, accs =
             try KeyTbl.find groups key
             with Not_found ->
-              let entry = (Array.copy scratch, fresh_accs ()) in
+              let entry = (i, fresh_accs ()) in
               KeyTbl.add groups key entry;
               order := key :: !order;
               entry
@@ -1142,27 +1212,28 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
               | `Agg (_, arg, _, _) ->
                 let acc = accs.(!ai) in
                 incr ai;
-                let v = arg_value arg scratch in
-                if counted arg v then begin
+                let x = arg_value arg v in
+                if counted arg x then begin
                   let fresh =
                     match acc.Acc.seen with
                     | None -> true
                     | Some seen ->
-                      let dk = distinct_key arg v scratch in
+                      let dk = distinct_key arg x v in
                       if KeyTbl.mem seen dk then false
                       else begin
                         KeyTbl.add seen dk i;
                         true
                       end
                   in
-                  if fresh then acc_apply acc v
+                  if fresh then acc_apply acc x
                 end)
             compiled_items
         done;
         (* SQL: no GROUP BY and no rows still yields one (empty) group. *)
+        let nokey = Key.of_operands [||] v in
         if keys = [] && KeyTbl.length groups = 0 then begin
-          KeyTbl.add groups [] ([||], fresh_accs ());
-          order := [ [] ]
+          KeyTbl.add groups nokey (-1, fresh_accs ());
+          order := [ nokey ]
         end;
         let out = Batch.create ~capacity:(KeyTbl.length groups) out_layout in
         List.iter
@@ -1178,7 +1249,6 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
         let module G = struct
           type t = {
             mutable fidx : int;  (* least global row index in the group *)
-            mutable frow : Value.t array;  (* copy of that row *)
             accs : Acc.t array;
           }
         end in
@@ -1188,26 +1258,20 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
         par_section stats ctx.pool ~morsels:m (fun ~worker mi ->
             check_deadline ticker;
             let groups = wgroups.(worker) in
-            let scratch = Array.make (Batch.width b) Value.Null in
+            let v = Batch.view b in
             let lo = mi * msize and hi = min n ((mi + 1) * msize) in
             for i = lo to hi - 1 do
-              Batch.blit_row b i scratch 0;
-              let key = List.map (fun f -> f scratch) key_fns in
+              Batch.point v b i;
+              let key = Key.of_operands key_ops v in
               let g =
                 match KeyTbl.find_opt groups key with
                 | Some g ->
                   (* Morsels are claimed out of order: keep the row with
                      the least global index as group representative. *)
-                  if i < g.G.fidx then begin
-                    g.G.fidx <- i;
-                    g.G.frow <- Array.copy scratch
-                  end;
+                  if i < g.G.fidx then g.G.fidx <- i;
                   g
                 | None ->
-                  let g =
-                    { G.fidx = i; frow = Array.copy scratch;
-                      accs = fresh_accs () }
-                  in
+                  let g = { G.fidx = i; accs = fresh_accs () } in
                   KeyTbl.add groups key g;
                   g
               in
@@ -1218,15 +1282,15 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
                   | `Agg (_, arg, _, _) ->
                     let acc = g.G.accs.(!ai) in
                     incr ai;
-                    let v = arg_value arg scratch in
-                    if counted arg v then
+                    let x = arg_value arg v in
+                    if counted arg x then
                       match acc.Acc.seen with
-                      | None -> acc_apply acc v
+                      | None -> acc_apply acc x
                       | Some seen ->
                         (* DISTINCT partials only record first-occurrence
                            indices; the merge replays them globally so
                            cross-worker duplicates collapse correctly. *)
-                        let dk = distinct_key arg v scratch in
+                        let dk = distinct_key arg x v in
                         (match KeyTbl.find_opt seen dk with
                          | Some j -> if i < j then KeyTbl.replace seen dk i
                          | None -> KeyTbl.add seen dk i))
@@ -1267,10 +1331,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
                 match KeyTbl.find_opt merged key with
                 | None -> KeyTbl.add merged key g
                 | Some mg ->
-                  if g.G.fidx < mg.G.fidx then begin
-                    mg.G.fidx <- g.G.fidx;
-                    mg.G.frow <- g.G.frow
-                  end;
+                  if g.G.fidx < mg.G.fidx then mg.G.fidx <- g.G.fidx;
                   Array.iter2 acc_merge mg.G.accs g.G.accs)
               wg)
           wgroups;
@@ -1301,7 +1362,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
                   |> List.sort (fun (i, _) (j, _) -> compare (i : int) j)
                   |> List.iter (fun (_, dk) ->
                          acc_apply acc
-                           (if agg_has_arg.(ai) then List.hd dk
+                           (if agg_has_arg.(ai) then Key.value dk 0
                             else Value.Bool true)))
               g.G.accs)
           merged;
@@ -1312,14 +1373,14 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
         in
         if keys = [] && ordered = [] then begin
           let out = Batch.create ~capacity:1 out_layout in
-          Batch.push_row out (emit_group ([||], fresh_accs ()));
+          Batch.push_row out (emit_group (-1, fresh_accs ()));
           out
         end
         else begin
           let out = Batch.create ~capacity:(List.length ordered) out_layout in
           List.iter
             (fun (g : G.t) ->
-              Batch.push_row out (emit_group (g.G.frow, g.G.accs)))
+              Batch.push_row out (emit_group (g.G.fidx, g.G.accs)))
             ordered;
           out
         end
@@ -1330,18 +1391,17 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
       | [] -> []
       | obs ->
         let n = Batch.length out in
-        let oscratch = Array.make (Batch.width out) Value.Null in
-        let cols =
+        let ks =
           List.map
-            (fun { sort_expr; asc } ->
-              (Expr_eval.compile out_layout sort_expr, Array.make n Value.Null, asc))
+            (fun { sort_expr; asc } -> (Expr_eval.operand out_layout sort_expr, sort_key n asc))
             obs
         in
+        let ov = Batch.view out in
         for i = 0 to n - 1 do
-          Batch.blit_row out i oscratch 0;
-          List.iter (fun (f, col, _) -> col.(i) <- f oscratch) cols
+          Batch.point ov out i;
+          List.iter (fun (f, k) -> k.keys.(i) <- operand_cell k.kside f ov) ks
         done;
-        List.map (fun (_, col, asc) -> (col, asc)) cols
+        List.map snd ks
     in
     finalize ticker ctx.pool stats ~distinct ~sort_keys ~limit ~offset out
   | Planner.Union_plan { all; parts } ->
@@ -1353,18 +1413,8 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        let total = List.fold_left (fun a b -> a + Batch.length b) 0 batches in
        let out = Batch.create ~capacity:total (Batch.layout first) in
        List.iter (fun b -> Batch.append out b) batches;
-       if not all then begin
-         let seen = KeyTbl.create (max 16 (Batch.length out)) in
-         Batch.retain out (fun row ->
-             tick ticker;
-             let k = Array.to_list row in
-             if KeyTbl.mem seen k then false
-             else begin
-               KeyTbl.add seen k ();
-               true
-             end)
-       end;
-       out)
+       if all then out
+       else Batch.permute out (first_occurrences ticker out (Array.init total Fun.id)))
 
 (* Run [plan] as an input of [parent]. Unanalyzed, that is all: the
    node counts into [parent]'s record, so every node of the statement

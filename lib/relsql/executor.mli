@@ -1,10 +1,10 @@
 (** Physical plan interpreter over row batches.
 
     Each plan node materializes into a {!Batch.t}: an ordered column
-    layout plus one flat growable row vector. Execution is bottom-up and
-    fully materializing, but batch-at-a-time: rows move between
-    operators by blitting through reused scratch arrays rather than
-    per-row list allocation. A soft per-query timeout is enforced by a
+    layout plus one flat growable vector of immediate cell codes
+    ({!Cell}). Execution is bottom-up and fully materializing, but
+    batch-at-a-time: operators read rows in place through views and
+    write them with int stores rather than per-row allocation. A soft per-query timeout is enforced by a
     row-operation counter, which is how the benchmark harness reproduces
     the paper's timeout classification (Figure 15). *)
 

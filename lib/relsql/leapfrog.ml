@@ -320,7 +320,7 @@ let run ~(tick : int -> unit) ~(stats : Opstats.t) db
                (Array.to_list tries)))
     in
     let binding = Array.make (max 1 n_vars) Value.Null in
-    let scratch = Array.make (Array.length out_vars) Value.Null in
+    let cells = Array.make (Array.length out_vars) Cell.null and side = Cell.side () in
     let rec solve g =
       if g = n_vars then begin
         let mult = ref 1 in
@@ -332,12 +332,13 @@ let run ~(tick : int -> unit) ~(stats : Opstats.t) db
                  else tr.hi.(tr.ndepth) - tr.lo.(tr.ndepth)))
           tries;
         if !mult > 0 then begin
+          Cell.clear side;
           for j = 0 to Array.length out_vars - 1 do
-            scratch.(j) <- binding.(out_vars.(j))
+            cells.(j) <- Cell.encode side binding.(out_vars.(j))
           done;
           tick !mult;
           for _ = 1 to !mult do
-            Batch.push_row out scratch
+            Batch.push_cells out cells side
           done
         end
       end

@@ -25,8 +25,9 @@
     slots keep their dictionary — its sorted values and the new slots'
     sorted distinct values merge into one old-to-new code map, and old
     fields are remapped as ints — so only the new slots' cells are ever
-    hashed or compared. Packing rows from scratch is the merge into
-    {!empty}.
+    hashed or compared. A column whose old codes and width both stay
+    copies its old words, and an old block that lost no live slot keeps
+    its zone. Packing rows from scratch is the merge into {!empty}.
 
     Fields are aligned: a 63-bit word holds [63 / width] fields and no
     field straddles a word boundary, so a field read is one load, one
@@ -115,21 +116,9 @@ let broadcast width fpw v =
 
 let[@inline] code_at c rid = (c.words.(rid / c.fpw) lsr (rid mod c.fpw * c.width)) land c.fmask
 
-(* Dict columns decode through their shared boxed [decode] array, but a
-   Direct decode would allocate a fresh [Value.Int] per field read —
-   and Direct is what every id-valued column (dictionary ids, colors,
-   row links) compiles to, so per-probe reads on the index-nested-loop
-   path would pay one minor allocation per cell. Small non-negative
-   ints, which is nearly all of them, share this preallocated pool
-   instead; [Value.t] is immutable, so sharing is unobservable. *)
-let shared_ints = Array.init 65536 (fun i -> Value.Int i)
-
-let[@inline] boxed_int x =
-  if x >= 0 && x < 65536 then Array.unsafe_get shared_ints x else Value.Int x
-
 let[@inline] decode_code c code =
   if code = 0 then Value.Null
-  else if c.direct then boxed_int (code - 1)
+  else if c.direct then Value.Int (code - 1)
   else c.decode.(code - 1)
 
 (** [cell t rid pos] decodes one field. *)
@@ -140,15 +129,24 @@ let cell t rid pos =
 (** Decode row [rid] into a fresh array. *)
 let row t rid = Array.init (ncols t) (fun pos -> cell t rid pos)
 
-(** [read_cols t rid positions dst] decodes only the listed column
-    positions of row [rid] into [dst] at those same positions; other
-    slots of [dst] are left untouched (callers reuse [dst] as scratch
+(* The executor cell of a field: a Direct code is its int plus one, a
+   Dict code names a shared decode value, encoded without a box unless
+   it is a side value. *)
+let[@inline] field_cell c side code =
+  if code = 0 then Cell.null
+  else if c.direct then Cell.of_int side (code - 1)
+  else Cell.encode side c.decode.(code - 1)
+
+(** [read_cols t rid positions cells side] writes the executor cells
+    ({!Cell}) of only the listed column positions of row [rid] into
+    [cells] at those same positions, side values into [side]; other
+    slots of [cells] are left untouched (callers reuse it as scratch
     and only ever read the positions they asked for). *)
-let read_cols t rid (positions : int array) (dst : Value.t array) =
+let read_cols t rid (positions : int array) (cells : int array) side =
   for i = 0 to Array.length positions - 1 do
     let pos = positions.(i) in
     let c = t.cols.(pos) in
-    dst.(pos) <- decode_code c (code_at c rid)
+    cells.(pos) <- field_cell c side (code_at c rid)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -216,7 +214,7 @@ let old_values c ~nrows =
     done;
     let codes = Array.of_list !codes in
     let n = Array.length codes in
-    { n; value = (fun i -> boxed_int (codes.(i) - 1)); code = Array.get codes;
+    { n; value = (fun i -> Value.Int (codes.(i) - 1)); code = Array.get codes;
       find =
         (function
           | Value.Int x -> lower_bound n (fun i -> codes.(i) - 1 < x)
@@ -226,13 +224,9 @@ let old_values c ~nrows =
 
 let no_old = { n = 0; value = (fun _ -> Value.Null); code = succ; find = (fun _ -> 0) }
 
-let no_zone =
-  { z_nonnull = 0; z_nulls = 0; z_nnum = 0; z_num_lo = infinity; z_num_hi = neg_infinity;
-    z_has_nan = false; z_lo = Value.Null; z_hi = Value.Null }
-
 (* One column of [merge]: slots below [base] come from old column [oc]
    (absent when [base = 0]), slots in [base, nrows) from [get]. *)
-let merge_col s ~zones ~base ~nrows (get : int -> int -> Value.t) ~live
+let merge_col s ~zones ~base ~nrows (get : int -> int -> Value.t) ~live ~block_live
     (oc : col option) pos =
   (* New slots: provisional ids, Direct feasibility, boxed size. *)
   VT.clear s.ids;
@@ -389,7 +383,7 @@ let merge_col s ~zones ~base ~nrows (get : int -> int -> Value.t) ~live
       (ri + 1, rr, rs, nan)
     end
   in
-  let value k = if direct then boxed_int (k - 1) else decode.(k - 1) in
+  let value k = if direct then Value.Int (k - 1) else decode.(k - 1) in
   let num k =
     match value k with
     | Value.Int x -> float_of_int x
@@ -413,18 +407,25 @@ let merge_col s ~zones ~base ~nrows (get : int -> int -> Value.t) ~live
   in
   let fpw = 63 / width in
   let words = Array.make ((nrows + fpw - 1) / fpw) 0 in
-  let zmaps = Array.make (if zones then (nrows + block_rows - 1) / block_rows else 0) no_zone in
-  (* One pass in slot order: a cursor reads the old fields, another
-     fills the new words, and the live codes feed the block's zone. *)
+  (* Old fields keep their bits when their codes and width both stay:
+     the old image's whole words are copied, and packing resumes at the
+     first field of its last, partial word. *)
+  let identity = match oc with Some c -> same_codes && c.width = width | None -> false in
+  let start = if identity then base / fpw * fpw else 0 in
+  (match oc with
+   | Some c when identity ->
+     for wi = 0 to (start / fpw) - 1 do
+       Array.unsafe_set words wi (Array.unsafe_get c.words wi)
+     done
+   | _ -> ());
+  (* One pass in slot order from [start]: a cursor reads the old
+     fields, another fills the new words. *)
   let ow, owidth, ofpw, omask =
     match oc with Some c -> (c.words, c.width, c.fpw, c.fmask) | None -> ([||], 1, 1, 0)
   in
-  let oword = ref 0 and ofield = ref 0 in
-  let acc = ref 0 and wi = ref 0 and fi = ref 0 in
-  let nonnull = ref 0 and nulls = ref 0 and nnum = ref 0 and has_nan = ref false in
-  let lo = ref max_int and hi = ref 0 and ilo = ref max_int and ihi = ref 0 in
-  let rlo = ref max_int and rhi = ref 0 in
-  for rid = 0 to nrows - 1 do
+  let oword = ref (start / ofpw) and ofield = ref (start mod ofpw) in
+  let acc = ref 0 and wi = ref (start / fpw) and fi = ref 0 in
+  for rid = start to nrows - 1 do
     let k =
       if rid < base then begin
         let k = (ow.(!oword) lsr (!ofield * owidth)) land omask in
@@ -446,38 +447,61 @@ let merge_col s ~zones ~base ~nrows (get : int -> int -> Value.t) ~live
       incr wi;
       acc := 0;
       fi := 0
-    end;
-    if zones then begin
-      if live rid then begin
-        if k = 0 then incr nulls
-        else begin
-          incr nonnull;
-          if k < !lo then lo := k;
-          if k > !hi then hi := k;
-          if k >= int_first && k <= real_last then begin
-            incr nnum;
-            if k <= int_last then begin
-              if k < !ilo then ilo := k;
-              if k > !ihi then ihi := k
-            end
-            else if k = nan_code then has_nan := true
-            else begin
-              if k < !rlo then rlo := k;
-              if k > !rhi then rhi := k
-            end
-          end
-        end
-      end;
-      if rid land (block_rows - 1) = block_rows - 1 || rid = nrows - 1 then begin
-        zmaps.(rid / block_rows) <-
-          zone ~nonnull:!nonnull ~nulls:!nulls ~nnum:!nnum ~has_nan:!has_nan ~lo:!lo
-            ~hi:!hi ~ilo:!ilo ~ihi:!ihi ~rlo:!rlo ~rhi:!rhi;
-        nonnull := 0; nulls := 0; nnum := 0; has_nan := false;
-        lo := max_int; hi := 0; ilo := max_int; ihi := 0; rlo := max_int; rhi := 0
-      end
     end
   done;
   if !fi > 0 then words.(!wi) <- !acc;
+  (* Zones from the live codes of each block: the extreme codes overall,
+     of the Ints and of the non-NaN Reals (0 for "none" in the maxima).
+     A block wholly in the old image whose live slots all survived
+     keeps its old zone — zones hold values, not codes, so a remap
+     leaves them as they were. *)
+  let zmaps =
+    if not zones then [||]
+    else
+      Array.init ((nrows + block_rows - 1) / block_rows) (fun bi ->
+          let lo = bi * block_rows and hi = min nrows ((bi + 1) * block_rows) in
+          match oc with
+          | Some c
+            when hi <= base && bi < Array.length c.zones
+                 && c.zones.(bi).z_nonnull + c.zones.(bi).z_nulls = block_live.(bi) ->
+            c.zones.(bi)
+          | _ ->
+            let nonnull = ref 0 and nulls = ref 0 and nnum = ref 0 and has_nan = ref false in
+            let lo_k = ref max_int and hi_k = ref 0 and ilo = ref max_int and ihi = ref 0 in
+            let rlo = ref max_int and rhi = ref 0 in
+            let mask = (1 lsl width) - 1 in
+            let wi = ref (lo / fpw) and fi = ref (lo mod fpw) in
+            for rid = lo to hi - 1 do
+              let k = (words.(!wi) lsr (!fi * width)) land mask in
+              incr fi;
+              if !fi = fpw then begin
+                fi := 0;
+                incr wi
+              end;
+              if live rid then begin
+                if k = 0 then incr nulls
+                else begin
+                  incr nonnull;
+                  if k < !lo_k then lo_k := k;
+                  if k > !hi_k then hi_k := k;
+                  if k >= int_first && k <= real_last then begin
+                    incr nnum;
+                    if k <= int_last then begin
+                      if k < !ilo then ilo := k;
+                      if k > !ihi then ihi := k
+                    end
+                    else if k = nan_code then has_nan := true
+                    else begin
+                      if k < !rlo then rlo := k;
+                      if k > !rhi then rhi := k
+                    end
+                  end
+                end
+              end
+            done;
+            zone ~nonnull:!nonnull ~nulls:!nulls ~nnum:!nnum ~has_nan:!has_nan ~lo:!lo_k
+              ~hi:!hi_k ~ilo:!ilo ~ihi:!ihi ~rlo:!rlo ~rhi:!rhi)
+  in
   { width; fpw; fmask = (1 lsl width) - 1;
     ones = broadcast width fpw 1;
     highs = broadcast width fpw (1 lsl (width - 1));
@@ -499,10 +523,22 @@ let merge ?(zones = true) ~ncols old ~nrows (get : int -> int -> Value.t)
     { ids = VT.create 64; vals = [||]; prov = Array.make (nrows - base) 0; ins = [||];
       dmap = [||]; omap = [||] }
   in
+  (* Live slots per block of the old image: a block whose count still
+     equals its zone's live count lost no slot since it was packed. *)
+  let block_live =
+    if not zones then [||]
+    else
+      Array.init ((base + block_rows - 1) / block_rows) (fun bi ->
+          let n = ref 0 in
+          for rid = bi * block_rows to min base ((bi + 1) * block_rows) - 1 do
+            if live rid then incr n
+          done;
+          !n)
+  in
   { nrows;
     cols =
       Array.init ncols (fun pos ->
-          merge_col s ~zones ~base ~nrows get ~live
+          merge_col s ~zones ~base ~nrows get ~live ~block_live
             (if base = 0 then None else Some old.cols.(pos))
             pos) }
 

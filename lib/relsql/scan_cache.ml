@@ -10,9 +10,10 @@
     the LRU — no clear-on-write hook to forget.
 
     Batches have linear ownership (the consumer mutates them in place),
-    so the cache stores a private copy on miss and hands out a
-    fresh copy on hit. Results that fit {!max_cells} as boxed cells are
-    stored as plain batches (a hit is a row blit). Larger results get a
+    so the cache keeps a {!Batch.share}d holder of the result on miss
+    and hands out another on hit: nothing is copied unless a holder
+    writes, and then only that holder copies. Results that fit
+    {!max_cells} cells are kept as plain batches. Larger results get a
     second chance: they are bit-packed ({!Packed.pack}, no zone maps)
     and kept when the packed image itself fits the budget — a hit then
     decompresses into a fresh batch, still far cheaper than re-running
@@ -51,29 +52,29 @@ let key ~table ~epoch ~(filter : Sql_ast.expr option)
 let unpack pk layout =
   let nrows = Packed.nrows pk in
   let b = Batch.create ~capacity:(max 1 nrows) layout in
-  let arity = Packed.ncols pk in
-  let scratch = Array.make arity Value.Null in
+  let all = Array.init (Packed.ncols pk) Fun.id in
+  let cells = Array.make (Array.length all) Cell.null and side = Cell.side () in
   for rid = 0 to nrows - 1 do
-    for pos = 0 to arity - 1 do
-      scratch.(pos) <- Packed.cell pk rid pos
-    done;
-    Batch.push_row b scratch
+    Cell.clear side;
+    Packed.read_cols pk rid all cells side;
+    Batch.push_cells b cells side
   done;
   b
 
-(** A fresh, privately-owned copy of the cached result, or [None]. *)
+(** The cached result, held privately (shared until written), or
+    [None]. *)
 let find t k =
   match Plan_cache.find t.cache k with
   | None -> None
-  | Some (Boxed b) -> Some (Batch.copy b)
+  | Some (Boxed b) -> Some (Batch.share b)
   | Some (Compressed (pk, layout)) -> Some (unpack pk layout)
 
-(** Store a private copy of [b] under [k] — boxed when the cell count
-    fits {!max_cells}, bit-packed when the packed image does, dropped
-    otherwise. The caller keeps ownership of [b]. *)
+(** Keep [b]'s rows under [k] — shared when the cell count fits
+    {!max_cells}, bit-packed when the packed image does, dropped
+    otherwise. The caller keeps using [b]; a later write to it copies. *)
 let add t k (b : Batch.t) =
   let rows = Batch.length b and cols = max 1 (Batch.width b) in
-  if rows * cols <= max_cells then Plan_cache.add t.cache k (Boxed (Batch.copy b))
+  if rows * cols <= max_cells then Plan_cache.add t.cache k (Boxed (Batch.share b))
   else
     let pk =
       Packed.pack ~zones:false ~ncols:(Batch.width b) ~nrows:rows

@@ -29,7 +29,9 @@ type posting = {
          {!posting_iter}; any mutation first expands back to plain. *)
 }
 
-type index = (Value.t, posting) Hashtbl.t
+(* A column index: a posting per value, keyed like an executor cell
+   (see {!Cell.Tbl}), so a probe with an inline cell hashes an int. *)
+type index = posting Cell.Tbl.t
 
 type t = {
   name : string;
@@ -192,28 +194,32 @@ let posting_push p rid =
   p.ids.(p.len) <- rid;
   p.len <- p.len + 1
 
+let find_posting idx v =
+  match Cell.Tbl.find_value idx v with p -> Some p | exception Not_found -> None
+
 (** Append a freshly allocated rid — it cannot already be present. *)
 let index_add idx v rid =
-  match Hashtbl.find_opt idx v with
-  | Some p -> posting_push p rid
-  | None -> Hashtbl.add idx v { ids = [| rid; 0 |]; len = 1; stale = 0; nruns = 0 }
+  match Cell.Tbl.find_value idx v with
+  | p -> posting_push p rid
+  | exception Not_found ->
+    Cell.Tbl.add_value idx v { ids = [| rid; 0 |]; len = 1; stale = 0; nruns = 0 }
 
 (** Append a rid that may already sit in the posting as a stale entry
     (a cell moved away and back via {!set_cell}); scans to keep the
     at-most-once invariant. Only the [set_cell] path pays this. *)
 let index_add_checked idx v rid =
-  match Hashtbl.find_opt idx v with
+  match find_posting idx v with
   | Some p ->
     let present = ref false in
     posting_iter p (fun r -> if r = rid then present := true);
     if not !present then posting_push p rid
     else p.stale <- max 0 (p.stale - 1)
-  | None -> Hashtbl.add idx v { ids = [| rid; 0 |]; len = 1; stale = 0; nruns = 0 }
+  | None -> Cell.Tbl.add_value idx v { ids = [| rid; 0 |]; len = 1; stale = 0; nruns = 0 }
 
 (** Record that [rid] no longer belongs under [v]: O(1) — the entry
     stays in place and lookups filter it out until compaction. *)
 let index_unlink idx v =
-  match Hashtbl.find_opt idx v with
+  match find_posting idx v with
   | Some p -> p.stale <- p.stale + 1
   | None -> ()
 
@@ -310,7 +316,7 @@ let delete_row t rid =
 let create_index t pos =
   if pos < 0 || pos >= Schema.arity t.schema then
     invalid_arg "Table.create_index: bad column";
-  let idx : index = Hashtbl.create (max 16 t.nrows) in
+  let idx = Cell.Tbl.create (max 16 t.nrows) in
   for rid = 0 to t.nrows - 1 do
     if is_live t rid then index_add idx (cell_unsafe t rid pos) rid
   done;
@@ -332,7 +338,7 @@ let entry_valid t pos v rid = is_live t rid && Value.equal (cell_unsafe t rid po
    (amortized against the lookups that observed them). *)
 let maybe_compact t idx pos v p valid =
   if p.stale > 0 && 2 * valid < p.len then begin
-    if valid = 0 then Hashtbl.remove idx v
+    if valid = 0 then Cell.Tbl.remove_value idx v
     else begin
       let compact = Array.make (max 2 valid) 0 in
       let k = ref 0 in
@@ -358,7 +364,7 @@ let find_index t pos =
     Requires an index on [pos]. *)
 let lookup_iter t pos v (f : int -> unit) =
   let idx = find_index t pos in
-  match Hashtbl.find idx v with
+  match Cell.Tbl.find_value idx v with
   | exception Not_found -> ()
   | p ->
     if p.stale = 0 then
@@ -376,18 +382,19 @@ let lookup_iter t pos v (f : int -> unit) =
     end
 
 (** [prober t pos] pre-resolves the index on [pos] for repeated probes
-    (index nested-loop joins): the returned function behaves like
-    {!lookup_iter} with the column-to-index hash lookup hoisted out of
-    the per-probe path. *)
+    (index nested-loop joins) keyed by an executor cell: the returned
+    function behaves like {!lookup_iter} on the cell's value, with the
+    column-to-index hash lookup hoisted out of the per-probe path and
+    an inline cell hashed as an int. *)
 let prober t pos =
   let idx = find_index t pos in
-  fun v (f : int -> unit) ->
-    (* [find] over [find_opt]: no option allocation on the hot path. *)
-    match Hashtbl.find idx v with
+  fun side c (f : int -> unit) ->
+    match Cell.Tbl.find idx side c with
     | exception Not_found -> ()
     | p ->
       if p.stale = 0 then posting_iter p f
       else begin
+        let v = Cell.decode side c in
         let valid = ref 0 in
         posting_iter p (fun rid ->
             if entry_valid t pos v rid then begin
@@ -405,18 +412,20 @@ let prober t pos =
     amortized compaction. *)
 let prober_ro t pos =
   let idx = find_index t pos in
-  fun v (f : int -> unit) ->
-    match Hashtbl.find idx v with
+  fun side c (f : int -> unit) ->
+    match Cell.Tbl.find idx side c with
     | exception Not_found -> ()
     | p ->
       if p.stale = 0 then posting_iter p f
-      else posting_iter p (fun rid -> if entry_valid t pos v rid then f rid)
+      else
+        let v = Cell.decode side c in
+        posting_iter p (fun rid -> if entry_valid t pos v rid then f rid)
 
 (** [lookup t pos v] is the ids of live rows whose column [pos] equals
     [v], in insertion order. Requires an index on [pos]. *)
 let lookup t pos v =
   let idx = find_index t pos in
-  match Hashtbl.find_opt idx v with
+  match find_posting idx v with
   | None -> [||]
   | Some p ->
     if p.stale = 0 && p.nruns = 0 then Array.sub p.ids 0 p.len
@@ -481,60 +490,69 @@ let storage_size t =
 (* Radix-partitioned join hash                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** The partition-indexed prober of the parallel hash-join build: a
-    power-of-two number of disjoint per-partition sub-tables mapping a
-    key value to a posting of build-row ids, "merged by pointer" — the
-    sub-table array {e is} the merged structure, probes route by key
-    hash without touching any other partition.
+(** The partition-indexed prober of the hash-join build: a power-of-two
+    number of disjoint per-partition sub-tables mapping a key cell to a
+    posting of build-row ids, "merged by pointer" — the sub-table array
+    {e is} the merged structure, probes route by key hash without
+    touching any other partition.
 
-    Key equality and hashing are {!Value.equal} / {!Value.hash} — the
-    same notions the executor's sequential single-key build uses — so a
-    partitioned build groups exactly the rows the sequential build
-    groups. Rows must be added in ascending build order per partition
-    (each partition is owned by one builder at a time); postings then
-    replay matches in global build order, which keeps partitioned
-    output bit-identical to the sequential join. *)
+    Keys are executor cells, each read in its own side context: an
+    inline cell is hashed and compared as an int, a side cell by its
+    value ({!Value.equal} / {!Value.hash}) — together exactly
+    {!Value.equal} on the decoded keys, since the encoding is
+    canonical. Rows must be added in ascending build order per
+    partition (each partition is owned by one builder at a time);
+    postings then replay matches in global build order, which keeps a
+    partitioned build's output bit-identical to a one-partition one. *)
 module Join_hash = struct
-  module VH = Hashtbl.Make (struct
-    type nonrec t = Value.t
-    let equal = Value.equal
-    let hash = Value.hash
-  end)
-
   type t = {
     mask : int;  (* parts - 1; parts is a power of two *)
-    subs : posting VH.t array;
+    subs : posting Cell.Tbl.t array;
   }
 
   let create ~parts =
     if parts <= 0 || parts land (parts - 1) <> 0 then
       invalid_arg "Join_hash.create: parts must be a positive power of two";
-    { mask = parts - 1; subs = Array.init parts (fun _ -> VH.create 64) }
+    { mask = parts - 1; subs = Array.init parts (fun _ -> Cell.Tbl.create 64) }
 
   let parts h = Array.length h.subs
 
+  (* The high bits of the hash, so that a sub-table's buckets still
+     spread over the low ones. *)
+  let[@inline] part_of_hash h x = (x lsr 32) land h.mask
+
   (** Which partition a key routes to (NULL keys never enter a build;
       callers drop them before routing). *)
-  let part_of h k = Value.hash k land h.mask
+  let part_of h side c = part_of_hash h (Cell.hash side c)
 
-  (** [add h p k rid] appends [rid] under [k] in sub-table [p]. The
-      caller routes [p = part_of h k] and must own partition [p]
-      exclusively while adding (the parallel build's invariant). *)
-  let add h p k rid =
+  (** [add h p side c rid] appends [rid] under key cell [c] in
+      sub-table [p]. The caller routes [p = part_of h side c] and must
+      own partition [p] exclusively while adding (the parallel build's
+      invariant). *)
+  let add h p side c rid =
     let sub = h.subs.(p) in
-    match VH.find sub k with
+    match Cell.Tbl.find sub side c with
     | pst -> posting_push pst rid
     | exception Not_found ->
-      VH.add sub k { ids = [| rid; 0 |]; len = 1; stale = 0; nruns = 0 }
+      Cell.Tbl.add sub side c { ids = [| rid; 0 |]; len = 1; stale = 0; nruns = 0 }
 
-  (** Iterate the build rows matching [k] in build (insertion) order. *)
-  let iter_matches h k (f : int -> unit) =
-    match VH.find h.subs.(Value.hash k land h.mask) k with
+  let replay (p : posting) (f : int -> unit) =
+    for i = 0 to p.len - 1 do
+      f p.ids.(i)
+    done
+
+  (** Iterate the build rows matching key cell [c] in build (insertion)
+      order. *)
+  let iter_matches h side c (f : int -> unit) =
+    match Cell.Tbl.find h.subs.(part_of h side c) side c with
     | exception Not_found -> ()
-    | p ->
-      for i = 0 to p.len - 1 do
-        f p.ids.(i)
-      done
+    | p -> replay p f
+
+  (** {!iter_matches} on the key of value [v]. *)
+  let iter_matches_value h v (f : int -> unit) =
+    match Cell.Tbl.find_value h.subs.(part_of_hash h (Cell.hash_value v)) v with
+    | exception Not_found -> ()
+    | p -> replay p f
 end
 
 (* ------------------------------------------------------------------ *)
@@ -554,7 +572,8 @@ let merge t =
     Hashtbl.iter
       (fun pos idx ->
         (* snapshot: compaction may remove now-empty postings *)
-        let entries = Hashtbl.fold (fun v p acc -> (v, p) :: acc) idx [] in
+        let entries = ref [] in
+        Cell.Tbl.iter (fun v p -> entries := (v, p) :: !entries) idx;
         List.iter
           (fun (v, p) ->
             posting_expand p;
@@ -569,10 +588,10 @@ let merge t =
               done;
               p.len <- !k;
               p.stale <- 0;
-              if p.len = 0 then Hashtbl.remove idx v
+              if p.len = 0 then Cell.Tbl.remove_value idx v
             end;
             posting_try_runs p)
-          entries)
+          !entries)
       t.indexes;
     let base = main_slots t in
     t.main <-
@@ -608,10 +627,10 @@ let snapshot t =
   let indexes = Hashtbl.create (max 4 (Hashtbl.length t.indexes)) in
   Hashtbl.iter
     (fun pos idx ->
-      let copy : index = Hashtbl.create (max 16 (Hashtbl.length idx)) in
-      Hashtbl.iter
+      let copy : index = Cell.Tbl.create (max 16 (Cell.Tbl.length idx)) in
+      Cell.Tbl.iter
         (fun v p ->
-          Hashtbl.add copy v
+          Cell.Tbl.add_value copy v
             { ids = Array.copy p.ids; len = p.len; stale = p.stale;
               nruns = p.nruns })
         idx;
@@ -653,7 +672,7 @@ let check t =
     (fun pos idx ->
       let seen = Bytes.make t.nrows '\000' in
       let valid = ref 0 in
-      Hashtbl.iter
+      Cell.Tbl.iter
         (fun v p ->
           let invalid = ref 0 in
           posting_iter p (fun rid ->
@@ -702,7 +721,7 @@ let compression_report t =
   let entries = ref 0 and stored = ref 0 in
   Hashtbl.iter
     (fun _ idx ->
-      Hashtbl.iter
+      Cell.Tbl.iter
         (fun _ p ->
           entries := !entries + p.len;
           stored := !stored + (if p.nruns > 0 then 2 * p.nruns else p.len))

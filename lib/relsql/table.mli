@@ -80,17 +80,19 @@ val lookup : t -> int -> Value.t -> int array
     the table. Requires an index on [pos]. *)
 val lookup_iter : t -> int -> Value.t -> (int -> unit) -> unit
 
-(** [prober t pos] is {!lookup_iter} partially applied, with the
-    column-to-index resolution hoisted out of the per-probe path —
-    for index nested-loop joins that probe once per outer row. *)
-val prober : t -> int -> Value.t -> (int -> unit) -> unit
+(** [prober t pos] probes the index on [pos] with an executor cell read
+    in the given side context: {!lookup_iter} on the cell's value, with
+    the column-to-index resolution hoisted out of the per-probe path
+    and an inline cell hashed as an int — for index nested-loop joins
+    that probe once per outer row. *)
+val prober : t -> int -> Cell.side -> Cell.t -> (int -> unit) -> unit
 
 (** [prober_ro t pos] is a {!prober} that never compacts postings: the
     returned closure only reads the table, so it may be shared by
     concurrently probing worker domains (the table must not be mutated
     while they run). Stale entries are validated on every probe instead
     of being amortized away. *)
-val prober_ro : t -> int -> Value.t -> (int -> unit) -> unit
+val prober_ro : t -> int -> Cell.side -> Cell.t -> (int -> unit) -> unit
 
 (** Iterate live rows in insertion order. *)
 val iter : (int -> Value.t array -> unit) -> t -> unit
@@ -197,16 +199,17 @@ val check : t -> unit
     (live rows only). *)
 val null_fraction : t -> int list -> float
 
-(** The partition-indexed prober of the radix-partitioned parallel
-    hash-join build: a power-of-two number of disjoint per-partition
-    sub-tables mapping a key value ({!Value.equal} / {!Value.hash}
-    semantics, matching the executor's sequential build) to a posting
-    of build-row ids. Workers build partitions independently — the
-    sub-table array is the merged structure ("merged by pointer") and
-    probes route straight to one sub-table, so builders and probers
-    never contend. Adding rows in ascending build order per partition
-    makes probe results replay in global build order, keeping the
-    partitioned join bit-identical to the sequential one. *)
+(** The partition-indexed prober of the hash-join build: a power-of-two
+    number of disjoint per-partition sub-tables mapping a key cell
+    (each read in its own side context; inline cells compare as ints,
+    side cells by {!Value.equal} / {!Value.hash} — together
+    {!Value.equal} on the decoded keys) to a posting of build-row ids.
+    Workers build partitions independently — the sub-table array is
+    the merged structure ("merged by pointer") and probes route
+    straight to one sub-table, so builders and probers never contend.
+    Adding rows in ascending build order per partition makes probe
+    results replay in global build order, so any partition count
+    yields the same join output. *)
 module Join_hash : sig
   type t
 
@@ -216,14 +219,18 @@ module Join_hash : sig
 
   val parts : t -> int
 
-  (** Which partition a (non-NULL) key routes to. *)
-  val part_of : t -> Value.t -> int
+  (** Which partition a (non-NULL) key cell routes to. *)
+  val part_of : t -> Cell.side -> Cell.t -> int
 
-  (** [add h p k rid] appends [rid] under [k] in sub-table [p]; the
-      caller routes [p = part_of h k] and must own partition [p]
+  (** [add h p side c rid] appends [rid] under key cell [c]; the caller
+      routes [p = part_of h side c] and must own partition [p]
       exclusively while adding. *)
-  val add : t -> int -> Value.t -> int -> unit
+  val add : t -> int -> Cell.side -> Cell.t -> int -> unit
 
-  (** Iterate the build rows matching [k], in build order. *)
-  val iter_matches : t -> Value.t -> (int -> unit) -> unit
+  (** Iterate the build rows matching a key cell, in build order. *)
+  val iter_matches : t -> Cell.side -> Cell.t -> (int -> unit) -> unit
+
+  (** {!iter_matches} on the key cell of a value, without encoding it
+      into a side context (a computed probe key). *)
+  val iter_matches_value : t -> Value.t -> (int -> unit) -> unit
 end

@@ -23,6 +23,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("join", Test_join.suite);
       ("compress", Test_compress.suite);
+      ("cell", Test_cell.suite);
       ("wcoj", Test_wcoj.suite);
       ("extvp", Test_extvp.suite);
       ("bench", Test_bench.suite) ]

@@ -47,15 +47,16 @@ let test_pack_roundtrip () =
     done
   done;
   (* row and read_cols agree with cell *)
-  let dst = Array.make 5 Relsql.Value.Null in
+  let dst = Array.make 5 Relsql.Cell.null and side = Relsql.Cell.side () in
   for rid = 0 to nrows - 1 do
     let row = Relsql.Packed.row pk rid in
-    Relsql.Packed.read_cols pk rid [| 0; 2; 4 |] dst;
+    Relsql.Cell.clear side;
+    Relsql.Packed.read_cols pk rid [| 0; 2; 4 |] dst side;
     List.iter
       (fun pos ->
         if not (value_eq row.(pos) (Relsql.Packed.cell pk rid pos)) then
           Alcotest.failf "row (%d,%d) disagrees with cell" rid pos;
-        if not (value_eq dst.(pos) row.(pos)) then
+        if not (value_eq (Relsql.Cell.decode side dst.(pos)) row.(pos)) then
           Alcotest.failf "read_cols (%d,%d) disagrees with row" rid pos)
       [ 0; 2; 4 ]
   done
@@ -85,14 +86,11 @@ let check_iter_eq_vs_pred pk layout pos const =
   let e = Binop (Eq, Col (None, snd layout.(pos)), Const const) in
   let keep = Relsql.Expr_eval.compile_pred layout e in
   let nrows = Relsql.Packed.nrows pk in
-  let scratch = Array.make (Relsql.Packed.ncols pk) Relsql.Value.Null in
   let naive lo hi =
     let acc = ref [] in
     for rid = hi - 1 downto lo do
-      Relsql.Packed.read_cols pk rid
-        (Array.init (Relsql.Packed.ncols pk) Fun.id)
-        scratch;
-      if keep scratch then acc := rid :: !acc
+      if keep (Relsql.Expr_eval.row_of_values (Relsql.Packed.row pk rid)) then
+        acc := rid :: !acc
     done;
     !acc
   in
@@ -106,10 +104,12 @@ let check_iter_eq_vs_pred pk layout pos const =
         Relsql.Packed.iter_eq pk pos codes lo hi (fun rid ->
             (* iter_eq over-approximates per word; confirm like the
                executor does, through the compiled predicate. *)
+            let v = Relsql.Expr_eval.view () in
+            v.Relsql.Expr_eval.cells <- Array.make (Relsql.Packed.ncols pk) Relsql.Cell.null;
             Relsql.Packed.read_cols pk rid
               (Array.init (Relsql.Packed.ncols pk) Fun.id)
-              scratch;
-            if keep scratch then got := rid :: !got);
+              v.Relsql.Expr_eval.cells v.Relsql.Expr_eval.side;
+            if keep v then got := rid :: !got);
         Alcotest.(check (list int))
           (Printf.sprintf "iter_eq %s [%d,%d)"
              (Relsql.Value.to_string const) lo hi)
@@ -204,7 +204,7 @@ let test_zone_filter_sound () =
           let hi = min nrows (lo + Relsql.Packed.block_rows) in
           for rid = lo to hi - 1 do
             scratch.(0) <- Relsql.Packed.cell pk rid 0;
-            if keep scratch then
+            if keep (Relsql.Expr_eval.row_of_values scratch) then
               Alcotest.failf "zone filter pruned a matching row %d" rid
           done
         end
@@ -460,6 +460,75 @@ let merge_vs_pack =
                  (if r mod 2 = 0 then Relsql.Value.Lid 3 else Relsql.Value.Int (-1))
            | Merge -> ());
           w <> Merge || check_merged ())
+        writes
+      && check_merged ())
+
+(** A DPH-shaped table whose second predicate/value pair never holds a
+    value and whose first rarely does: merges must copy the all-NULL
+    columns' unchanged words and keep the zones of blocks that lost no
+    slot, and the image must still equal the same cells packed from
+    scratch — over inserts that span several blocks, deletes, cell
+    writes (which relocate main rows) and merges. *)
+let merge_vs_pack_null_columns =
+  QCheck.Test.make ~name:"Table.merge ≡ packing, all-NULL columns" ~count:40
+    QCheck.(
+      make
+        ~print:(fun (seed, ws) ->
+          Printf.sprintf "seed %d: %s" seed
+            (String.concat " " (List.map (fun (k, n) -> Printf.sprintf "%d:%d" k n) ws)))
+        Gen.(pair int (list_size (int_range 1 25) (pair (int_bound 3) (int_range 1 1500)))))
+    (fun (seed, writes) ->
+      let g = Random.State.make [| seed |] in
+      let cols = [ "entry"; "pred0"; "val0"; "pred1"; "val1" ] in
+      let t = Relsql.Table.create "DPH" (Relsql.Schema.make cols) in
+      let model = ref [||] in
+      let cell ~slot pos =
+        let open Relsql.Value in
+        match pos with
+        | 0 -> Int slot
+        | 1 -> if Random.State.int g 8 = 0 then Int 7 else Null
+        | 2 -> if Random.State.int g 8 = 0 then Int (Random.State.int g 50) else Null
+        | _ -> Null
+      in
+      let check_merged () =
+        Relsql.Table.merge t;
+        Relsql.Table.check t;
+        let n = Relsql.Table.slot_count t in
+        n = 0
+        || same_image "merge vs pack" (Relsql.Table.packed_view t)
+             (Relsql.Packed.pack ~ncols:5 ~nrows:n
+                (fun rid pos -> !model.(rid).(pos))
+                ~live:(Relsql.Table.is_live t))
+      in
+      List.for_all
+        (fun (kind, k) ->
+          let n = Relsql.Table.slot_count t in
+          match kind with
+          | 0 ->
+            let rows = Array.init k (fun i -> Array.init 5 (cell ~slot:(n + i))) in
+            Array.iter (fun row -> ignore (Relsql.Table.insert t (Array.copy row))) rows;
+            model := Array.append !model rows;
+            true
+          | 1 ->
+            (* a few deletes, clustered so most blocks lose nothing *)
+            if n > 0 then
+              for j = 0 to (k mod 5) do
+                Relsql.Table.delete_row t ((k + j) mod n)
+              done;
+            true
+          | 2 ->
+            if n > 0 && Relsql.Table.is_live t (k mod n) then begin
+              let rid = k mod n and v = Relsql.Value.Int (k mod 50) in
+              let rid' = Relsql.Table.set_cell t rid 2 v in
+              if rid' <> rid then begin
+                let row = Array.copy !model.(rid) in
+                row.(2) <- v;
+                model := Array.append !model [| row |]
+              end
+              else !model.(rid).(2) <- v
+            end;
+            true
+          | _ -> check_merged ())
         writes
       && check_merged ())
 
@@ -964,6 +1033,7 @@ let suite =
     Alcotest.test_case "packed: equality prefilter" `Quick test_eq_prefilter;
     QCheck_alcotest.to_alcotest eq_codes_vs_linear;
     QCheck_alcotest.to_alcotest merge_vs_pack;
+    QCheck_alcotest.to_alcotest merge_vs_pack_null_columns;
     Alcotest.test_case "table: RLE postings survive freeze" `Quick
       test_merge_postings_roundtrip;
     Alcotest.test_case "table: merge round invariants" `Quick

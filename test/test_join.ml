@@ -92,13 +92,14 @@ let test_join_hash_build_order () =
   Alcotest.(check int) "parts" 4 (Table.Join_hash.parts jh);
   (* Route each key to its partition and add rows in ascending order —
      the contract the partitioned build maintains. *)
-  let keys = Array.init 40 (fun i -> Value.Int (i mod 5)) in
+  let side = Cell.side () in
+  let keys = Array.init 40 (fun i -> Cell.encode side (Value.Int (i mod 5))) in
   Array.iteri
-    (fun rid k -> Table.Join_hash.add jh (Table.Join_hash.part_of jh k) k rid)
+    (fun rid k -> Table.Join_hash.add jh (Table.Join_hash.part_of jh side k) side k rid)
     keys;
   for v = 0 to 4 do
     let got = ref [] in
-    Table.Join_hash.iter_matches jh (Value.Int v) (fun rid ->
+    Table.Join_hash.iter_matches jh side (Cell.encode side (Value.Int v)) (fun rid ->
         got := rid :: !got);
     let got = List.rev !got in
     let expect =
@@ -109,7 +110,7 @@ let test_join_hash_build_order () =
       expect got
   done;
   let none = ref 0 in
-  Table.Join_hash.iter_matches jh (Value.Int 99) (fun _ -> incr none);
+  Table.Join_hash.iter_matches jh side (Cell.encode side (Value.Int 99)) (fun _ -> incr none);
   Alcotest.(check int) "absent key matches nothing" 0 !none;
   Alcotest.check_raises "parts must be a power of two"
     (Invalid_argument "Join_hash.create: parts must be a positive power of two")
@@ -388,6 +389,52 @@ let test_partitioned_all_null_and_skew () =
             [ join_sql; left_join_sql ])
         checks)
 
+(* Computed probe keys: a key that is not a plain column is evaluated
+   per left row and looked up by value. Parallel probe morsels share
+   the probe closure, so these keys — strings and reals, which have no
+   inline cell — must give the rows of a one-domain run. *)
+let test_computed_probe_keys () =
+  with_tiny_morsels (fun () ->
+      let n = 300 in
+      let cases =
+        [ ( "concatenated string key",
+            List.init n (fun i -> (Value.Str (Printf.sprintf "s%d" (i mod 17)), i)),
+            List.init 40 (fun i -> (Value.Str (Printf.sprintf "s%dx" (i mod 20)), i)),
+            "a.k || 'x' = b.k" );
+          ( "real key",
+            List.init n (fun i -> (Value.Int (i mod 13), i)),
+            List.init 40 (fun i -> (Value.Real (float_of_int (i mod 15) +. 0.5), i)),
+            "a.k + 0.5 = b.k" ) ]
+      in
+      List.iter
+        (fun (name, left, right, on) ->
+          let db = join_db ~left ~right in
+          List.iter
+            (fun kind ->
+              let stmt =
+                Sql_parser.parse
+                  (Printf.sprintf "SELECT a.v, b.w FROM lt AS a %s rt AS b ON %s" kind on)
+              in
+              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s matches some rows" name kind)
+                true
+                (List.exists
+                   (fun r -> r.(1) <> Value.Null)
+                   (Batch.to_rows seq));
+              List.iter
+                (fun (d, p) ->
+                  for round = 1 to 5 do
+                    Alcotest.(check (list string))
+                      (Printf.sprintf "%s %s (domains=%d parts=%d, run %d)" name kind d p
+                         round)
+                      (batch_strings seq)
+                      (batch_strings (Executor.run ~domains:d ~join_partitions:p db stmt))
+                  done)
+                [ (1, 1); (2, 1); (2, 4) ])
+            [ "JOIN"; "LEFT JOIN" ])
+        cases)
+
 (* ------------------------------------------------------------------ *)
 (* Sequential ≡ partitioned, full matrix                               *)
 (* ------------------------------------------------------------------ *)
@@ -544,6 +591,8 @@ let suite =
       test_partitioned_build_metrics;
     Alcotest.test_case "partitioned build: all-NULL and skew keys" `Quick
       test_partitioned_all_null_and_skew;
+    Alcotest.test_case "parallel probe: computed string and real keys" `Quick
+      test_computed_probe_keys;
     Alcotest.test_case "sequential ≡ partitioned (full matrix)" `Slow
       test_seq_equals_partitioned_matrix;
     QCheck_alcotest.to_alcotest partitioned_join_matches_sequential;
