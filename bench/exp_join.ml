@@ -1,20 +1,22 @@
 (** E14 — radix-partitioned hash-join builds: join-heavy queries over
-    the Micro workload measured on a (domains × partitions) grid, on one
-    shared store so only the two knobs vary.
+    the Micro workload measured at domain counts doubling from 1 up to
+    [--domains], on one shared store so only the domain count varies.
+    Each hash-join build splits into the executor's automatic partition
+    count: 1 on one domain, twice the domain count otherwise.
 
     The hash-join shapes come from OPTIONAL group joins (the planner
     hash-joins a subquery against a subquery; star BGPs fuse into
     scans or index nested-loop joins instead), plus two stars whose
-    index-probe loop exercises the parallel probe side. Every grid
-    point is asserted row-for-row, order-included equal to the
+    index-probe loop exercises the parallel probe side. Every domain
+    count is asserted row-for-row, order-included equal to the
     sequential run before it is timed.
 
-    With [--json-dir] the experiment writes BENCH_join.json: the full
-    grid, per-query speedups of the largest grid point against the
-    sequential baseline, their geometric mean, which operators actually
-    partitioned, and the host's core count — on a single-core host the
-    grid measures partitioning overhead, not speedup, and the JSON says
-    so next to the numbers. *)
+    With [--json-dir] the experiment writes BENCH_join.json: every
+    domain count's timings, per-query speedups of the largest against
+    the sequential baseline, their geometric mean, how many partitions
+    each query's builds used there, and the host's core count — on a
+    single-core host the curve measures partitioning overhead, not
+    speedup, and the JSON says so next to the numbers. *)
 
 let ns = "http://microbench.org/"
 
@@ -47,8 +49,6 @@ let curve top =
   let rec up d = if d >= top then [ top ] else d :: up (2 * d) in
   List.sort_uniq compare (up 1)
 
-let partition_counts = [ 1; 4; 16 ]
-
 let geomean = function
   | [] -> None
   | xs ->
@@ -67,16 +67,13 @@ let batch_strings b =
 let run (cfg : Harness.config) =
   Harness.section
     (Printf.sprintf
-       "E14. Partitioned hash-join build (domains × partitions) — %d triples"
+       "E14. Partitioned hash-join build over domains — %d triples"
        cfg.Harness.scale);
   let cores = Domain.recommended_domain_count () in
   let top = max 1 cfg.Harness.domains in
   let counts = curve top in
-  Printf.printf
-    "host reports %d available core(s); grid: domains {%s} × partitions {%s}\n%!"
-    cores
-    (String.concat " " (List.map string_of_int counts))
-    (String.concat " " (List.map string_of_int partition_counts));
+  Printf.printf "host reports %d available core(s); domains {%s}\n%!" cores
+    (String.concat " " (List.map string_of_int counts));
   let triples = Workloads.Micro.generate ~scale:cfg.Harness.scale in
   let (engine, _, _), load_seconds =
     Harness.timed (fun () ->
@@ -87,45 +84,34 @@ let run (cfg : Harness.config) =
   let qs =
     List.map (fun (n, src) -> (n, Sparql.Parser.parse src)) (queries ())
   in
-  (* Equality gate: every grid point must reproduce the sequential rows
-     exactly (same rows, same order) before anything is timed. *)
+  (* Equality gate: every domain count must reproduce the sequential
+     rows exactly (same rows, same order) before anything is timed. *)
   let stmts =
     List.map (fun (n, q) -> (n, Db2rdf.Engine.translate engine q)) qs
   in
   List.iter
     (fun (qname, stmt) ->
-      let expect =
-        batch_strings
-          (Relsql.Executor.run ~domains:1 ~join_partitions:1 db stmt)
-      in
+      let expect = batch_strings (Relsql.Executor.run ~domains:1 db stmt) in
       List.iter
         (fun d ->
-          List.iter
-            (fun p ->
-              let got =
-                batch_strings
-                  (Relsql.Executor.run ~domains:d ~join_partitions:p db stmt)
-              in
-              if got <> expect then
-                failwith
-                  (Printf.sprintf
-                     "E14 equality violation: %s at domains=%d partitions=%d \
-                      diverges from the sequential executor"
-                     qname d p))
-            partition_counts)
+          let got = batch_strings (Relsql.Executor.run ~domains:d db stmt) in
+          if got <> expect then
+            failwith
+              (Printf.sprintf
+                 "E14 equality violation: %s at domains=%d diverges from the \
+                  sequential executor"
+                 qname d))
         counts)
     stmts;
   Printf.printf
-    "equality: every (domains, partitions) point matches the sequential rows\n%!";
-  (* Which operators actually partition at the top grid point — stars
-     fuse into scans, so only the HJ queries are expected to. *)
+    "equality: every domain count matches the sequential rows\n%!";
+  (* How many partitions each query's builds use at the top domain
+     count — stars fuse into scans, so only the HJ queries are expected
+     to partition. *)
   let partitioned_ops =
     List.map
       (fun (qname, stmt) ->
-        let _, stats =
-          Relsql.Executor.run_analyzed ~domains:top
-            ~join_partitions:(List.fold_left max 1 partition_counts) db stmt
-        in
+        let _, stats = Relsql.Executor.run_analyzed ~domains:top db stmt in
         let parts =
           Relsql.Opstats.fold
             (fun acc n -> max acc n.Relsql.Opstats.partitions)
@@ -134,24 +120,17 @@ let run (cfg : Harness.config) =
         (qname, parts))
       stmts
   in
-  let sweep d p : (string * Harness.measurement) list =
+  let sweep d : (string * Harness.measurement) list =
     Relsql.Database.set_parallelism db d;
-    Relsql.Database.set_join_partitions db p;
     let sys =
-      { Harness.sys_name = Printf.sprintf "%dd/%dp" d p;
+      { Harness.sys_name = Printf.sprintf "%dd" d;
         store = Db2rdf.Engine.to_store engine; load_seconds }
     in
     List.map (fun (qname, q) -> (qname, Harness.measure cfg sys qname q)) qs
   in
-  let grid =
-    List.concat_map
-      (fun d -> List.map (fun p -> ((d, p), sweep d p)) partition_counts)
-      counts
-  in
+  let grid = List.map (fun d -> (d, sweep d)) counts in
   Relsql.Database.set_parallelism db 1;
-  Relsql.Database.set_join_partitions db 0;
-  let base = List.assoc (1, 1) grid in
-  let top_p = List.fold_left max 1 partition_counts in
+  let base = List.assoc 1 grid in
   let speedup_at key qname =
     match (List.assoc_opt qname base, List.assoc_opt key grid) with
     | Some b, Some ms ->
@@ -164,11 +143,10 @@ let run (cfg : Harness.config) =
   in
   Harness.subsection
     (Printf.sprintf
-       "Join queries over (domains, partitions) (ms; speedup at %dd/%dp)" top
-       top_p);
+       "Join queries over domains (ms; speedup at %dd)" top);
   Harness.print_table
     ("Query"
-     :: List.map (fun ((d, p), _) -> Printf.sprintf "%dd/%dp" d p) grid
+     :: List.map (fun (d, _) -> Printf.sprintf "%dd" d) grid
      @ [ "x@top" ])
     (List.map
        (fun (qname, _) ->
@@ -176,20 +154,20 @@ let run (cfg : Harness.config) =
          :: List.map
               (fun (_, ms) -> Harness.outcome_cell (List.assoc qname ms))
               grid
-         @ [ (match speedup_at (top, top_p) qname with
+         @ [ (match speedup_at top qname with
               | Some s -> Printf.sprintf "%.2fx" s
               | None -> "-") ])
        qs);
   let gm =
     geomean
-      (List.filter_map (fun (qname, _) -> speedup_at (top, top_p) qname) qs)
+      (List.filter_map (fun (qname, _) -> speedup_at top qname) qs)
   in
   (match gm with
    | Some g ->
      Printf.printf
-       "\ngeomean speedup at %d domains / %d partitions: %.2fx (host has %d \
-        core(s) — speedup > 1 requires real cores)\n%!"
-       top top_p g cores
+       "\ngeomean speedup at %d domains: %.2fx (host has %d core(s) — \
+        speedup > 1 requires real cores)\n%!"
+       top g cores
    | None -> Printf.printf "\ngeomean speedup: n/a\n%!");
   Harness.write_json cfg ~file:"BENCH_join.json"
     (Harness.J_obj
@@ -201,12 +179,14 @@ let run (cfg : Harness.config) =
          ( "note",
            Harness.J_str
              (Printf.sprintf
-                "grid points share one store; speedups are bounded by the %d \
-                 core(s) of this host — on a single-core host the grid \
-                 measures partitioning overhead, not speedup. Every point \
-                 was asserted row-identical to the sequential executor \
-                 before timing." cores) );
-         ("equality_checked", Harness.J_str "all grid points vs sequential");
+                "domain counts share one store; hash-join builds split \
+                 into 1 partition on one domain and 2 x domains otherwise. \
+                 Speedups are bounded by the %d core(s) of this host — on \
+                 a single-core host the curve measures partitioning \
+                 overhead, not speedup. Every domain count was asserted \
+                 row-identical to the sequential executor before timing."
+                cores) );
+         ("equality_checked", Harness.J_str "all domain counts vs sequential");
          ( "partitioned_operators",
            Harness.J_obj
              (List.map
@@ -215,10 +195,9 @@ let run (cfg : Harness.config) =
          ( "grid",
            Harness.J_list
              (List.map
-                (fun ((d, p), ms) ->
+                (fun (d, ms) ->
                   Harness.J_obj
                     [ ("domains", Harness.J_int d);
-                      ("partitions", Harness.J_int p);
                       ( "measurements",
                         Harness.J_list
                           (List.map
@@ -234,7 +213,7 @@ let run (cfg : Harness.config) =
                 (fun (qname, _) ->
                   Option.map
                     (fun s -> (qname, Harness.J_float s))
-                    (speedup_at (top, top_p) qname))
+                    (speedup_at top qname))
                 qs) );
          ( "geomean_speedup",
            match gm with

@@ -3,95 +3,7 @@
     bulk load and update performance"). Measures, per store:
     - bulk load throughput (triples/second, including any coloring pass);
     - incremental single-triple insertion rate into a warm store;
-    - deletion rate.
-
-    A second part sweeps the morsel-parallel bulk loader over
-    load-domain counts doubling from 1 up to [--domains], checking each
-    parallel store is bit-identical to the sequential one, and writes
-    the per-phase timing curve to BENCH_load.json. *)
-
-(** Load-domain counts doubling from 1 up to [top] (always including 1). *)
-let curve top =
-  let rec up d = if d >= top then [ top ] else d :: up (2 * d) in
-  List.sort_uniq compare (up 1)
-
-let phase_json (s : Db2rdf.Loader.load_stats) =
-  Harness.J_obj
-    [ ("domains", Harness.J_int s.Db2rdf.Loader.domains_used);
-      ("morsels", Harness.J_int s.Db2rdf.Loader.morsels);
-      ("triples_in", Harness.J_int s.Db2rdf.Loader.triples_in);
-      ("triples_new", Harness.J_int s.Db2rdf.Loader.triples_new);
-      ("encode_s", Harness.J_float s.Db2rdf.Loader.encode_s);
-      ("merge_s", Harness.J_float s.Db2rdf.Loader.merge_s);
-      ("assemble_s", Harness.J_float s.Db2rdf.Loader.assemble_s);
-      ("total_s", Harness.J_float s.Db2rdf.Loader.total_s) ]
-
-(** One colored bulk load at [load_domains] over [triples]; returns the
-    loader's phase stats and the canonical store dump. *)
-let load_once ~load_domains triples =
-  let e, _, _ =
-    Db2rdf.Engine.create_colored
-      ~options:{ Db2rdf.Engine.default_options with load_domains }
-      ~layout:(Db2rdf.Layout.make ~dph_cols:24 ~rph_cols:24) triples
-  in
-  let stats =
-    match Db2rdf.Engine.load_stats e with
-    | Some s -> s
-    | None -> failwith "exp_load: no load stats recorded"
-  in
-  (stats, Db2rdf.Loader.dump_store (Db2rdf.Engine.loader e))
-
-let run_parallel_load (cfg : Harness.config) triples =
-  let cores = Domain.recommended_domain_count () in
-  let counts = curve (max 1 cfg.Harness.domains) in
-  Harness.subsection
-    (Printf.sprintf "parallel bulk load, domain curve %s (host: %d core(s))"
-       (String.concat " " (List.map string_of_int counts))
-       cores);
-  let results =
-    List.map (fun d -> (d, load_once ~load_domains:d triples)) counts
-  in
-  let _, (base_stats, base_dump) = List.hd results in
-  let identical =
-    List.for_all (fun (_, (_, dump)) -> dump = base_dump) results
-  in
-  Printf.printf "stores bit-identical across domain counts: %s\n%!"
-    (if identical then "yes" else "NO — PARALLEL LOAD BUG");
-  let ms f = Printf.sprintf "%.1f" (1000.0 *. f) in
-  Harness.print_table
-    [ "load-domains"; "morsels"; "encode (ms)"; "merge (ms)"; "assemble (ms)";
-      "total (ms)"; "speedup" ]
-    (List.map
-       (fun (d, ((s : Db2rdf.Loader.load_stats), _)) ->
-         [ string_of_int d;
-           string_of_int s.Db2rdf.Loader.morsels;
-           ms s.Db2rdf.Loader.encode_s;
-           ms s.Db2rdf.Loader.merge_s;
-           ms s.Db2rdf.Loader.assemble_s;
-           ms s.Db2rdf.Loader.total_s;
-           (if s.Db2rdf.Loader.total_s > 0.0 then
-              Printf.sprintf "%.2fx"
-                (base_stats.Db2rdf.Loader.total_s /. s.Db2rdf.Loader.total_s)
-            else "-") ])
-       results);
-  Harness.write_json cfg ~file:"BENCH_load.json"
-    (Harness.J_obj
-       [ ("experiment", Harness.J_str "parallel-bulk-load");
-         ("workload", Harness.J_str "lubm");
-         ("scale", Harness.J_int cfg.Harness.scale);
-         ("host_cores", Harness.J_int cores);
-         ( "note",
-           Harness.J_str
-             (Printf.sprintf
-                "every domain count rebuilds the same colored store; \
-                 bit_identical asserts the parallel loader's output \
-                 equals the sequential one. Speedups are bounded by the \
-                 %d core(s) of this host — on a single-core host the \
-                 curve measures parallel overhead, not speedup" cores) );
-         ("bit_identical", Harness.J_str (if identical then "yes" else "no"));
-         ( "curve",
-           Harness.J_list (List.map (fun (_, (s, _)) -> phase_json s) results)
-         ) ])
+    - deletion rate. *)
 
 let run (cfg : Harness.config) =
   Harness.section
@@ -160,5 +72,4 @@ let run (cfg : Harness.config) =
   in
   Harness.print_table
     [ "Store"; "bulk load (kt/s)"; "incr. insert (kt/s)"; "delete (kt/s)" ]
-    rows;
-  run_parallel_load cfg triples
+    rows

@@ -19,7 +19,8 @@ open Cmdliner
 
 let data_arg =
   let doc = "N-Triples file to load, or workload:NAME[:SCALE] for a generated \
-             dataset (names: micro, lubm, sp2b, dbpedia, prbench)." in
+             dataset (names: micro, lubm, sp2b, dbpedia, prbench, \
+             snowflake; SCALE is a positive integer, default 10000)." in
   Arg.(required & opt (some string) None & info [ "d"; "data" ] ~docv:"DATA" ~doc)
 
 let backend_arg =
@@ -42,18 +43,6 @@ let domains_arg =
   let doc = "OCaml domains the executor may spread hot operators over \
              (1 = sequential; parallel runs return identical results)." in
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
-let load_domains_arg =
-  let doc = "OCaml domains for the bulk loader's morsel pipeline \
-             (1 = sequential; the parallel load builds a bit-identical \
-             store)." in
-  Arg.(value & opt int 1 & info [ "load-domains" ] ~docv:"N" ~doc)
-
-let join_partitions_arg =
-  let doc = "Radix partitions for parallel hash-join builds (rounded up \
-             to a power of two; 0 = auto, sized from the domain count; \
-             results are bit-identical for every setting)." in
-  Arg.(value & opt int 0 & info [ "join-partitions" ] ~docv:"P" ~doc)
 
 let compress_arg =
   let doc = "Merge tables into bit-packed columnar storage after load \
@@ -93,45 +82,56 @@ let extvp_budget_arg =
              used are evicted beyond it." in
   Arg.(value & opt int 64 & info [ "extvp-budget" ] ~docv:"MB" ~doc)
 
+let workloads =
+  [ ("micro", Workloads.Micro.generate); ("lubm", Workloads.Lubm.generate);
+    ("sp2b", Workloads.Sp2b.generate); ("dbpedia", Workloads.Dbpedia.generate);
+    ("prbench", Workloads.Prbench.generate);
+    ("snowflake", Workloads.Snowflake.generate) ]
+
+(* Report a bad command-line input on stderr as one line and exit 1. *)
+let input_error fmt =
+  Printf.ksprintf (fun m -> prerr_endline ("rdfstore: " ^ m); exit 1) fmt
+
+(* Triples named by a --data spec: an N-Triples file, or a generated
+   workload. An unreadable file, a syntax error ("FILE:LINE: message"),
+   an unknown workload or a scale that is not a positive integer is
+   reported through [input_error]. *)
 let load_triples spec =
   match String.split_on_char ':' spec with
-  | [ "workload"; name ] | [ "workload"; name; _ ] ->
-    let scale =
-      match String.split_on_char ':' spec with
-      | [ _; _; s ] -> int_of_string s
-      | _ -> 10_000
+  | "workload" :: rest ->
+    let name, scale =
+      match rest with
+      | [ name ] -> (name, 10_000)
+      | [ name; s ] ->
+        (match int_of_string_opt s with
+         | Some n when n > 0 -> (name, n)
+         | _ ->
+           input_error "%s: scale must be a positive integer, got %S" spec s)
+      | _ -> input_error "%s: expected workload:NAME[:SCALE]" spec
     in
-    (match name with
-     | "micro" -> Workloads.Micro.generate ~scale
-     | "lubm" -> Workloads.Lubm.generate ~scale
-     | "sp2b" -> Workloads.Sp2b.generate ~scale
-     | "dbpedia" -> Workloads.Dbpedia.generate ~scale
-     | "prbench" -> Workloads.Prbench.generate ~scale
-     | "snowflake" -> Workloads.Snowflake.generate ~scale
-     | other -> failwith ("unknown workload: " ^ other))
+    (match List.assoc_opt name workloads with
+     | Some generate -> generate ~scale
+     | None ->
+       input_error "%s: unknown workload %S (names: %s)" spec name
+         (String.concat ", " (List.map fst workloads)))
   | _ ->
     let acc = ref [] in
-    Rdf.Ntriples.parse_file (fun t -> acc := t :: !acc) spec;
-    List.rev !acc
+    (match Rdf.Ntriples.parse_file (fun t -> acc := t :: !acc) spec with
+     | () -> List.rev !acc
+     | exception Sys_error msg -> input_error "%s" msg
+     | exception Rdf.Ntriples.Syntax_error { line; message } ->
+       input_error "%s:%d: %s" spec line message)
 
-let build_store ?(load_domains = 1) ?(join_partitions = 0) ?(compress = false)
-    ?(wcoj = false) ?(extvp = false)
+let build_store ?(compress = false) ?(wcoj = false) ?(extvp = false)
     ?(extvp_build = false)
     ?(extvp_threshold = Relsql.Extvp.default_threshold)
     ?(extvp_budget_mb = 64) backend k no_coloring domains triples :
   Db2rdf.Store.t =
-  (* Triple/vertical stores compress via the process-wide default; the
-     engine takes it as an explicit option. *)
-  let saved_compress = !Relsql.Database.default_compress in
-  Relsql.Database.default_compress := compress;
-  Fun.protect
-    ~finally:(fun () -> Relsql.Database.default_compress := saved_compress)
-  @@ fun () ->
   match backend with
   | "db2rdf" ->
     let options =
-      { Db2rdf.Engine.default_options with parallelism = domains; load_domains;
-        join_partitions; compress; wcoj; extvp; extvp_build;
+      { Db2rdf.Engine.default_options with parallelism = domains; compress;
+        wcoj; extvp; extvp_build;
         extvp_threshold; extvp_budget_mb }
     in
     if no_coloring then begin
@@ -150,18 +150,20 @@ let build_store ?(load_domains = 1) ?(join_partitions = 0) ?(compress = false)
       Db2rdf.Engine.to_store e
     end
   | "triple" ->
-    let ts = Db2rdf.Triple_store.create () in
+    let ts = Db2rdf.Triple_store.create ~parallelism:domains ~compress () in
     Db2rdf.Triple_store.load ts triples;
     Db2rdf.Triple_store.to_store ts
   | "vertical" ->
-    let vs = Db2rdf.Vertical_store.create () in
+    let vs = Db2rdf.Vertical_store.create ~parallelism:domains ~compress () in
     Db2rdf.Vertical_store.load vs triples;
     Db2rdf.Vertical_store.to_store vs
   | "native" ->
     let ns = Db2rdf.Native_store.create () in
     Db2rdf.Native_store.load ns triples;
     Db2rdf.Native_store.to_store ns
-  | other -> failwith ("unknown backend: " ^ other)
+  | other ->
+    input_error
+      "unknown backend %S (expected db2rdf, triple, vertical or native)" other
 
 let read_query = function
   | Some q when Sys.file_exists q ->
@@ -193,16 +195,14 @@ let query_arg =
 (* query                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_query data backend k no_coloring domains load_domains join_partitions
-    compress wcoj extvp extvp_build extvp_threshold extvp_budget_mb timeout
-    query =
+let run_query data backend k no_coloring domains compress wcoj extvp
+    extvp_build extvp_threshold extvp_budget_mb timeout query =
   let q = parse_or_exit Sparql.Parser.parse (read_query query) in
   let triples = load_triples data in
   Printf.printf "loaded %d triples into %s\n%!" (List.length triples) backend;
   let store =
-    build_store ~load_domains ~join_partitions ~compress ~wcoj ~extvp
-      ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k no_coloring
-      domains triples
+    build_store ~compress ~wcoj ~extvp ~extvp_build ~extvp_threshold
+      ~extvp_budget_mb backend k no_coloring domains triples
   in
   let t0 = Unix.gettimeofday () in
   match Db2rdf.Store.run ~timeout store q with
@@ -231,7 +231,7 @@ let query_cmd =
   Cmd.v info
     Term.(
       const run_query $ data_arg $ backend_arg $ columns_arg $ no_color_arg
-      $ domains_arg $ load_domains_arg $ join_partitions_arg $ compress_arg
+      $ domains_arg $ compress_arg
       $ wcoj_arg $ extvp_arg $ extvp_build_arg $ extvp_threshold_arg
       $ extvp_budget_arg $ timeout_arg $ query_arg)
 
@@ -247,16 +247,14 @@ let update_summary = function
   | Sparql.Ast.Delete_where tps ->
     Printf.sprintf "DELETE WHERE (%d patterns)" (List.length tps)
 
-let run_update data backend k no_coloring domains load_domains join_partitions
-    compress wcoj extvp extvp_build extvp_threshold
-    extvp_budget_mb timeout script =
+let run_update data backend k no_coloring domains compress wcoj extvp
+    extvp_build extvp_threshold extvp_budget_mb timeout script =
   let statements = parse_or_exit Sparql.Parser.parse_script (read_query script) in
   let triples = load_triples data in
   Printf.printf "loaded %d triples into %s\n%!" (List.length triples) backend;
   let store =
-    build_store ~load_domains ~join_partitions ~compress ~wcoj
-      ~extvp ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k
-      no_coloring domains triples
+    build_store ~compress ~wcoj ~extvp ~extvp_build ~extvp_threshold
+      ~extvp_budget_mb backend k no_coloring domains triples
   in
   List.iteri
     (fun i stmt ->
@@ -309,7 +307,7 @@ let update_cmd =
   Cmd.v info
     Term.(
       const run_update $ data_arg $ backend_arg $ columns_arg $ no_color_arg
-      $ domains_arg $ load_domains_arg $ join_partitions_arg $ compress_arg
+      $ domains_arg $ compress_arg
       $ wcoj_arg $ extvp_arg $ extvp_build_arg
       $ extvp_threshold_arg $ extvp_budget_arg $ timeout_arg $ script_arg)
 
@@ -317,15 +315,13 @@ let update_cmd =
 (* explain                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let run_explain data backend k no_coloring domains load_domains
-    join_partitions compress wcoj extvp extvp_build extvp_threshold
-    extvp_budget_mb analyze timeout query =
+let run_explain data backend k no_coloring domains compress wcoj extvp
+    extvp_build extvp_threshold extvp_budget_mb analyze timeout query =
   let q = parse_or_exit Sparql.Parser.parse (read_query query) in
   let triples = load_triples data in
   let store =
-    build_store ~load_domains ~join_partitions ~compress ~wcoj ~extvp
-      ~extvp_build ~extvp_threshold ~extvp_budget_mb backend k no_coloring
-      domains triples
+    build_store ~compress ~wcoj ~extvp ~extvp_build ~extvp_threshold
+      ~extvp_budget_mb backend k no_coloring domains triples
   in
   print_endline (store.Db2rdf.Store.explain q);
   if analyze then begin
@@ -354,7 +350,7 @@ let explain_cmd =
   Cmd.v info
     Term.(
       const run_explain $ data_arg $ backend_arg $ columns_arg $ no_color_arg
-      $ domains_arg $ load_domains_arg $ join_partitions_arg $ compress_arg
+      $ domains_arg $ compress_arg
       $ wcoj_arg $ extvp_arg $ extvp_build_arg $ extvp_threshold_arg
       $ extvp_budget_arg $ analyze_arg $ timeout_arg $ query_arg)
 
@@ -538,7 +534,7 @@ let merge_cmd =
 (* sql                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_sql data k no_coloring domains join_partitions stmt =
+let run_sql data k no_coloring domains stmt =
   let triples = load_triples data in
   let e =
     if no_coloring then begin
@@ -556,7 +552,6 @@ let run_sql data k no_coloring domains join_partitions stmt =
   in
   let db = Db2rdf.Loader.database (Db2rdf.Engine.loader e) in
   Relsql.Database.set_parallelism db domains;
-  Relsql.Database.set_join_partitions db join_partitions;
   let parsed = Relsql.Sql_parser.parse (read_query stmt) in
   let r = Relsql.Executor.run db parsed in
   print_endline (String.concat "\t" (Relsql.Executor.column_names r));
@@ -575,96 +570,69 @@ let sql_cmd =
   Cmd.v info
     Term.(
       const run_sql $ data_arg $ columns_arg $ no_color_arg $ domains_arg
-      $ join_partitions_arg $ query_arg)
+      $ query_arg)
 
 (* ------------------------------------------------------------------ *)
 (* load                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let build_engine k no_coloring load_domains triples =
-  let options = { Db2rdf.Engine.default_options with load_domains } in
+let build_engine k no_coloring triples =
   let layout = Db2rdf.Layout.make ~dph_cols:k ~rph_cols:k in
   if no_coloring then begin
-    let e = Db2rdf.Engine.create ~options ~layout () in
+    let e = Db2rdf.Engine.create ~layout () in
     Db2rdf.Engine.load e triples;
     e
   end
   else begin
-    let e, _, _ = Db2rdf.Engine.create_colored ~options ~layout triples in
+    let e, _, _ = Db2rdf.Engine.create_colored ~layout triples in
     e
   end
 
 let print_load_stats ~parse_s (s : Db2rdf.Loader.load_stats) =
-  Printf.printf "domains:  %d (%d morsels)\n" s.Db2rdf.Loader.domains_used
-    s.Db2rdf.Loader.morsels;
   Printf.printf "triples:  %d in, %d new\n" s.Db2rdf.Loader.triples_in
     s.Db2rdf.Loader.triples_new;
   Printf.printf "parse:    %8.1f ms\n" (1000.0 *. parse_s);
-  Printf.printf "encode:   %8.1f ms\n" (1000.0 *. s.Db2rdf.Loader.encode_s);
-  Printf.printf "merge:    %8.1f ms\n" (1000.0 *. s.Db2rdf.Loader.merge_s);
-  Printf.printf "assemble: %8.1f ms\n" (1000.0 *. s.Db2rdf.Loader.assemble_s);
+  Printf.printf "load:     %8.1f ms\n" (1000.0 *. s.Db2rdf.Loader.total_s);
   Printf.printf "total:    %8.1f ms\n"
-    (1000.0
-    *. (parse_s +. s.Db2rdf.Loader.encode_s +. s.Db2rdf.Loader.merge_s
-       +. s.Db2rdf.Loader.assemble_s))
+    (1000.0 *. (parse_s +. s.Db2rdf.Loader.total_s))
 
-let run_load data k no_coloring load_domains verify =
+let run_load data k no_coloring verify =
   let t0 = Unix.gettimeofday () in
   let triples = load_triples data in
   let parse_s = Unix.gettimeofday () -. t0 in
-  let e = build_engine k no_coloring load_domains triples in
+  let e = build_engine k no_coloring triples in
   (match Db2rdf.Engine.load_stats e with
    | Some s -> print_load_stats ~parse_s s
    | None -> print_endline "no load ran");
   if verify then begin
-    let seq = build_engine k no_coloring 1 triples in
-    let d_par = Db2rdf.Loader.dump_store (Db2rdf.Engine.loader e) in
-    let d_seq = Db2rdf.Loader.dump_store (Db2rdf.Engine.loader seq) in
-    if d_par = d_seq then
-      Printf.printf "verify:   OK (store identical to sequential load)\n"
-    else begin
-      Printf.printf "verify:   MISMATCH against sequential load\n";
-      (* Show the first differing dump line of each store. *)
-      let ls = String.split_on_char '\n' d_seq
-      and lp = String.split_on_char '\n' d_par in
-      let rec first_diff = function
-        | a :: ra, b :: rb ->
-          if a = b then first_diff (ra, rb) else Some (a, b)
-        | a :: _, [] -> Some (a, "<missing>")
-        | [], b :: _ -> Some ("<missing>", b)
-        | [], [] -> None
-      in
-      (match first_diff (ls, lp) with
-       | Some (a, b) ->
-         Printf.printf "  seq: %s\n  par: %s\n" a b
-       | None -> ());
+    match (Db2rdf.Engine.to_store e).Db2rdf.Store.check () with
+    | () -> print_endline "verify:   OK (Table.check and Loader.check)"
+    | exception Failure msg ->
+      Printf.printf "verify:   FAILED: %s\n" msg;
       exit 1
-    end
   end
 
 let load_cmd =
   let verify =
     Arg.(value & flag & info [ "verify" ]
-           ~doc:"Also run a sequential load of the same data and fail \
-                 unless the two stores are bit-identical (dictionary, \
-                 rows, row order, lids, spill flags, registries).")
+           ~doc:"Also check the loaded store's structural invariants and \
+                 fail on the first violation: every table's storage \
+                 (Table.check) and the DB2RDF layout (Loader.check: \
+                 entity rows, spill flags, lids, the DICT relation).")
   in
   let info =
     Cmd.info "load"
-      ~doc:"Bulk-load data and print per-phase timings (parse, encode, \
-            merge, assemble) of the morsel-parallel loader."
+      ~doc:"Bulk-load data and print its timings (parse, load, total)."
   in
   Cmd.v info
-    Term.(
-      const run_load $ data_arg $ columns_arg $ no_color_arg $ load_domains_arg
-      $ verify)
+    Term.(const run_load $ data_arg $ columns_arg $ no_color_arg $ verify)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_fuzz seed cases timeout fuzz_backend domains load_domains
-    join_partitions compressed wcoj extvp updates corpus replay verbose =
+let run_fuzz seed cases timeout fuzz_backend domains compressed wcoj extvp
+    updates corpus replay verbose =
   (match fuzz_backend with
    | Some b when not (List.mem b Fuzz.Runner.backend_names) ->
      Printf.eprintf "unknown backend %S; available: %s\n" b
@@ -687,8 +655,8 @@ let run_fuzz seed cases timeout fuzz_backend domains load_domains
       (fun file ->
         let r = Fuzz.Repro.read file in
         match
-          Fuzz.Runner.check_repro ?only:fuzz_backend ~domains ~load_domains
-            ~join_partitions ~compressed ~wcoj ~extvp ~timeout r
+          Fuzz.Runner.check_repro ?only:fuzz_backend ~domains ~compressed
+            ~wcoj ~extvp ~timeout r
         with
         | Ok () -> Printf.printf "PASS %s\n%!" file
         | Error detail ->
@@ -709,8 +677,6 @@ let run_fuzz seed cases timeout fuzz_backend domains load_domains
         corpus_dir = corpus;
         only = fuzz_backend;
         domains;
-        load_domains;
-        join_partitions;
         compressed;
         wcoj;
         extvp;
@@ -746,21 +712,10 @@ let fuzz_cmd =
   let domains =
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
            ~doc:"Run the relational backends with N executor domains \
-                 (and a lowered parallelism threshold) so parallel \
-                 execution is differentially checked against the \
-                 reference evaluator.")
-  in
-  let load_domains =
-    Arg.(value & opt int 1 & info [ "load-domains" ] ~docv:"N"
-           ~doc:"Build the engine backends through the morsel-parallel \
-                 bulk loader with N domains, so load bugs surface as \
-                 query divergences.")
-  in
-  let join_partitions =
-    Arg.(value & opt int 0 & info [ "join-partitions" ] ~docv:"P"
-           ~doc:"Run the relational backends with P radix partitions in \
-                 their parallel hash-join builds (0 = auto), so \
-                 partitioned-build bugs surface as divergences.")
+                 (and a lowered parallelism threshold; hash-join builds \
+                 split into 2N radix partitions) so parallel execution \
+                 is differentially checked against the reference \
+                 evaluator.")
   in
   let compressed =
     Arg.(value & flag & info [ "compressed" ]
@@ -788,9 +743,10 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "updates" ]
            ~doc:"Fuzz update scripts instead of single queries: random \
                  INSERT DATA / DELETE DATA / DELETE WHERE statements \
-                 interleaved with SELECT probes, each backend's store \
-                 contents diffed against the reference graph after every \
-                 statement.")
+                 interleaved with SELECT probes; after every statement \
+                 each backend passes its structural checks (Table.check, \
+                 and Loader.check on DB2RDF stores) and its store \
+                 contents are diffed against the reference graph.")
   in
   let corpus =
     Arg.(value & opt (some string) (Some "test/corpus")
@@ -820,7 +776,7 @@ let fuzz_cmd =
   Cmd.v info
     Term.(
       const run_fuzz $ seed $ cases $ timeout $ backend $ domains
-      $ load_domains $ join_partitions $ compressed $ wcoj $ extvp $ updates
+      $ compressed $ wcoj $ extvp $ updates
       $ corpus $ replay $ verbose)
 
 (* ------------------------------------------------------------------ *)

@@ -41,27 +41,12 @@ let row_of_term id (t : Rdf.Term.t) =
      Relsql.Value.Str txt; num |]
 
 (** Append rows for dictionary ids interned since the last sync. Call
-    after loading and before translating queries that need term values.
-    [domains > 1] renders the (pure) term→row conversion on the shared
-    pool; insertion stays sequential in id order, so the DICT relation
-    is identical either way. *)
-let sync ?(domains = 1) state (dict : Rdf.Dictionary.t) =
+    after loading and before translating queries that need term values. *)
+let sync state (dict : Rdf.Dictionary.t) =
   let n = Rdf.Dictionary.size dict in
-  let lo = state.synced in
-  if domains > 1 && n - lo > 1 then begin
-    let rows = Array.make (n - lo) [||] in
-    let pool = Relsql.Dpool.get domains in
+  for id = state.synced to n - 1 do
     ignore
-      (Relsql.Dpool.run_ranges pool ~n:(n - lo) (fun ~worker:_ ~lo:a ~hi:b ->
-           for i = a to b - 1 do
-             rows.(i) <- row_of_term (lo + i) (Rdf.Dictionary.term_of dict (lo + i))
-           done));
-    Array.iter (fun row -> ignore (Relsql.Table.insert state.table row)) rows
-  end
-  else
-    for id = lo to n - 1 do
-      ignore
-        (Relsql.Table.insert state.table
-           (row_of_term id (Rdf.Dictionary.term_of dict id)))
-    done;
+      (Relsql.Table.insert state.table
+         (row_of_term id (Rdf.Dictionary.term_of dict id)))
+  done;
   state.synced <- n

@@ -12,7 +12,5 @@ type state
 val create : Relsql.Database.t -> state
 
 (** Append rows for dictionary ids interned since the last sync. Call
-    after loading and before translating queries that need term values.
-    [domains > 1] renders rows on the shared pool; the resulting
-    relation is identical to a sequential sync. *)
-val sync : ?domains:int -> state -> Rdf.Dictionary.t -> unit
+    after loading and before translating queries that need term values. *)
+val sync : state -> Rdf.Dictionary.t -> unit

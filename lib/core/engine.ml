@@ -11,12 +11,6 @@ type options = {
   parallelism : int;
       (** domains the executor may spread hot operators over
           (1 = sequential) *)
-  load_domains : int;
-      (** domains for the bulk loader's morsel pipeline (1 = the
-          untouched sequential path; the result is bit-identical) *)
-  join_partitions : int;
-      (** radix partitions for parallel hash-join builds
-          (0 = auto: sized from the domain count at execution time) *)
   compress : bool;
       (** merge tables into bit-packed columnar storage (zone maps +
           word-at-a-time scans) after bulk load, and after a write
@@ -47,7 +41,7 @@ type options = {
 
 let default_options =
   { optimize = true; merge = true; late_fuse = true; parallelism = 1;
-    load_domains = 1; join_partitions = 0; compress = false; wcoj = false;
+    compress = false; wcoj = false;
     extvp = false; extvp_build = false;
     extvp_threshold = Relsql.Extvp.default_threshold; extvp_budget_mb = 64 }
 
@@ -55,9 +49,8 @@ let default_options =
    headers print it so two result files can tell their configurations
    apart. *)
 let options_fingerprint (o : options) =
-  Printf.sprintf "O%b%b%b|p%d|l%d|j%d|c%b|w%b|e%b|eb%b|et%.4f|em%d"
-    o.optimize o.merge o.late_fuse o.parallelism o.load_domains
-    o.join_partitions o.compress o.wcoj o.extvp
+  Printf.sprintf "O%b%b%b|p%d|c%b|w%b|e%b|eb%b|et%.4f|em%d"
+    o.optimize o.merge o.late_fuse o.parallelism o.compress o.wcoj o.extvp
     o.extvp_build o.extvp_threshold o.extvp_budget_mb
 
 type t = {
@@ -138,8 +131,6 @@ let create ?(layout = Layout.default) ?(options = default_options) ?direct_map
     ?reverse_map () =
   let loader = Loader.create ~layout ?direct_map ?reverse_map () in
   Relsql.Database.set_parallelism (Loader.database loader) options.parallelism;
-  Relsql.Database.set_join_partitions (Loader.database loader)
-    options.join_partitions;
   Relsql.Database.set_wcoj (Loader.database loader) options.wcoj;
   (* The relational planner cannot see RDF statistics; the engine
      bridges the layers by installing the CS-informed chooser as a
@@ -224,9 +215,8 @@ let create_colored ?(layout = Layout.default) ?(options = default_options)
   let direct_map = Coloring.to_pred_map ~m:layout.Layout.dph_cols dcol in
   let reverse_map = Coloring.to_pred_map ~m:layout.Layout.rph_cols rcol in
   let e = create ~layout ~options ~direct_map ~reverse_map () in
-  Loader.load ~domains:options.load_domains e.loader triples;
-  Dict_table.sync ~domains:options.load_domains e.dict_state
-    (Loader.dictionary e.loader);
+  Loader.load e.loader triples;
+  Dict_table.sync e.dict_state (Loader.dictionary e.loader);
   (* Merge after the DICT sync so the dictionary table compresses
      too; later writes land in the touched tables' deltas. *)
   if options.compress then
@@ -247,14 +237,13 @@ let dictionary t = Loader.dictionary t.loader
 let load ?parse_s t triples =
   Relsql.Scan_cache.clear (Relsql.Database.scan_cache (Loader.database t.loader));
   Option.iter Relsql.Extvp.clear (extvp_registry t);
-  Loader.load ~domains:t.options.load_domains ?parse_s t.loader triples;
-  Dict_table.sync ~domains:t.options.load_domains t.dict_state
-    (Loader.dictionary t.loader);
+  Loader.load ?parse_s t.loader triples;
+  Dict_table.sync t.dict_state (Loader.dictionary t.loader);
   if t.options.compress then
     ignore (Relsql.Database.merge_all (Loader.database t.loader));
   if t.options.extvp && t.options.extvp_build then build_reductions t
 
-(** Phase timings of the most recent bulk load. *)
+(** Timings of the most recent bulk load. *)
 let load_stats t = Loader.last_load_stats t.loader
 
 let insert t triple =
@@ -521,5 +510,8 @@ let to_store ?(name = "DB2RDF") t : Store.t =
         (r, Some stats));
     explain = (fun q -> explain t q);
     update = (fun u -> update t u);
-    check = (fun () -> Relsql.Database.check (Loader.database t.loader));
+    check =
+      (fun () ->
+        Relsql.Database.check (Loader.database t.loader);
+        Loader.check t.loader);
   }

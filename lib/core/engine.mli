@@ -13,14 +13,6 @@ type options = {
   parallelism : int;
       (** domains the executor may spread hot operators over
           (1 = sequential) *)
-  load_domains : int;
-      (** domains for the bulk loader's morsel pipeline (1 = the
-          untouched sequential path; the result is bit-identical) *)
-  join_partitions : int;
-      (** radix partitions for parallel hash-join builds (rounded up
-          to a power of two by the executor; 0 = auto, sized from the
-          domain count at execution time; results are bit-identical
-          for every setting) *)
   compress : bool;
       (** merge tables into bit-packed columnar storage (zone maps +
           word-at-a-time scans) after bulk load, and after a write
@@ -98,11 +90,11 @@ val extvp_registry : t -> Relsql.Extvp.t option
     automatically at bulk load when that option is set. *)
 val build_reductions : t -> unit
 
-(** Bulk load through the engine's [load_domains] option; [parse_s]
-    folds the caller's input-parsing time into {!load_stats}. *)
+(** Bulk load ({!Loader.load}); [parse_s] folds the caller's
+    input-parsing time into {!load_stats}. *)
 val load : ?parse_s:float -> t -> Rdf.Triple.t list -> unit
 
-(** Phase timings of the most recent bulk load (None before any). *)
+(** Timings of the most recent bulk load (None before any). *)
 val load_stats : t -> Loader.load_stats option
 
 val insert : t -> Rdf.Triple.t -> unit

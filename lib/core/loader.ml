@@ -28,21 +28,13 @@ type side_state = {
   mutable entities : int;
 }
 
-(** Per-phase wall-clock breakdown of the last bulk {!load} call.
-    [parse_s] is the caller-measured input-parsing time (0 for in-memory
-    triple lists); the other phases are the loader's own: worker-local
-    dictionary encoding, the deterministic merge/remap/dedup pass, and
-    DPH/RPH/DS/RS row assembly. *)
+(** Wall-clock summary of the last bulk {!load} call. [parse_s] is the
+    caller-measured input-parsing time (0 for in-memory triple lists). *)
 type load_stats = {
-  domains_used : int;  (** 1 = the untouched sequential path ran *)
-  morsels : int;  (** encode-phase chunks (1 when sequential) *)
   triples_in : int;  (** input triples, duplicates included *)
   triples_new : int;  (** triples actually inserted after dedup *)
   parse_s : float;
-  encode_s : float;
-  merge_s : float;
-  assemble_s : float;
-  total_s : float;  (** parse + encode + merge + assemble *)
+  total_s : float;  (** parse + insertion *)
 }
 
 type t = {
@@ -253,328 +245,19 @@ let insert t (tr : Rdf.Triple.t) =
   t.triples_loaded <- t.triples_loaded + 1
   end
 
-(* ------------------------------------------------------------------ *)
-(* Parallel bulk load                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Growable int vector for the merge pass's encoded-triple and
-   partition-index buffers. *)
-module Ivec = struct
-  type t = { mutable a : int array; mutable len : int }
-
-  let create () = { a = Array.make 256 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.a then begin
-      let b = Array.make (2 * v.len) 0 in
-      Array.blit v.a 0 b 0 v.len;
-      v.a <- b
-    end;
-    v.a.(v.len) <- x;
-    v.len <- v.len + 1
-end
-
-(* Per-entity simulation state of the assemble phase: the rows the
-   entity will own, each paired with the global index of the deduped
-   triple that created it (its position in the sequential insertion
-   order). *)
-type esim = {
-  mutable srows : (int * Relsql.Value.t array) list;  (* creation order *)
-  mutable sspilled : bool;
-}
-
-(* Row/secondary fragment built by one (side, entity-partition)
-   assemble worker. Sequence keys restore the sequential order later:
-   a row's key is its creating triple's index; a secondary tuple's key
-   is [2*seq] ([+1] for the second tuple of a lid transition, which
-   sequential insertion writes old-then-new at one triple). *)
-type frag = {
-  mutable frows : (int * int * Relsql.Value.t array) list;  (* seq, entity, row *)
-  mutable fds : (int * int * Relsql.Value.t) list;  (* key, lid, elm *)
-  fmv : unit IntTbl.t;  (* multi-valued predicate ids *)
-  fsp : unit IntTbl.t;  (* spill-involved predicate ids *)
-  fpc : (int * int, unit) Hashtbl.t;  (* (pred id, column) placements *)
-}
-
-let sim_fresh_row st entity =
-  let arity = Relsql.Schema.arity (Relsql.Table.schema st.primary) in
-  let row = Array.make arity Relsql.Value.Null in
-  row.(st.pos.entry_pos) <- Relsql.Value.Int entity;
-  row.(st.pos.spill_pos) <- Relsql.Value.Int 0;
-  row
-
-(* Mirror of {!insert_side} over in-memory row fragments: the same row
-   scanning order, candidate order and spill choice, with lids drawn
-   from the pre-computed schedule instead of the shared counter. Only
-   the entity's own rows are consulted, which is what makes insertion
-   simulable per entity partition. *)
-let sim_insert st ents frag lids ~seq ~entity ~pred_id ~cands ~value =
-  let e =
-    match IntTbl.find_opt ents entity with
-    | Some e -> e
-    | None ->
-      let e = { srows = [ (seq, sim_fresh_row st entity) ]; sspilled = false } in
-      IntTbl.add ents entity e;
-      e
-  in
-  let pred_val = Relsql.Value.Int pred_id in
-  let existing =
-    List.find_map
-      (fun (_, arr) ->
-        List.find_map
-          (fun c ->
-            if arr.(st.pos.pred_pos.(c)) = pred_val then Some (arr, c) else None)
-          cands)
-      e.srows
-  in
-  match existing with
-  | Some (arr, c) ->
-    IntTbl.replace frag.fmv pred_id ();
-    let vpos = st.pos.val_pos.(c) in
-    (match arr.(vpos) with
-     | Relsql.Value.Lid lid -> frag.fds <- (2 * seq, lid, value) :: frag.fds
-     | old ->
-       let lid = Hashtbl.find lids (entity, pred_id) in
-       arr.(vpos) <- Relsql.Value.Lid lid;
-       frag.fds <- ((2 * seq) + 1, lid, value) :: (2 * seq, lid, old) :: frag.fds)
-  | None ->
-    let rec find_free i = function
-      | [] -> None
-      | (_, arr) :: rest ->
-        (match
-           List.find_map
-             (fun c ->
-               if Relsql.Value.is_null arr.(st.pos.pred_pos.(c)) then Some c
-               else None)
-             cands
-         with
-         | Some c -> Some (i, arr, c)
-         | None -> find_free (i + 1) rest)
-    in
-    (match find_free 0 e.srows with
-     | Some (i, arr, c) ->
-       arr.(st.pos.pred_pos.(c)) <- pred_val;
-       arr.(st.pos.val_pos.(c)) <- value;
-       Hashtbl.replace frag.fpc (pred_id, c) ();
-       if i <> 0 then IntTbl.replace frag.fsp pred_id ()
-     | None ->
-       let arr = sim_fresh_row st entity in
-       e.srows <- e.srows @ [ (seq, arr) ];
-       e.sspilled <- true;
-       let c = List.hd cands in
-       arr.(st.pos.pred_pos.(c)) <- pred_val;
-       arr.(st.pos.val_pos.(c)) <- value;
-       Hashtbl.replace frag.fpc (pred_id, c) ();
-       IntTbl.replace frag.fsp pred_id ())
-
-(* The morsel-parallel bulk-load pipeline. Three phases:
-
-   1. {b encode} (parallel): the input splits into contiguous chunks;
-      each worker interns its chunk's terms into a private dictionary
-      delta and emits the chunk as local-id triples.
-   2. {b merge} (sequential): deltas merge into the global dictionary in
-      chunk order — which reproduces the sequential interning order
-      exactly (see {!Rdf.Dictionary.remap_into}) — while the remapped
-      triples are deduplicated, statistics recorded, predicate
-      candidate columns memoized, and the lid allocation schedule
-      computed (a (side, entity, predicate) pair draws its lid at its
-      second occurrence, direct side before reverse, as sequential
-      insertion would).
-   3. {b assemble} (parallel): per side, entities are hash-partitioned;
-      workers replay each entity's insertions into private row
-      fragments ({!sim_insert}); a final per-side pass writes rows and
-      secondary tuples into the tables in sequence-key order, so row
-      ids, index postings, lids and spill flags are all bit-identical
-      to a sequential load. *)
-let load_parallel t ~domains triples n_in =
-  let now = Unix.gettimeofday in
-  let t0 = now () in
-  let before = t.triples_loaded in
-  let pool = Relsql.Dpool.get domains in
-  let input : Rdf.Triple.t array = Array.of_list triples in
-  (* -------- phase 1: encode -------- *)
-  let rs = Relsql.Dpool.ranges pool ~n:n_in () in
-  let n_morsels = Array.length rs in
-  let deltas =
-    Array.map
-      (fun (lo, hi) -> (Rdf.Dictionary.create (), Array.make (3 * (hi - lo)) 0))
-      rs
-  in
-  ignore
-    (Relsql.Dpool.run pool ~morsels:n_morsels (fun ~worker:_ m ->
-         let lo, hi = rs.(m) in
-         let ld, enc = deltas.(m) in
-         for j = lo to hi - 1 do
-           let tr = input.(j) in
-           let b = 3 * (j - lo) in
-           enc.(b) <- Rdf.Dictionary.id_of ld tr.Rdf.Triple.s;
-           enc.(b + 1) <- Rdf.Dictionary.id_of ld tr.Rdf.Triple.p;
-           enc.(b + 2) <- Rdf.Dictionary.id_of ld tr.Rdf.Triple.o
-         done));
-  let t_enc = now () in
-  (* -------- phase 2: merge -------- *)
-  let vs = Ivec.create () and vp = Ivec.create () and vo = Ivec.create () in
-  let cands = IntTbl.create 64 in
-  let dcount = Hashtbl.create 1024 and rcount = Hashtbl.create 1024 in
-  let dlids = Hashtbl.create 64 and rlids = Hashtbl.create 64 in
-  let sched counts lids key =
-    let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counts key) in
-    Hashtbl.replace counts key c;
-    if c = 2 then begin
-      Hashtbl.add lids key t.next_lid;
-      t.next_lid <- t.next_lid + 1
-    end
-  in
-  Array.iter
-    (fun (ld, enc) ->
-      let remap = Rdf.Dictionary.remap_into ~global:t.dict ld in
-      for i = 0 to (Array.length enc / 3) - 1 do
-        let s = remap.(enc.(3 * i))
-        and p = remap.(enc.((3 * i) + 1))
-        and o = remap.(enc.((3 * i) + 2)) in
-        if not (Hashtbl.mem t.seen (s, p, o)) then begin
-          Hashtbl.add t.seen (s, p, o) ();
-          Ivec.push vs s;
-          Ivec.push vp p;
-          Ivec.push vo o;
-          if not (IntTbl.mem cands p) then begin
-            let str = pred_uri (Rdf.Dictionary.term_of t.dict p) in
-            let of_map m =
-              match Pred_map.candidates m str with [] -> [ 0 ] | cs -> cs
-            in
-            IntTbl.add cands p
-              (of_map t.direct.pred_map, of_map t.reverse.pred_map)
-          end;
-          sched dcount dlids (s, p);
-          sched rcount rlids (o, p);
-          Dataset_stats.record t.stats ~s ~p ~o;
-          t.triples_loaded <- t.triples_loaded + 1
-        end
-      done)
-    deltas;
-  let nd = vs.Ivec.len in
-  (* Partition the deduped triples by entity, per side. *)
-  let nparts = max 1 (4 * domains) in
-  let dparts = Array.init nparts (fun _ -> Ivec.create ()) in
-  let rparts = Array.init nparts (fun _ -> Ivec.create ()) in
-  for j = 0 to nd - 1 do
-    Ivec.push dparts.(vs.Ivec.a.(j) mod nparts) j;
-    Ivec.push rparts.(vo.Ivec.a.(j) mod nparts) j
-  done;
-  let t_merge = now () in
-  (* -------- phase 3: assemble -------- *)
-  let frags =
-    Array.init (2 * nparts) (fun _ ->
-        { frows = []; fds = []; fmv = IntTbl.create 16; fsp = IntTbl.create 16;
-          fpc = Hashtbl.create 16 })
-  in
-  ignore
-    (Relsql.Dpool.run pool ~morsels:(2 * nparts) (fun ~worker:_ m ->
-         let direct = m < nparts in
-         let part = if direct then m else m - nparts in
-         let st = if direct then t.direct else t.reverse in
-         let lids = if direct then dlids else rlids in
-         let idxs = (if direct then dparts else rparts).(part) in
-         let frag = frags.(m) in
-         let ents = IntTbl.create 256 in
-         for i = 0 to idxs.Ivec.len - 1 do
-           let j = idxs.Ivec.a.(i) in
-           let s = vs.Ivec.a.(j) and p = vp.Ivec.a.(j) and o = vo.Ivec.a.(j) in
-           let dc, rc = IntTbl.find cands p in
-           let entity, value, cs =
-             if direct then (s, Relsql.Value.Int o, dc)
-             else (o, Relsql.Value.Int s, rc)
-           in
-           sim_insert st ents frag lids ~seq:j ~entity ~pred_id:p ~cands:cs
-             ~value
-         done;
-         IntTbl.iter
-           (fun entity e ->
-             if e.sspilled then
-               List.iter
-                 (fun (_, arr) -> arr.(st.pos.spill_pos) <- Relsql.Value.Int 1)
-                 e.srows;
-             List.iter
-               (fun (seq, arr) -> frag.frows <- (seq, entity, arr) :: frag.frows)
-               e.srows)
-           ents));
-  (* Write each side's fragments into its tables in sequence-key order
-     (the two sides are independent and run as a 2-morsel job). *)
-  let finish st side_frags =
-    let row_slot = Array.make (max nd 1) None in
-    let ds_slot = Array.make (max (2 * nd) 1) None in
-    Array.iter
-      (fun frag ->
-        List.iter
-          (fun (seq, e, arr) -> row_slot.(seq) <- Some (e, arr))
-          frag.frows;
-        List.iter (fun (key, lid, elm) -> ds_slot.(key) <- Some (lid, elm)) frag.fds;
-        IntTbl.iter (fun p () -> IntTbl.replace st.multivalued p ()) frag.fmv;
-        IntTbl.iter (fun p () -> IntTbl.replace st.spill_preds p ()) frag.fsp;
-        Hashtbl.iter (fun (p, c) () -> record_placed st ~pred_id:p c) frag.fpc)
-      side_frags;
-    for seq = 0 to nd - 1 do
-      (match row_slot.(seq) with
-       | Some (e, arr) ->
-         let rid = Relsql.Table.insert st.primary arr in
-         (match IntTbl.find_opt st.entity_rows e with
-          | Some r ->
-            r := !r @ [ rid ];
-            st.spill_rows <- st.spill_rows + 1
-          | None ->
-            st.entities <- st.entities + 1;
-            IntTbl.add st.entity_rows e (ref [ rid ]))
-       | None -> ());
-      (match ds_slot.(2 * seq) with
-       | Some (lid, elm) ->
-         ignore (Relsql.Table.insert st.secondary [| Relsql.Value.Lid lid; elm |])
-       | None -> ());
-      match ds_slot.((2 * seq) + 1) with
-      | Some (lid, elm) ->
-        ignore (Relsql.Table.insert st.secondary [| Relsql.Value.Lid lid; elm |])
-      | None -> ()
-    done
-  in
-  ignore
-    (Relsql.Dpool.run pool ~morsels:2 (fun ~worker:_ m ->
-         if m = 0 then finish t.direct (Array.sub frags 0 nparts)
-         else finish t.reverse (Array.sub frags nparts nparts)));
-  let t_done = now () in
-  (before, n_morsels, t_enc -. t0, t_merge -. t_enc, t_done -. t_merge)
-
-(** Bulk load. [domains > 1] runs the morsel-parallel pipeline above on
-    a fresh store (the result is bit-identical to the sequential path);
-    [domains = 1], a non-empty store, or an empty input take the
-    unchanged sequential route. [parse_s] lets callers fold the time
-    they spent parsing the input into the reported {!load_stats}. *)
-let load ?(domains = 1) ?(parse_s = 0.0) t triples =
+(** Bulk load: the insertion procedure of {!insert}, triple by triple.
+    [parse_s] lets callers fold the time they spent parsing the input
+    into the reported {!load_stats}. *)
+let load ?(parse_s = 0.0) t triples =
   let t0 = Unix.gettimeofday () in
-  let n_in = List.length triples in
-  let fresh =
-    Relsql.Table.slot_count t.direct.primary = 0
-    && Relsql.Table.slot_count t.reverse.primary = 0
-  in
-  if domains <= 1 || not fresh || n_in = 0 then begin
-    let before = t.triples_loaded in
-    List.iter (insert t) triples;
-    let dt = Unix.gettimeofday () -. t0 in
-    t.last_load <-
-      Some
-        { domains_used = 1; morsels = 1; triples_in = n_in;
-          triples_new = t.triples_loaded - before; parse_s; encode_s = 0.0;
-          merge_s = 0.0; assemble_s = dt; total_s = parse_s +. dt }
-  end
-  else begin
-    let before, morsels, encode_s, merge_s, assemble_s =
-      load_parallel t ~domains triples n_in
-    in
-    t.last_load <-
-      Some
-        { domains_used = domains; morsels; triples_in = n_in;
-          triples_new = t.triples_loaded - before; parse_s; encode_s;
-          merge_s; assemble_s;
-          total_s = parse_s +. encode_s +. merge_s +. assemble_s }
-  end
+  let before = t.triples_loaded in
+  List.iter (insert t) triples;
+  let dt = Unix.gettimeofday () -. t0 in
+  t.last_load <-
+    Some
+      { triples_in = List.length triples;
+        triples_new = t.triples_loaded - before; parse_s;
+        total_s = parse_s +. dt }
 
 (* Locate the (row, candidate column) currently holding [pred_id] for an
    entity; the insertion procedure guarantees at most one. *)
@@ -692,8 +375,8 @@ let spill_predicates t which = sorted_keys (side t which).spill_preds
     order (row ids included), both sides' registries and bookkeeping,
     and the lid counter. Two loads that produce equal dumps built
     bit-identical stores — row ids, index posting order, lids, spill
-    flags, coloring-dependent column placement, all of it. The seq≡par
-    equality tests and [rdfstore load --verify] compare these. *)
+    flags, coloring-dependent column placement, all of it. Benchmarks
+    digest it to tell two runs' final stores apart. *)
 let dump_store t =
   let buf = Buffer.create 65536 in
   Buffer.add_string buf "== dictionary ==\n";
@@ -738,6 +421,119 @@ let dump_store t =
   Buffer.add_string buf
     (Printf.sprintf "next_lid:%d\ntriples:%d\n" t.next_lid t.triples_loaded);
   Buffer.contents buf
+
+(* ------------------------------------------------------------------ *)
+(* Structural invariants                                               *)
+(* ------------------------------------------------------------------ *)
+
+let check_side t label st =
+  let fail fmt =
+    Printf.ksprintf (fun m -> failwith ("Loader.check " ^ label ^ ": " ^ m)) fmt
+  in
+  (* Every registered row is live, carries its entity, and has the
+     spill flag its entity's row count implies; together the entities
+     own every live primary row, each once. *)
+  let owned = IntTbl.create 1024 and spills = ref 0 in
+  IntTbl.iter
+    (fun entity rows ->
+      let n = List.length !rows in
+      let flag = Relsql.Value.Int (if n > 1 then 1 else 0) in
+      spills := !spills + n - 1;
+      List.iter
+        (fun rid ->
+          if IntTbl.mem owned rid then fail "row %d is registered twice" rid;
+          IntTbl.add owned rid ();
+          if not (Relsql.Table.is_live st.primary rid) then
+            fail "entity %d: row %d is not live" entity rid;
+          if Relsql.Table.cell st.primary rid st.pos.entry_pos
+             <> Relsql.Value.Int entity
+          then fail "entity %d: row %d carries another entity" entity rid;
+          if Relsql.Table.cell st.primary rid st.pos.spill_pos <> flag then
+            fail "entity %d: row %d has spill flag %s but the entity owns %d row(s)"
+              entity rid
+              (Relsql.Value.to_string
+                 (Relsql.Table.cell st.primary rid st.pos.spill_pos))
+              n)
+        !rows)
+    st.entity_rows;
+  if IntTbl.length owned <> Relsql.Table.row_count st.primary then
+    fail "%d live rows, but entities own %d"
+      (Relsql.Table.row_count st.primary) (IntTbl.length owned);
+  if st.entities <> IntTbl.length st.entity_rows then
+    fail "entity count %d, registry holds %d" st.entities
+      (IntTbl.length st.entity_rows);
+  if st.spill_rows <> !spills then
+    fail "spill-row count %d, registry implies %d" st.spill_rows !spills;
+  (* Pred and val cells are NULL together; every lid cell is unique,
+     allocated, and has secondary rows; every secondary lid is
+     referenced by a primary cell. *)
+  let referenced = IntTbl.create 64 in
+  Relsql.Table.iter
+    (fun rid row ->
+      for c = 0 to st.k - 1 do
+        let v = row.(st.pos.val_pos.(c)) in
+        if Relsql.Value.is_null row.(st.pos.pred_pos.(c)) <> Relsql.Value.is_null v
+        then fail "row %d column %d: pred and val disagree on NULL" rid c;
+        match v with
+        | Relsql.Value.Lid lid ->
+          if IntTbl.mem referenced lid then fail "lid %d is referenced twice" lid;
+          if lid < 0 || lid >= t.next_lid then
+            fail "row %d: lid %d was never allocated" rid lid;
+          IntTbl.add referenced lid ()
+        | _ -> ()
+      done)
+    st.primary;
+  let listed = IntTbl.create 64 in
+  Relsql.Table.iter
+    (fun rid row ->
+      match row.(0) with
+      | Relsql.Value.Lid lid ->
+        if not (IntTbl.mem referenced lid) then
+          fail "secondary row %d: lid %d is referenced by no primary cell" rid lid;
+        IntTbl.replace listed lid ()
+      | v ->
+        fail "secondary row %d holds %s, not a lid" rid (Relsql.Value.to_string v))
+    st.secondary;
+  IntTbl.iter
+    (fun lid () ->
+      if not (IntTbl.mem listed lid) then fail "lid %d has no secondary rows" lid)
+    referenced
+
+(* The DICT relation lists every dictionary id once, with its term.
+   Stores without a DICT relation (a bare {!create}) have nothing to
+   agree with. *)
+let check_dict t =
+  match Relsql.Database.find t.db Dict_table.table_name with
+  | None -> ()
+  | Some tbl ->
+    let fail fmt = Printf.ksprintf (fun m -> failwith ("Loader.check DICT: " ^ m)) fmt in
+    let n = Rdf.Dictionary.size t.dict in
+    let seen = Array.make n false in
+    Relsql.Table.iter
+      (fun rid row ->
+        match row.(0), row.(1) with
+        | Relsql.Value.Int id, Relsql.Value.Str term when id >= 0 && id < n ->
+          if seen.(id) then fail "id %d is listed twice" id;
+          seen.(id) <- true;
+          let want = Rdf.Term.to_string (Rdf.Dictionary.term_of t.dict id) in
+          if term <> want then
+            fail "id %d renders %s, the dictionary holds %s" id term want
+        | id, _ ->
+          fail "row %d: id %s is not a dictionary id (size %d)" rid
+            (Relsql.Value.to_string id) n)
+      tbl;
+    Array.iteri
+      (fun id s -> if not s then fail "dictionary id %d has no row" id)
+      seen
+
+let check t =
+  if Hashtbl.length t.seen <> t.triples_loaded then
+    failwith
+      (Printf.sprintf "Loader.check: %d distinct triples, counter says %d"
+         (Hashtbl.length t.seen) t.triples_loaded);
+  check_side t "direct" t.direct;
+  check_side t "reverse" t.reverse;
+  check_dict t
 
 (* ------------------------------------------------------------------ *)
 (* Reporting (Section 2.3 numbers)                                     *)

@@ -9,22 +9,13 @@
 
 type side = Direct | Reverse
 
-(** Per-phase wall-clock breakdown of the last bulk {!load} call.
-    [parse_s] is the caller-measured input-parsing time (0 for in-memory
-    triple lists); the other phases are the loader's own: worker-local
-    dictionary encoding, the deterministic merge/remap/dedup pass, and
-    DPH/RPH/DS/RS row assembly. On the sequential path everything lands
-    in [assemble_s]. *)
+(** Wall-clock summary of the last bulk {!load} call. [parse_s] is the
+    caller-measured input-parsing time (0 for in-memory triple lists). *)
 type load_stats = {
-  domains_used : int;  (** 1 = the untouched sequential path ran *)
-  morsels : int;  (** encode-phase chunks (1 when sequential) *)
   triples_in : int;  (** input triples, duplicates included *)
   triples_new : int;  (** triples actually inserted after dedup *)
   parse_s : float;
-  encode_s : float;
-  merge_s : float;
-  assemble_s : float;
-  total_s : float;  (** parse + encode + merge + assemble *)
+  total_s : float;  (** parse + insertion *)
 }
 
 type t
@@ -48,16 +39,11 @@ val triples_loaded : t -> int
     ignored (RDF graphs are sets). *)
 val insert : t -> Rdf.Triple.t -> unit
 
-(** Bulk load. [domains > 1] (default 1) runs the morsel-parallel
-    pipeline — per-chunk dictionary deltas merged deterministically,
-    then entity-partitioned row assembly — on a fresh store; the result
-    is bit-identical to the sequential path (same ids, row order,
-    coloring, lids, spill sets). A non-empty store or [domains <= 1]
-    takes the unchanged sequential route. [parse_s] folds the caller's
-    input-parsing time into the reported {!load_stats}. *)
-val load : ?domains:int -> ?parse_s:float -> t -> Rdf.Triple.t list -> unit
+(** Bulk load: {!insert} over every triple, in order. [parse_s] folds
+    the caller's input-parsing time into the reported {!load_stats}. *)
+val load : ?parse_s:float -> t -> Rdf.Triple.t list -> unit
 
-(** Phase timings of the most recent {!load} (None before any load). *)
+(** Timings of the most recent {!load} (None before any load). *)
 val last_load_stats : t -> load_stats option
 
 (** Delete one triple (no-op when absent). Spill rows and registry
@@ -97,9 +83,24 @@ val spill_predicates : t -> side -> int list
 (** Canonical textual rendering of the whole store — dictionary in id
     order, every relation's rows in insertion order with row ids, both
     sides' registries and bookkeeping, the lid counter. Equal dumps ⇔
-    bit-identical stores; the seq≡par equality tests and
-    [rdfstore load --verify] compare these. *)
+    bit-identical stores. *)
 val dump_store : t -> string
+
+(** Verify the store's structural invariants, on both sides:
+    - every registered row id of an entity is live and carries that
+      entity, and the entities own every live primary row exactly once;
+    - every row's spill flag is 1 exactly when its entity owns more than
+      one row, and the entity and spill-row counters match the registry;
+    - pred and val cells are NULL together;
+    - every lid cell in DPH/RPH is unique, allocated, and has DS/RS rows,
+      and every DS/RS row's lid is referenced by a primary cell;
+    - the DICT relation, when present, lists every dictionary id once
+      with its term.
+    Raises [Failure] naming the first violation. The DB2RDF tables
+    satisfy it after every {!load}, {!insert} and {!delete}; DICT
+    catches up when the engine syncs it at the end of each write. Costs
+    a pass over every table. *)
+val check : t -> unit
 
 (** Section 2.3 reporting. *)
 type side_report = {

@@ -23,8 +23,8 @@ type t = {
           pre-update state. *)
   check : unit -> unit;
       (** Verify the store's structural invariants
-          ({!Relsql.Table.check} on every table); raises [Failure] on a
-          violation. *)
+          ({!Relsql.Table.check} on every table, plus {!Loader.check}
+          on DB2RDF stores); raises [Failure] on a violation. *)
 }
 
 (** Build a store's [update] from its own query/insert/delete

@@ -13,11 +13,15 @@ type t = {
   stats : Dataset_stats.t;
   dict_state : Dict_table.state;
   seen : (int * int * int, unit) Hashtbl.t;
+  compress : bool;
+      (** merge every table after bulk load and the due tables after
+          each write, like the engine's [compress] option *)
   mutable table_count : int;
 }
 
-let create ?dict () =
+let create ?(parallelism = 1) ?(compress = false) ?dict () =
   let db = Relsql.Database.create "vertical-store" in
+  Relsql.Database.set_parallelism db parallelism;
   let dict = match dict with Some d -> d | None -> Rdf.Dictionary.create () in
   {
     db;
@@ -26,6 +30,7 @@ let create ?dict () =
     stats = Dataset_stats.create ();
     dict_state = Dict_table.create db;
     seen = Hashtbl.create 4096;
+    compress;
     table_count = 0;
   }
 
@@ -60,7 +65,7 @@ let insert t (tr : Rdf.Triple.t) =
 let load t triples =
   List.iter (insert t) triples;
   Dict_table.sync t.dict_state t.dict;
-  if !Relsql.Database.default_compress then
+  if t.compress then
     ignore (Relsql.Database.merge_all t.db)
 
 (** Delete one triple (no-op when absent). *)
@@ -90,11 +95,11 @@ let delete t (tr : Rdf.Triple.t) =
 let relation_count t = t.table_count
 
 (* Keep the DICT table in step after an update statement and, under
-   [--compress], merge the tables whose delta is due — the engine's
+   [compress], merge the tables whose delta is due — the engine's
    write epilogue policy. *)
 let after_write t =
   Dict_table.sync t.dict_state t.dict;
-  if !Relsql.Database.default_compress then
+  if t.compress then
     ignore (Relsql.Database.merge_due t.db)
 
 let translate t (q : Sparql.Ast.query) : Relsql.Sql_ast.stmt =

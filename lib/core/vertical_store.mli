@@ -12,10 +12,18 @@ type t = {
   stats : Dataset_stats.t;
   dict_state : Dict_table.state;
   seen : (int * int * int, unit) Hashtbl.t;
+  compress : bool;
+      (** merge every table after bulk load and the due tables after
+          each write, like the engine's [compress] option *)
   mutable table_count : int;
 }
 
-val create : ?dict:Rdf.Dictionary.t -> unit -> t
+(** [parallelism] (default 1) is the executor's domain count for
+    statements against the store; [compress] (default false) packs its
+    tables after bulk load and keeps them packed after writes. *)
+val create :
+  ?parallelism:int -> ?compress:bool -> ?dict:Rdf.Dictionary.t -> unit -> t
+
 val insert : t -> Rdf.Triple.t -> unit
 val load : t -> Rdf.Triple.t list -> unit
 

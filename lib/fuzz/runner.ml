@@ -35,14 +35,9 @@ type results = Sparql.Ref_eval.results
     parallel-dispatch threshold is dropped to 2 rows — otherwise the
     parallel operators would never actually run.
 
-    [load_domains > 1] additionally builds every engine store through
-    the parallel bulk loader, so a load bug (ids, row order, lids,
-    spill flags) surfaces as a query divergence against the oracle.
-
-    [join_partitions] sets the radix partition count for parallel
-    hash-join builds on every backend (0 = auto), so a partitioned-
-    build bug (routing, partition order, NULL keys) surfaces as a
-    divergence too.
+    Their hash-join builds then split into twice as many radix
+    partitions as domains, so a partitioned-build bug (routing,
+    partition order, NULL keys) surfaces as a divergence too.
 
     [compressed] merges every backend's tables into bit-packed
     columnar storage after load (and after writes, per the merge
@@ -74,32 +69,16 @@ let force_extvp (e : Db2rdf.Engine.t) =
     (fun r -> Relsql.Extvp.set_force r true)
     (Db2rdf.Engine.extvp_registry e)
 
-let make_backends ?only ?(domains = 1) ?(load_domains = 1)
-    ?(join_partitions = 0) ?(compressed = false) ?(wcoj = false)
+let make_backends ?only ?(domains = 1) ?(compressed = false) ?(wcoj = false)
     ?(extvp = false) (triples : Rdf.Triple.t list) : Db2rdf.Store.t list =
-  if domains > 1 || join_partitions > 1 then
-    Relsql.Executor.par_min_rows := 2;
+  if domains > 1 then Relsql.Executor.par_min_rows := 2;
   let options =
-    { Db2rdf.Engine.default_options with parallelism = domains; load_domains;
-      join_partitions; compress = compressed; wcoj; extvp }
+    { Db2rdf.Engine.default_options with parallelism = domains;
+      compress = compressed; wcoj; extvp }
   in
   let forced e =
     if wcoj then force_wcoj_selector e;
     if extvp then force_extvp e
-  in
-  (* Triple/vertical stores build their catalogs internally; they pick
-     the parallelism, partition count and compression up from the
-     process-wide defaults at creation. *)
-  let saved = !Relsql.Database.default_parallelism in
-  let saved_parts = !Relsql.Database.default_join_partitions in
-  let saved_compress = !Relsql.Database.default_compress in
-  Relsql.Database.default_parallelism := domains;
-  Relsql.Database.default_join_partitions := join_partitions;
-  Relsql.Database.default_compress := compressed;
-  let restore () =
-    Relsql.Database.default_parallelism := saved;
-    Relsql.Database.default_join_partitions := saved_parts;
-    Relsql.Database.default_compress := saved_compress
   in
   let thunks =
     [ ( "DB2RDF-hash",
@@ -125,8 +104,7 @@ let make_backends ?only ?(domains = 1) ?(load_domains = 1)
           let options =
             { Db2rdf.Engine.default_options with
               optimize = false; merge = false; late_fuse = false;
-              parallelism = domains; load_domains; join_partitions;
-              compress = compressed; wcoj; extvp }
+              parallelism = domains; compress = compressed; wcoj; extvp }
           in
           let e =
             Db2rdf.Engine.create
@@ -137,12 +115,18 @@ let make_backends ?only ?(domains = 1) ?(load_domains = 1)
           Db2rdf.Engine.to_store ~name:"DB2RDF-unopt" e );
       ( "TripleStore",
         fun () ->
-          let ts = Db2rdf.Triple_store.create () in
+          let ts =
+            Db2rdf.Triple_store.create ~parallelism:domains
+              ~compress:compressed ()
+          in
           Db2rdf.Triple_store.load ts triples;
           Db2rdf.Triple_store.to_store ts );
       ( "VertStore",
         fun () ->
-          let vs = Db2rdf.Vertical_store.create () in
+          let vs =
+            Db2rdf.Vertical_store.create ~parallelism:domains
+              ~compress:compressed ()
+          in
           Db2rdf.Vertical_store.load vs triples;
           Db2rdf.Vertical_store.to_store vs ) ]
   in
@@ -157,12 +141,7 @@ let make_backends ?only ?(domains = 1) ?(load_domains = 1)
               (String.concat ", " (List.map fst thunks)))
        | fs -> fs)
   in
-  let stores =
-    match List.map (fun (_, f) -> f ()) thunks with
-    | stores -> restore (); stores
-    | exception e -> restore (); raise e
-  in
-  stores
+  List.map (fun (_, f) -> f ()) thunks
 
 let backend_names = [ "DB2RDF-hash"; "DB2RDF-colored"; "DB2RDF-unopt"; "TripleStore"; "VertStore" ]
 
@@ -343,24 +322,18 @@ type case_result =
 let strip_modifiers q = { q with limit = None; offset = None }
 
 (** Run [q] on the oracle and every backend over [triples]. [domains]
-    runs the backends in parallel-execution mode, [load_domains] builds
-    them through the parallel bulk loader, [join_partitions] partitions
-    their hash-join builds, [compressed] merges their tables into
-    bit-packed columnar storage (the oracle is always sequential and
-    uncompressed). *)
-let run_case ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
-    ?extvp ?(timeout = 5.0) (triples : Rdf.Triple.t list) (q : query) :
-  case_result =
+    runs the backends in parallel-execution mode, [compressed] merges
+    their tables into bit-packed columnar storage (the oracle is always
+    sequential and uncompressed). *)
+let run_case ?only ?domains ?compressed ?wcoj ?extvp ?(timeout = 5.0)
+    (triples : Rdf.Triple.t list) (q : query) : case_result =
   let g = Rdf.Graph.create () in
   List.iter (Rdf.Graph.add g) triples;
   match Sparql.Ref_eval.eval ~timeout g (strip_modifiers q) with
   | exception Sparql.Ref_eval.Timeout -> Skipped "oracle timeout"
   | exception e -> Skipped ("oracle failed: " ^ Printexc.to_string e)
   | oracle_full ->
-    let stores =
-      make_backends ?only ?domains ?load_domains ?join_partitions ?compressed
-        ?wcoj ?extvp triples
-    in
+    let stores = make_backends ?only ?domains ?compressed ?wcoj ?extvp triples in
     let divergences =
       List.filter_map
         (fun (store : Db2rdf.Store.t) ->
@@ -399,21 +372,18 @@ let graph_dump (g : Rdf.Graph.t) : string list =
 (** Replay an update script statement by statement. The reference graph
     applies {!Sparql.Ref_eval.apply_update}; every backend applies its
     own [update] (so [DELETE WHERE] runs through the backend's own
-    query pipeline). After each update statement, each backend's
-    tables pass {!Relsql.Table.check} and its full dump
+    query pipeline). After each update statement, each backend passes
+    its [check] ({!Relsql.Table.check} on every table, plus
+    {!Db2rdf.Loader.check} on DB2RDF stores) and its full dump
     ([SELECT ?s ?p ?o]) — again through its own query path — is
     diffed against the reference graph; each SELECT statement is
     checked with the same equivalence as plain query fuzzing. Stops at
     the first divergent statement. *)
-let run_script_case ?only ?domains ?load_domains ?join_partitions ?compressed
-    ?wcoj ?extvp ?(timeout = 5.0) (triples : Rdf.Triple.t list)
-    (script : statement list) : case_result =
+let run_script_case ?only ?domains ?compressed ?wcoj ?extvp ?(timeout = 5.0)
+    (triples : Rdf.Triple.t list) (script : statement list) : case_result =
   let g = Rdf.Graph.create () in
   List.iter (Rdf.Graph.add g) triples;
-  let stores =
-    make_backends ?only ?domains ?load_domains ?join_partitions ?compressed
-      ?wcoj ?extvp triples
-  in
+  let stores = make_backends ?only ?domains ?compressed ?wcoj ?extvp triples in
   let divergences = ref [] and skipped = ref None in
   let push d = divergences := !divergences @ [ d ] in
   let check_dump i (store : Db2rdf.Store.t) =
@@ -503,8 +473,6 @@ type config = {
   corpus_dir : string option;  (** write shrunk [.repro] files here *)
   only : string option;  (** restrict to one backend by name *)
   domains : int;  (** backend execution parallelism (1 = sequential) *)
-  load_domains : int;  (** bulk-load parallelism (1 = sequential) *)
-  join_partitions : int;  (** hash-join build partitions (0 = auto) *)
   compressed : bool;  (** merge backend tables into packed form *)
   wcoj : bool;  (** force the leapfrog join on DB2RDF backends *)
   extvp : bool;  (** force semi-join reductions on DB2RDF backends *)
@@ -523,8 +491,6 @@ let default_config =
     corpus_dir = None;
     only = None;
     domains = 1;
-    load_domains = 1;
-    join_partitions = 0;
     compressed = false;
     wcoj = false;
     extvp = false;
@@ -548,23 +514,22 @@ let roundtrip (q : query) : query option =
 let divergence_lines divs =
   List.map (fun d -> Printf.sprintf "%s: %s" d.backend d.detail) divs
 
-let case_fails ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
-    ?extvp ~timeout (c : Shrink.case) : bool =
+let case_fails ?only ?domains ?compressed ?wcoj ?extvp ~timeout
+    (c : Shrink.case) : bool =
   match roundtrip c.Shrink.query with
   | None -> false
   | Some q ->
     (match
-       run_case ?only ?domains ?load_domains ?join_partitions ?compressed
-         ?wcoj ?extvp ~timeout c.Shrink.triples q
+       run_case ?only ?domains ?compressed ?wcoj ?extvp ~timeout
+         c.Shrink.triples q
      with
      | Diverged _ -> true
      | Agree | Skipped _ -> false)
 
-let shrink_case ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
-    ?extvp ~timeout (c : Shrink.case) : Shrink.case =
+let shrink_case ?only ?domains ?compressed ?wcoj ?extvp ~timeout
+    (c : Shrink.case) : Shrink.case =
   Shrink.minimize
-    (case_fails ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
-       ?extvp ~timeout)
+    (case_fails ?only ?domains ?compressed ?wcoj ?extvp ~timeout)
     c
 
 (* Like [roundtrip], for whole scripts: the tested script is the
@@ -574,14 +539,14 @@ let roundtrip_script (s : statement list) : statement list option =
   | s' -> Some s'
   | exception _ -> None
 
-let script_fails ?only ?domains ?load_domains ?join_partitions ?compressed
-    ?wcoj ?extvp ~timeout (c : Shrink.script_case) : bool =
+let script_fails ?only ?domains ?compressed ?wcoj ?extvp ~timeout
+    (c : Shrink.script_case) : bool =
   match roundtrip_script c.Shrink.script with
   | None -> false
   | Some script ->
     (match
-       run_script_case ?only ?domains ?load_domains ?join_partitions
-         ?compressed ?wcoj ?extvp ~timeout c.Shrink.s_triples script
+       run_script_case ?only ?domains ?compressed ?wcoj ?extvp ~timeout
+         c.Shrink.s_triples script
      with
      | Diverged _ -> true
      | Agree | Skipped _ -> false)
@@ -615,8 +580,6 @@ let fuzz (config : config) : summary =
     | Some q ->
       (match
          run_case ?only:config.only ~domains:config.domains
-           ~load_domains:config.load_domains
-           ~join_partitions:config.join_partitions
            ~compressed:config.compressed ~wcoj:config.wcoj
            ~extvp:config.extvp ~timeout:config.timeout triples q
        with
@@ -631,8 +594,6 @@ let fuzz (config : config) : summary =
               (String.concat "\n  " (divergence_lines divs)));
          let small =
            shrink_case ?only:config.only ~domains:config.domains
-             ~load_domains:config.load_domains
-             ~join_partitions:config.join_partitions
              ~compressed:config.compressed ~wcoj:config.wcoj
              ~extvp:config.extvp ~timeout:config.timeout
              { Shrink.triples; query = q }
@@ -645,8 +606,6 @@ let fuzz (config : config) : summary =
          let final_divs =
            match
              run_case ?only:config.only ~domains:config.domains
-               ~load_domains:config.load_domains
-               ~join_partitions:config.join_partitions
                ~compressed:config.compressed ~wcoj:config.wcoj
                ~extvp:config.extvp ~timeout:config.timeout
                small.Shrink.triples small_q
@@ -674,8 +633,6 @@ let fuzz (config : config) : summary =
     | Some script ->
       (match
          run_script_case ?only:config.only ~domains:config.domains
-           ~load_domains:config.load_domains
-           ~join_partitions:config.join_partitions
            ~compressed:config.compressed ~wcoj:config.wcoj
            ~extvp:config.extvp ~timeout:config.timeout triples script
        with
@@ -691,8 +648,6 @@ let fuzz (config : config) : summary =
          let small =
            Shrink.minimize_script
              (script_fails ?only:config.only ~domains:config.domains
-                ~load_domains:config.load_domains
-                ~join_partitions:config.join_partitions
                 ~compressed:config.compressed ~wcoj:config.wcoj
                 ~extvp:config.extvp ~timeout:config.timeout)
              { Shrink.s_triples = triples; script }
@@ -705,8 +660,6 @@ let fuzz (config : config) : summary =
          let final_divs =
            match
              run_script_case ?only:config.only ~domains:config.domains
-               ~load_domains:config.load_domains
-               ~join_partitions:config.join_partitions
                ~compressed:config.compressed ~wcoj:config.wcoj
                ~extvp:config.extvp ~timeout:config.timeout
                small.Shrink.s_triples small_script
@@ -739,8 +692,8 @@ let fuzz (config : config) : summary =
 
 (** Replay one reproducer (query or update script); [Error lines] on
     any divergence. *)
-let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
-    ?extvp ?(timeout = 5.0) (r : Repro.t) : (unit, string) result =
+let check_repro ?only ?domains ?compressed ?wcoj ?extvp ?(timeout = 5.0)
+    (r : Repro.t) : (unit, string) result =
   match r.Repro.script_src with
   | Some src ->
     (match Sparql.Parser.parse_script src with
@@ -748,8 +701,8 @@ let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
        Error ("repro script does not parse: " ^ msg)
      | script ->
        (match
-          run_script_case ?only ?domains ?load_domains ?join_partitions
-            ?compressed ?wcoj ?extvp ~timeout r.Repro.triples script
+          run_script_case ?only ?domains ?compressed ?wcoj ?extvp ~timeout
+            r.Repro.triples script
         with
         | Agree -> Ok ()
         | Skipped why -> Error ("repro skipped: " ^ why)
@@ -760,8 +713,8 @@ let check_repro ?only ?domains ?load_domains ?join_partitions ?compressed ?wcoj
        Error ("repro query does not parse: " ^ msg)
      | q ->
        (match
-          run_case ?only ?domains ?load_domains ?join_partitions ?compressed
-            ?wcoj ?extvp ~timeout r.Repro.triples q
+          run_case ?only ?domains ?compressed ?wcoj ?extvp ~timeout
+            r.Repro.triples q
         with
         | Agree -> Ok ()
         | Skipped why -> Error ("repro skipped: " ^ why)

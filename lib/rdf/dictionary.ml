@@ -41,18 +41,6 @@ let term_of t id =
 
 let mem t term = Hashtbl.mem t.ids term
 
-(** Merge a worker-local dictionary [delta] into [global], interning
-    unseen terms in [delta]'s id order, and return the remap array
-    (local id -> global id).
-
-    Determinism: a local dictionary records the first-occurrence order
-    of the terms of one contiguous input chunk. Merging per-chunk deltas
-    in chunk order therefore interns exactly the terms a sequential pass
-    over the concatenated chunks would intern, in the same order — the
-    parallel bulk loader relies on this to assign bit-identical ids. *)
-let remap_into ~global delta =
-  Array.init delta.next (fun lid -> id_of global delta.terms.(lid))
-
 let iter f t =
   for id = 0 to t.next - 1 do
     f id t.terms.(id)

@@ -21,12 +21,5 @@ val term_of : t -> int -> Term.t
 
 val mem : t -> Term.t -> bool
 
-(** [remap_into ~global delta] interns every term of [delta] into
-    [global] in [delta]'s id order and returns the local-to-global id
-    remap array. Merging the per-chunk dictionaries of a contiguous
-    input partition in chunk order reproduces the ids of a sequential
-    pass exactly (the parallel bulk loader's determinism lever). *)
-val remap_into : global:t -> t -> int array
-
 (** Iterate all (id, term) pairs in id order. *)
 val iter : (int -> Term.t -> unit) -> t -> unit

@@ -8,9 +8,6 @@ type t = {
   mutable parallelism : int;
       (* domains the executor may use for statements against this
          database when the caller does not say otherwise *)
-  mutable join_partitions : int;
-      (* radix partitions for parallel hash-join builds; 0 = auto
-         (sized from the domain count at execution time) *)
   mutable wcoj : bool;
       (* when set, the planner may replace eligible flat multiway joins
          with the leapfrog (worst-case-optimal) operator *)
@@ -27,42 +24,15 @@ type t = {
          that owns the DPH layout *)
 }
 
-(** Parallelism adopted by databases at creation — the process-wide
-    default behind the CLI's [--domains] flag, so every store backend
-    (each creating its own catalog) picks it up without per-store
-    plumbing. 1 = sequential execution. *)
-let default_parallelism = ref 1
-
-(** Radix partition count adopted at creation (the CLI's
-    [--join-partitions] flag); 0 = auto. *)
-let default_join_partitions = ref 0
-
-(** When set (the CLI's [--compress] flag), store backends merge their
-    tables into bit-packed columnar form after bulk load and after
-    writes. Purely physical — results are identical either way. *)
-let default_compress = ref false
-
-(** When set (the CLI's [--wcoj] flag), databases adopt WCOJ planning at
-    creation: eligible multiway joins may run as a leapfrog join. *)
-let default_wcoj = ref false
-
 let create name =
   { name; tables = Hashtbl.create 16;
-    parallelism = max 1 !default_parallelism;
-    join_partitions = max 0 !default_join_partitions;
-    wcoj = !default_wcoj; wcoj_selector = None;
+    parallelism = 1; wcoj = false; wcoj_selector = None;
     scan_cache = Scan_cache.create (); extvp = None }
 
 (** Set how many domains statements against this database may use. *)
 let set_parallelism t n = t.parallelism <- max 1 n
 
 let parallelism t = t.parallelism
-
-(** Set the radix partition count for parallel hash-join builds
-    (rounded up to a power of two by the executor); 0 = auto. *)
-let set_join_partitions t n = t.join_partitions <- max 0 n
-
-let join_partitions t = t.join_partitions
 
 (** Enable or disable WCOJ planning for statements against this
     database. Purely a plan-shape knob — results are identical. *)
@@ -157,8 +127,7 @@ let compression_reports t =
 let snapshot t =
   let s =
     { name = t.name ^ "@snap"; tables = Hashtbl.create 16;
-      parallelism = t.parallelism; join_partitions = t.join_partitions;
-      wcoj = t.wcoj; wcoj_selector = None;
+      parallelism = t.parallelism; wcoj = t.wcoj; wcoj_selector = None;
       scan_cache = Scan_cache.create (); extvp = None }
   in
   Hashtbl.iter

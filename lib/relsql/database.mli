@@ -4,29 +4,7 @@
 
 type t
 
-(** Parallelism adopted by databases at creation — the process-wide
-    default behind the CLI's [--domains] flag, so every store backend
-    (each creating its own catalog) picks it up without per-store
-    plumbing. 1 = sequential execution. *)
-val default_parallelism : int ref
-
-(** Radix partition count for parallel hash-join builds adopted by
-    databases at creation (the CLI's [--join-partitions] flag);
-    0 = auto (sized from the domain count at execution time). *)
-val default_join_partitions : int ref
-
-(** When set (the CLI's [--compress] flag), store backends merge their
-    tables into bit-packed columnar form after bulk load and, per
-    {!Table.merge_due}, after writes. Purely physical — results are
-    identical either way. *)
-val default_compress : bool ref
-
-(** When set (the CLI's [--wcoj] flag), databases adopt WCOJ planning
-    at creation: eligible flat multiway joins may run as a leapfrog
-    (worst-case-optimal) join instead of a binary join tree. Purely a
-    plan-shape knob — results are identical. *)
-val default_wcoj : bool ref
-
+(** An empty catalog: sequential execution, WCOJ planning off. *)
 val create : string -> t
 
 (** Create and register an empty table; raises [Invalid_argument] on a
@@ -38,13 +16,6 @@ val create_table : t -> string -> Schema.t -> Table.t
 val set_parallelism : t -> int -> unit
 
 val parallelism : t -> int
-
-(** Set the radix partition count for parallel hash-join builds
-    (rounded up to a power of two by the executor; clamped to at
-    least 0). 0 = auto. *)
-val set_join_partitions : t -> int -> unit
-
-val join_partitions : t -> int
 
 (** Enable or disable WCOJ planning for statements against this
     database. *)

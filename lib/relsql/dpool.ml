@@ -177,9 +177,7 @@ let run t ~morsels (fn : worker:int -> int -> unit) : int =
 
 (** Split [0, n) into contiguous [(lo, hi)] ranges sized for the pool:
     at most [8 * size t] morsels (a few per domain, so atomic claiming
-    balances load) of at least [min_per_morsel] items each — except
-    that tiny inputs still split down to single-item morsels, which the
-    bulk loader's tests lean on to exercise many-delta merges. *)
+    balances load) of at least [min_per_morsel] items each. *)
 let ranges t ~n ?(min_per_morsel = 1) () =
   if n <= 0 then [||]
   else begin

@@ -103,19 +103,13 @@ let par_section (stats : Opstats.t) pool ~morsels fn =
 
 let rec next_pow2 n = if n <= 1 then 1 else 2 * next_pow2 ((n + 1) / 2)
 
-(** Partition count for radix-partitioned hash-join builds: an explicit
-    request is rounded up to a power of two; auto (0) gives twice the
+(** Partition count for radix-partitioned hash-join builds: twice the
     pool size — enough sub-tables that morsel claiming balances skewed
     builds — or 1 on a sequential pool, where partitioning is pure
     overhead. Capped so the per-partition bookkeeping of tiny builds
     stays bounded. *)
-let resolve_join_partitions pool requested =
-  let p =
-    if requested > 0 then requested
-    else if Dpool.size pool <= 1 then 1
-    else 2 * Dpool.size pool
-  in
-  min 256 (next_pow2 p)
+let join_partition_count pool =
+  if Dpool.size pool <= 1 then 1 else min 256 (next_pow2 (2 * Dpool.size pool))
 
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
@@ -1445,11 +1439,10 @@ and exec ctx parent plan =
     [timeout] is in seconds of wall time for the whole statement.
     [domains] caps the worker domains hot operators may fan out over
     (default: the database's {!Database.parallelism}; 1 keeps every
-    operator on its sequential code path). [join_partitions] requests a
-    radix partition count for parallel hash-join builds (default: the
-    database's {!Database.join_partitions}; 0 = auto from the pool
-    size). Neither knob changes results — only how the work is split. *)
-let run_with_stats ~analyze ?timeout ?domains ?join_partitions db (stmt : stmt)
+    operator on its sequential code path); hash-join builds partition
+    by {!join_partition_count} of that pool. The domain count never
+    changes results — only how the work is split. *)
+let run_with_stats ~analyze ?timeout ?domains db (stmt : stmt)
     : Batch.t * Opstats.t =
   let deadline = Option.map (fun s -> Unix.gettimeofday () +. s) timeout in
   let ticker = { deadline; ops = 0 } in
@@ -1459,12 +1452,7 @@ let run_with_stats ~analyze ?timeout ?domains ?join_partitions db (stmt : stmt)
     Dpool.get
       (match domains with Some n -> n | None -> Database.parallelism db)
   in
-  let join_parts =
-    resolve_join_partitions pool
-      (match join_partitions with
-       | Some n -> n
-       | None -> Database.join_partitions db)
-  in
+  let join_parts = join_partition_count pool in
   let ctx =
     { db; ticker; ctes = Hashtbl.create 4; pool; join_parts; analyze; scope = [] }
   in
@@ -1496,16 +1484,16 @@ let run_with_stats ~analyze ?timeout ?domains ?join_partitions db (stmt : stmt)
       ~seconds:(Unix.gettimeofday () -. t0);
   (b, root)
 
-let run ?timeout ?domains ?join_partitions db stmt =
-  fst (run_with_stats ~analyze:false ?timeout ?domains ?join_partitions db stmt)
+let run ?timeout ?domains db stmt =
+  fst (run_with_stats ~analyze:false ?timeout ?domains db stmt)
 
-let run_analyzed ?timeout ?domains ?join_partitions db stmt =
-  run_with_stats ~analyze:true ?timeout ?domains ?join_partitions db stmt
+let run_analyzed ?timeout ?domains db stmt =
+  run_with_stats ~analyze:true ?timeout ?domains db stmt
 
 (** Explain: the physical plans of each CTE and the body, as text. With
     [~analyze:true] the statement is also executed and the per-operator
     metrics tree appended. *)
-let explain ?(analyze = false) ?timeout ?domains ?join_partitions db
+let explain ?(analyze = false) ?timeout ?domains db
     (stmt : stmt) : string =
   let buf = Buffer.create 512 in
   let ctes, (_, body) = Planner.plan_stmt db stmt in
@@ -1517,7 +1505,7 @@ let explain ?(analyze = false) ?timeout ?domains ?join_partitions db
   Buffer.add_string buf "body:\n";
   Buffer.add_string buf (Planner.plan_to_string body);
   if analyze then begin
-    let _, stats = run_analyzed ?timeout ?domains ?join_partitions db stmt in
+    let _, stats = run_analyzed ?timeout ?domains db stmt in
     Buffer.add_string buf "analyze:\n";
     Buffer.add_string buf (Opstats.to_string stats)
   end;

@@ -28,15 +28,13 @@ val column_names : result -> string list
     the total parallelism (including the calling domain) hot operators
     may fan out over; it defaults to the database's
     {!Database.parallelism} and 1 keeps every operator on its
-    sequential code path. [join_partitions] requests a radix partition
-    count for parallel hash-join builds (rounded up to a power of two,
-    capped at 256; it defaults to the database's
-    {!Database.join_partitions} and 0 means auto — twice the pool
-    size, or 1 on a sequential pool). Neither knob changes results:
-    parallel and partitioned execution produce exactly the sequential
-    output — same rows, same order. *)
+    sequential code path. Hash-join builds on a parallel pool split
+    into twice the pool size of radix partitions (a power of two,
+    capped at 256); a sequential pool builds one. Neither changes
+    results: parallel and partitioned execution produce exactly the
+    sequential output — same rows, same order. *)
 val run :
-  ?timeout:float -> ?domains:int -> ?join_partitions:int -> Database.t ->
+  ?timeout:float -> ?domains:int -> Database.t ->
   Sql_ast.stmt -> result
 
 (** Like {!run}, but also returns the per-operator metrics tree (rows
@@ -45,12 +43,12 @@ val run :
     ANALYZE. The root node is the whole statement; each CTE and the
     body appear as labelled children wrapping their plan trees. *)
 val run_analyzed :
-  ?timeout:float -> ?domains:int -> ?join_partitions:int -> Database.t ->
+  ?timeout:float -> ?domains:int -> Database.t ->
   Sql_ast.stmt -> result * Opstats.t
 
 (** The physical plans of each CTE and the body, as text. With
     [~analyze:true] the statement is also executed and the per-operator
     metrics tree appended. *)
 val explain :
-  ?analyze:bool -> ?timeout:float -> ?domains:int -> ?join_partitions:int ->
-  Database.t -> Sql_ast.stmt -> string
+  ?analyze:bool -> ?timeout:float -> ?domains:int -> Database.t ->
+  Sql_ast.stmt -> string

@@ -2,7 +2,7 @@
     lazy build / threshold / budget / stamp lifecycle, planner
     substitution (an ExtvpScan in the physical plan), insert/delete and
     merge invalidation, the options fingerprint, bit-identical
-    results across the (domains × join-partitions × storage) matrix —
+    results across the (domains × storage) matrix —
     and the packed range-predicate leaves that ride along in this PR. *)
 
 let extvp_on = { Db2rdf.Engine.default_options with extvp = true }
@@ -305,30 +305,23 @@ let test_equality_matrix () =
   List.iter
     (fun domains ->
       List.iter
-        (fun join_partitions ->
-          List.iter
-            (fun compress ->
-              let e =
-                load_engine
-                  ~options:
-                    { extvp_on with
-                      parallelism = domains; join_partitions; compress }
-                  ()
-              in
-              force_extvp e;
-              List.iter2
-                (fun q w ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf
-                       "reduced ≡ base (domains=%d partitions=%d %s)" domains
-                       join_partitions
-                       (if compress then "packed" else "boxed"))
-                    true
-                    (Sparql.Ref_eval.equal_results w (Db2rdf.Engine.query e q)))
-                queries want)
-            [ false; true ])
-        [ 1; 16 ])
-    [ 1; 2; 4 ]
+        (fun compress ->
+          let e =
+            load_engine
+              ~options:{ extvp_on with parallelism = domains; compress }
+              ()
+          in
+          force_extvp e;
+          List.iter2
+            (fun q w ->
+              Alcotest.(check bool)
+                (Printf.sprintf "reduced ≡ base (domains=%d %s)" domains
+                   (if compress then "packed" else "boxed"))
+                true
+                (Sparql.Ref_eval.equal_results w (Db2rdf.Engine.query e q)))
+            queries want)
+        [ false; true ])
+    [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* Packed range predicates (satellite)                                 *)

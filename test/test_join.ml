@@ -325,10 +325,9 @@ let test_partitioned_build_metrics () =
       let rows n = List.init n (fun i -> (Value.Int (i mod 7), i)) in
       let db = join_db ~left:(rows 200) ~right:(rows 100) in
       let stmt = Sql_parser.parse join_sql in
-      let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
-      let par, stats =
-        Executor.run_analyzed ~domains:4 ~join_partitions:8 db stmt
-      in
+      let seq = Executor.run ~domains:1 db stmt in
+      (* 4 domains build into 2 x 4 = 8 radix partitions. *)
+      let par, stats = Executor.run_analyzed ~domains:4 db stmt in
       Alcotest.(check (list string)) "partitioned join ≡ sequential"
         (batch_strings seq) (batch_strings par);
       let node =
@@ -339,7 +338,8 @@ let test_partitioned_build_metrics () =
       match node with
       | None -> Alcotest.fail "no operator reported a partitioned build"
       | Some n ->
-        Alcotest.(check int) "partitions as requested" 8 n.Opstats.partitions;
+        Alcotest.(check int) "partitions: twice the domains" 8
+          n.Opstats.partitions;
         Alcotest.(check bool) "build workers reported" true
           (n.Opstats.build_workers >= 1);
         Alcotest.(check bool) "build time reported" true
@@ -376,16 +376,15 @@ let test_partitioned_all_null_and_skew () =
           List.iter
             (fun sql ->
               let stmt = Sql_parser.parse sql in
-              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
+              let seq = Executor.run ~domains:1 db stmt in
+              (* 1, 4 and 16 build partitions. *)
               List.iter
-                (fun (d, p) ->
-                  let par =
-                    Executor.run ~domains:d ~join_partitions:p db stmt
-                  in
+                (fun d ->
+                  let par = Executor.run ~domains:d db stmt in
                   Alcotest.(check (list string))
-                    (Printf.sprintf "%s (domains=%d parts=%d)" name d p)
+                    (Printf.sprintf "%s (domains=%d)" name d)
                     (batch_strings seq) (batch_strings par))
-                [ (1, 4); (2, 4); (4, 16) ])
+                [ 1; 2; 8 ])
             [ join_sql; left_join_sql ])
         checks)
 
@@ -415,7 +414,7 @@ let test_computed_probe_keys () =
                 Sql_parser.parse
                   (Printf.sprintf "SELECT a.v, b.w FROM lt AS a %s rt AS b ON %s" kind on)
               in
-              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
+              let seq = Executor.run ~domains:1 db stmt in
               Alcotest.(check bool)
                 (Printf.sprintf "%s %s matches some rows" name kind)
                 true
@@ -423,15 +422,15 @@ let test_computed_probe_keys () =
                    (fun r -> r.(1) <> Value.Null)
                    (Batch.to_rows seq));
               List.iter
-                (fun (d, p) ->
+                (fun d ->
                   for round = 1 to 5 do
                     Alcotest.(check (list string))
-                      (Printf.sprintf "%s %s (domains=%d parts=%d, run %d)" name kind d p
+                      (Printf.sprintf "%s %s (domains=%d, run %d)" name kind d
                          round)
                       (batch_strings seq)
-                      (batch_strings (Executor.run ~domains:d ~join_partitions:p db stmt))
+                      (batch_strings (Executor.run ~domains:d db stmt))
                   done)
-                [ (1, 1); (2, 1); (2, 4) ])
+                [ 1; 2 ])
             [ "JOIN"; "LEFT JOIN" ])
         cases)
 
@@ -454,9 +453,9 @@ let matrix_queries =
       ?a <http://microbench.org/SV2> ?v } GROUP BY ?b") ]
 
 (** The tentpole property: for every dataset (fig1, generated micro,
-    spill-heavy micro under a starved layout) and every
-    (domains, partitions) combination, results are row-for-row,
-    order-included identical to the sequential executor. *)
+    spill-heavy micro under a starved layout) and every domain count
+    (hash-join builds of 1, 4, 8 and 16 radix partitions), results are
+    row-for-row, order-included identical to the sequential executor. *)
 let test_seq_equals_partitioned_matrix () =
   with_tiny_morsels (fun () ->
       let datasets =
@@ -482,21 +481,15 @@ let test_seq_equals_partitioned_matrix () =
           List.iter
             (fun (qname, src) ->
               let stmt = Db2rdf.Engine.translate e (Sparql.Parser.parse src) in
-              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
+              let seq = Executor.run ~domains:1 db stmt in
               let expect = batch_strings seq in
               List.iter
                 (fun domains ->
-                  List.iter
-                    (fun parts ->
-                      let got =
-                        Executor.run ~domains ~join_partitions:parts db stmt
-                      in
-                      Alcotest.(check (list string))
-                        (Printf.sprintf "%s/%s domains=%d partitions=%d"
-                           dname qname domains parts)
-                        expect (batch_strings got))
-                    [ 1; 4; 16 ])
-                [ 1; 2; 4 ])
+                  let got = Executor.run ~domains db stmt in
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s/%s domains=%d" dname qname domains)
+                    expect (batch_strings got))
+                [ 1; 2; 4; 8 ])
             queries)
         datasets)
 
@@ -540,14 +533,11 @@ let partitioned_join_matches_sequential =
           List.for_all
             (fun sql ->
               let stmt = Sql_parser.parse sql in
-              let seq = Executor.run ~domains:1 ~join_partitions:1 db stmt in
+              let seq = Executor.run ~domains:1 db stmt in
               let expect = batch_strings seq in
               List.for_all
-                (fun (d, p) ->
-                  expect
-                  = batch_strings
-                      (Executor.run ~domains:d ~join_partitions:p db stmt))
-                [ (1, 2); (2, 4); (4, 8); (4, 16) ])
+                (fun d -> expect = batch_strings (Executor.run ~domains:d db stmt))
+                [ 2; 4; 8 ])
             [ join_sql; left_join_sql ]))
 
 (* ------------------------------------------------------------------ *)
@@ -555,11 +545,11 @@ let partitioned_join_matches_sequential =
 (* ------------------------------------------------------------------ *)
 
 (** Fixed-seed differential sweep with parallel execution AND
-    partitioned join builds: every backend vs the reference evaluator. *)
+    partitioned join builds (4 domains build into 8 partitions): every
+    backend vs the reference evaluator. *)
 let test_fuzz_sweep_partitioned () =
   let config =
-    { Fuzz.Runner.default_config with
-      seed = 4242; cases = 200; domains = 4; join_partitions = 8 }
+    { Fuzz.Runner.default_config with seed = 4242; cases = 200; domains = 4 }
   in
   let s = Fuzz.Runner.fuzz config in
   Alcotest.(check int) "no divergences with domains=4 partitions=8" 0

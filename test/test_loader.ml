@@ -153,144 +153,97 @@ let roundtrip_random =
       stored = expected)
 
 (* ------------------------------------------------------------------ *)
-(* seq ≡ par store equality                                            *)
+(* Loader.check: structural invariants after load and writes           *)
 (* ------------------------------------------------------------------ *)
 
-(* Colored engine built at [load_domains] over [triples], with a narrow
-   layout so even small graphs hit hash conflicts, spill rows and lid
-   indirection. Returns the engine and its canonical store dump. *)
-let engine_dump ?(k = 4) ~load_domains triples =
+(* Build a colored engine over [triples] with a narrow layout (so even
+   small graphs hit hash conflicts, spill rows and lid indirection) and
+   require its checks — every table's storage and {!Loader.check} — to
+   pass after the bulk load, after deleting every third triple one by
+   one (up to 40), and after inserting them again. Returns the engine. *)
+let check_load ?(k = 4) name triples =
   let e, _, _ =
-    Engine.create_colored
-      ~options:{ Engine.default_options with load_domains }
-      ~layout:(Layout.make ~dph_cols:k ~rph_cols:k) triples
+    Engine.create_colored ~layout:(Layout.make ~dph_cols:k ~rph_cols:k) triples
   in
-  (e, Loader.dump_store (Engine.loader e))
-
-(* Load [triples] at domains 1, 2 and 4 and assert every observable of
-   the store matches: dictionary, table contents and row order (all via
-   the canonical dump), registries, counts, and the per-load stats. *)
-let check_seq_par ?k name triples =
-  let seq, seq_dump = engine_dump ?k ~load_domains:1 triples in
-  let lseq = Engine.loader seq in
-  List.iter
-    (fun d ->
-      let par, par_dump = engine_dump ?k ~load_domains:d triples in
-      let lpar = Engine.loader par in
-      let tag fmt = Printf.sprintf "%s @%dd: %s" name d fmt in
-      Alcotest.(check int) (tag "dictionary size")
-        (Rdf.Dictionary.size (Loader.dictionary lseq))
-        (Rdf.Dictionary.size (Loader.dictionary lpar));
-      Alcotest.(check int) (tag "triples loaded")
-        (Loader.triples_loaded lseq) (Loader.triples_loaded lpar);
-      List.iter
-        (fun (side_name, side) ->
-          Alcotest.(check (list int))
-            (tag (side_name ^ " multivalued set"))
-            (Loader.multivalued_predicates lseq side)
-            (Loader.multivalued_predicates lpar side);
-          Alcotest.(check (list int))
-            (tag (side_name ^ " spill set"))
-            (Loader.spill_predicates lseq side)
-            (Loader.spill_predicates lpar side);
-          let rs = Loader.report lseq side and rp = Loader.report lpar side in
-          Alcotest.(check int) (tag (side_name ^ " rows")) rs.Loader.rows
-            rp.Loader.rows;
-          Alcotest.(check int) (tag (side_name ^ " spills")) rs.Loader.spills
-            rp.Loader.spills;
-          Alcotest.(check int)
-            (tag (side_name ^ " entities"))
-            rs.Loader.distinct_entities rp.Loader.distinct_entities)
-        [ ("direct", Loader.Direct); ("reverse", Loader.Reverse) ];
-      (match Engine.load_stats par with
-       | Some s ->
-         Alcotest.(check int) (tag "parallel path ran") d
-           s.Loader.domains_used
-       | None -> Alcotest.fail (tag "no load stats"));
-      Alcotest.(check bool) (tag "canonical dumps byte-identical") true
-        (seq_dump = par_dump))
-    [ 2; 4 ]
+  let store = Engine.to_store e in
+  let check what =
+    match store.Store.check () with
+    | () -> ()
+    | exception Failure msg -> Alcotest.failf "%s, %s: %s" name what msg
+  in
+  check "after load";
+  let victims =
+    List.filteri (fun i _ -> i mod 3 = 0 && i < 120) triples
+  in
+  List.iteri
+    (fun i tr ->
+      Engine.delete e tr;
+      check (Printf.sprintf "after delete %d" i))
+    victims;
+  List.iteri
+    (fun i tr ->
+      Engine.insert e tr;
+      check (Printf.sprintf "after re-insert %d" i))
+    victims;
+  Alcotest.(check int) (name ^ ": every distinct triple is back")
+    (List.length (List.sort_uniq compare triples))
+    (Loader.triples_loaded (Engine.loader e));
+  e
 
 (* The examples/ dataset: the paper's Figure 1(a) graph, multi-valued
    [industry] included. *)
-let test_seq_par_fig1 () = check_seq_par "fig1" (Helpers.fig1_triples ())
+let test_check_fig1 () = ignore (check_load "fig1" (Helpers.fig1_triples ()))
 
 (* Three Gen_graph graphs (the fuzzer's generator: hash conflicts,
    multi-valued bursts, unicode literals) at three sizes. *)
-let test_seq_par_generated () =
+let test_check_generated () =
   List.iter
     (fun (seed, size) ->
       let st = Random.State.make [| seed |] in
       let triples, _ = Fuzz.Gen_graph.generate ~size st in
-      check_seq_par (Printf.sprintf "gen(seed=%d,n=%d)" seed size) triples)
+      ignore (check_load (Printf.sprintf "gen(seed=%d,n=%d)" seed size) triples))
     [ (11, 60); (22, 150); (33, 400) ]
 
 (* A generated workload through the narrowest layout that still colors:
    heavy spilling on both sides. *)
-let test_seq_par_workload_spilly () =
-  check_seq_par ~k:2 "micro-k2" (Workloads.Micro.generate ~scale:600)
+let test_check_spill_heavy () =
+  let e = check_load ~k:2 "micro-k2" (Workloads.Micro.generate ~scale:600) in
+  Alcotest.(check bool) "the layout spills" true
+    ((Loader.report (Engine.loader e) Loader.Direct).Loader.spills > 0)
 
-(* ------------------------------------------------------------------ *)
-(* Dictionary-delta merge edge cases                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Two plain Loader stores (identical default hashed maps), one loaded
-   sequentially and one at [domains]; returns both dumps. *)
-let loader_dumps ?(layout = small_layout) ~domains triples =
-  let seq = Loader.create ~layout () in
-  Loader.load seq triples;
-  let par = Loader.create ~layout () in
-  Loader.load ~domains par triples;
-  (Loader.dump_store seq, Loader.dump_store par)
-
-(* Every morsel sees the same terms: the per-chunk deltas all intern
-   duplicates of one small vocabulary, so the merge pass must dedup
-   them into one global id each — and drop the duplicate triples. *)
-let test_merge_duplicate_terms_across_morsels () =
+(* One small vocabulary repeated 40 times: each term is interned once
+   and the duplicate triples are dropped. *)
+let test_check_duplicate_terms () =
   let block =
     List.map
       (fun (s, p, o) -> Rdf.Triple.spo s p (Rdf.Term.iri o))
       [ ("s1", "p1", "o1"); ("s2", "p1", "o2"); ("s1", "p2", "o1");
         ("s2", "p2", "o2"); ("s3", "p3", "o3") ]
   in
-  let triples = List.concat (List.init 40 (fun _ -> block)) in
-  let ds, dp = loader_dumps ~domains:4 triples in
-  Alcotest.(check bool) "dumps identical" true (ds = dp);
-  let par = Loader.create ~layout:small_layout () in
-  Loader.load ~domains:4 par triples;
-  Alcotest.(check int) "only distinct triples loaded" 5
-    (Loader.triples_loaded par);
+  let e = check_load "dup" (List.concat (List.init 40 (fun _ -> block))) in
+  let l = Engine.loader e in
+  Alcotest.(check int) "only distinct triples loaded" 5 (Loader.triples_loaded l);
   Alcotest.(check int) "dictionary holds each term once" 9
-    (Rdf.Dictionary.size (Loader.dictionary par))
+    (Rdf.Dictionary.size (Loader.dictionary l))
 
-(* Empty input and inputs smaller than the requested parallelism: the
-   morsel split must cope with more workers than triples (single-triple
-   morsels, idle workers, empty entity partitions). *)
-let test_merge_empty_and_tiny_inputs () =
-  let store = Loader.create ~layout:small_layout () in
-  Loader.load ~domains:4 store [];
+(* The empty store and one- to seven-triple stores (a single entity
+   with several predicates). *)
+let test_check_empty_and_tiny () =
+  let e = check_load "empty" [] in
   Alcotest.(check int) "empty load loads nothing" 0
-    (Loader.triples_loaded store);
-  (match Loader.last_load_stats store with
-   | Some s ->
-     Alcotest.(check int) "empty load takes the sequential path" 1
-       s.Loader.domains_used
-   | None -> Alcotest.fail "no stats after empty load");
+    (Loader.triples_loaded (Engine.loader e));
   List.iter
     (fun n ->
-      let triples =
-        List.init n (fun i ->
-            Rdf.Triple.spo "s" (Printf.sprintf "p%d" i) (Rdf.Term.int_lit i))
-      in
-      let ds, dp = loader_dumps ~domains:8 triples in
-      Alcotest.(check bool)
-        (Printf.sprintf "%d-triple load identical at 8 domains" n)
-        true (ds = dp))
+      ignore
+        (check_load (Printf.sprintf "%d-triple" n)
+           (List.init n (fun i ->
+                Rdf.Triple.spo "s" (Printf.sprintf "p%d" i) (Rdf.Term.int_lit i)))))
     [ 1; 2; 3; 7 ]
 
-(* Unicode terms (raw UTF-8 and \uXXXX escapes through the N-Triples
-   parser — the PR 2 fix) must intern to the same ids either way. *)
-let test_merge_unicode_terms () =
+(* Unicode terms, raw UTF-8 and \uXXXX escapes through the N-Triples
+   parser: the escaped and raw spellings are one term, and the DICT
+   relation renders each the way the dictionary does. *)
+let test_check_unicode () =
   let escaped = ref [] in
   Rdf.Ntriples.parse_string
     (fun t -> escaped := t :: !escaped)
@@ -302,21 +255,15 @@ let test_merge_unicode_terms () =
       Rdf.Triple.spo "s3" "p2" (Rdf.Term.lang_lit "caf\xc3\xa9" "fr");
       Rdf.Triple.spo "s4" "p1" (Rdf.Term.lit "\xe2\x98\x83 snowman") ]
   in
-  (* Duplicate the mix so several morsels each see the unicode terms. *)
   let triples = List.concat (List.init 12 (fun _ -> List.rev !escaped @ raw)) in
-  let ds, dp = loader_dumps ~domains:4 triples in
-  Alcotest.(check bool) "unicode dumps identical" true (ds = dp);
-  (* The \uXXXX literal and the raw-UTF-8 literal are the same term. *)
-  let store = Loader.create ~layout:small_layout () in
-  Loader.load ~domains:4 store triples;
-  let dict = Loader.dictionary store in
+  let e = check_load "unicode" triples in
   Alcotest.(check bool) "escaped and raw café unify" true
-    (Rdf.Dictionary.mem dict (Rdf.Term.lit "caf\xc3\xa9"))
+    (Rdf.Dictionary.mem (Loader.dictionary (Engine.loader e))
+       (Rdf.Term.lit "caf\xc3\xa9"))
 
-(* Multi-valued predicates spread across morsels on both sides: lids
-   must come out in the sequential allocation order (direct before
-   reverse at each triple, second occurrence per (entity, pred)). *)
-let test_merge_lid_allocation_determinism () =
+(* Multi-valued predicates on both sides, interleaved so lid
+   allocations alternate between DS and RS. *)
+let test_check_interleaved_lids () =
   let direct_mv =
     List.init 10 (fun i ->
         Rdf.Triple.spo "hub" "likes" (Rdf.Term.iri (Printf.sprintf "t%d" i)))
@@ -325,30 +272,63 @@ let test_merge_lid_allocation_determinism () =
     List.init 10 (fun i ->
         Rdf.Triple.spo (Printf.sprintf "f%d" i) "member" (Rdf.Term.iri "group"))
   in
-  (* Interleave so lid allocations alternate between sides. *)
   let rec interleave = function
     | x :: xs, y :: ys -> x :: y :: interleave (xs, ys)
     | [], rest | rest, [] -> rest
   in
-  let triples = interleave (direct_mv, reverse_mv) in
-  let ds, dp = loader_dumps ~domains:4 triples in
-  Alcotest.(check bool) "lid schedules identical" true (ds = dp);
-  let par = Loader.create ~layout:small_layout () in
-  Loader.load ~domains:4 par triples;
-  let dict = Loader.dictionary par in
-  let pid name = Option.get (Rdf.Dictionary.find dict (Rdf.Term.iri name)) in
+  let e = check_load "lids" (interleave (direct_mv, reverse_mv)) in
+  let l = Engine.loader e in
+  let pid name =
+    Option.get (Rdf.Dictionary.find (Loader.dictionary l) (Rdf.Term.iri name))
+  in
   Alcotest.(check (list int)) "likes multi-valued on direct side"
-    [ pid "likes" ]
-    (Loader.multivalued_predicates par Loader.Direct);
+    [ pid "likes" ] (Loader.multivalued_predicates l Loader.Direct);
   Alcotest.(check (list int)) "member multi-valued on reverse side"
-    [ pid "member" ]
-    (Loader.multivalued_predicates par Loader.Reverse)
+    [ pid "member" ] (Loader.multivalued_predicates l Loader.Reverse)
 
-(* Property: the parallel loader is indistinguishable from the
-   sequential one on random graphs and layouts (the same generator as
-   the round-trip property, so heavy spilling is covered). *)
-let seq_par_random =
-  QCheck.Test.make ~name:"parallel load ≡ sequential load" ~count:40
+(* Mutations: a store that {!Loader.check} accepts, corrupted by hand
+   behind the loader's back, must be rejected. *)
+let check_rejects what l =
+  match Loader.check l with
+  | () -> Alcotest.failf "Loader.check accepted %s" what
+  | exception Failure _ -> ()
+
+let test_check_rejects_spill_flag () =
+  let l = Loader.create ~layout:small_layout () in
+  Loader.load l (Helpers.fig1_triples ());
+  Loader.check l;
+  let dph = Relsql.Database.find_exn (Loader.database l) "DPH" in
+  let pos = Layout.positions (Relsql.Table.schema dph) 4 in
+  (* fig1 under four columns has single-row entities: flag one spilled. *)
+  let rid =
+    Relsql.Table.fold
+      (fun acc rid row ->
+        match acc with
+        | Some _ -> acc
+        | None ->
+          if row.(pos.Layout.spill_pos) = Relsql.Value.Int 0 then Some rid
+          else None)
+      None dph
+  in
+  match rid with
+  | None -> Alcotest.fail "no unspilled DPH row in fig1"
+  | Some rid ->
+    ignore (Relsql.Table.set_cell dph rid pos.Layout.spill_pos (Relsql.Value.Int 1));
+    check_rejects "a spill flag on a one-row entity" l
+
+let test_check_rejects_orphan_lid () =
+  let l = Loader.create ~layout:small_layout () in
+  Loader.load l (Helpers.fig1_triples ());
+  Loader.check l;
+  let ds = Relsql.Database.find_exn (Loader.database l) "DS" in
+  ignore (Relsql.Table.insert ds [| Relsql.Value.Lid 0x7fff; Relsql.Value.Int 0 |]);
+  check_rejects "a DS row no DPH cell references" l
+
+(* Property: {!Loader.check} holds on random graphs and layouts (the
+   same generator as the round-trip property, so heavy spilling is
+   covered). *)
+let check_random =
+  QCheck.Test.make ~name:"Loader.check holds on random graphs" ~count:40
     QCheck.(
       make
         Gen.(
@@ -362,44 +342,26 @@ let seq_par_random =
           (fun (s, p, o) -> Rdf.Triple.make (term "s" s) (term "p" p) (term "o" o))
           specs
       in
-      let layout = Layout.make ~dph_cols:k ~rph_cols:k in
-      let ds, dp = loader_dumps ~layout ~domains:4 triples in
-      ds = dp)
+      let l = Loader.create ~layout:(Layout.make ~dph_cols:k ~rph_cols:k) () in
+      Loader.load l triples;
+      Loader.check l;
+      true)
 
 (* ------------------------------------------------------------------ *)
-(* Differential fuzz over parallel-loaded stores                       *)
+(* Differential update fuzz: Loader.check after every statement        *)
 (* ------------------------------------------------------------------ *)
 
-(** Fixed-seed differential sweep where every engine backend is built
-    by the parallel bulk loader AND queried with parallel executors:
-    200 random (graph, query) cases against the reference evaluator, so
-    a load bug surfaces as a query mismatch. *)
-let test_fuzz_sweep_parallel_load () =
+(** Fixed-seed update-script sweep: random INSERT DATA / DELETE DATA /
+    DELETE WHERE statements, after each of which every DB2RDF backend
+    passes {!Loader.check} (through its store [check]) and matches the
+    reference graph. *)
+let test_update_fuzz_sweep_check () =
   let config =
-    { Fuzz.Runner.default_config with
-      seed = 2024; cases = 200; domains = 4; load_domains = 4 }
+    { Fuzz.Runner.default_config with seed = 2024; cases = 200; updates = true }
   in
   let s = Fuzz.Runner.fuzz config in
-  Alcotest.(check int) "no divergences with load_domains=4" 0
-    s.Fuzz.Runner.divergent;
+  Alcotest.(check int) "no divergences" 0 s.Fuzz.Runner.divergent;
   Alcotest.(check int) "all cases ran" 200 s.Fuzz.Runner.cases_run
-
-(** Replay the committed reproducer corpus over parallel-loaded
-    stores. *)
-let test_corpus_replay_parallel_load () =
-  let files =
-    Sys.readdir "corpus" |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".repro")
-    |> List.sort String.compare
-  in
-  Alcotest.(check bool) "corpus is non-empty" true (files <> []);
-  List.iter
-    (fun f ->
-      let r = Fuzz.Repro.read (Filename.concat "corpus" f) in
-      match Fuzz.Runner.check_repro ~load_domains:4 r with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "%s (load_domains=4): %s" f msg)
-    files
 
 let suite =
   [ Alcotest.test_case "round-trip fig1" `Quick test_roundtrip_fig1;
@@ -409,20 +371,21 @@ let suite =
     Alcotest.test_case "null fraction / storage" `Quick test_null_fraction_and_storage;
     Alcotest.test_case "candidate columns" `Quick test_candidate_columns_respect_map;
     QCheck_alcotest.to_alcotest roundtrip_random;
-    Alcotest.test_case "seq≡par: fig1" `Quick test_seq_par_fig1;
-    Alcotest.test_case "seq≡par: generated graphs" `Quick
-      test_seq_par_generated;
-    Alcotest.test_case "seq≡par: spilly workload" `Quick
-      test_seq_par_workload_spilly;
-    Alcotest.test_case "merge: duplicate terms across morsels" `Quick
-      test_merge_duplicate_terms_across_morsels;
-    Alcotest.test_case "merge: empty and tiny inputs" `Quick
-      test_merge_empty_and_tiny_inputs;
-    Alcotest.test_case "merge: unicode terms" `Quick test_merge_unicode_terms;
-    Alcotest.test_case "merge: lid allocation determinism" `Quick
-      test_merge_lid_allocation_determinism;
-    QCheck_alcotest.to_alcotest seq_par_random;
-    Alcotest.test_case "fuzz sweep over parallel-loaded stores" `Slow
-      test_fuzz_sweep_parallel_load;
-    Alcotest.test_case "corpus replay with parallel load" `Quick
-      test_corpus_replay_parallel_load ]
+    Alcotest.test_case "check: fig1" `Quick test_check_fig1;
+    Alcotest.test_case "check: generated graphs" `Quick test_check_generated;
+    Alcotest.test_case "check: spill-heavy workload" `Quick
+      test_check_spill_heavy;
+    Alcotest.test_case "check: duplicate terms" `Quick
+      test_check_duplicate_terms;
+    Alcotest.test_case "check: empty and tiny inputs" `Quick
+      test_check_empty_and_tiny;
+    Alcotest.test_case "check: unicode terms" `Quick test_check_unicode;
+    Alcotest.test_case "check: interleaved multi-valued lids" `Quick
+      test_check_interleaved_lids;
+    Alcotest.test_case "check rejects a corrupted spill flag" `Quick
+      test_check_rejects_spill_flag;
+    Alcotest.test_case "check rejects an orphaned lid" `Quick
+      test_check_rejects_orphan_lid;
+    QCheck_alcotest.to_alcotest check_random;
+    Alcotest.test_case "update fuzz sweep with Loader.check" `Slow
+      test_update_fuzz_sweep_check ]

@@ -268,7 +268,7 @@ let test_engine_compressed_update_refreezes () =
     (List.length r.Sparql.Ref_eval.rows)
 
 (** Regression: the triple and vertical baselines apply the engine's
-    merge policy after every write statement under [--compress], so no
+    merge policy after every write statement under [compress], so no
     table's pending delta (rows plus main tombstones) ever outgrows the
     shared bound — before, their write epilogue only packed
     never-packed tables, and deltas grew without bound. *)
@@ -284,10 +284,6 @@ let test_baseline_stores_merge_under_compress () =
         else
           Printf.sprintf "INSERT DATA { <s%d> <p%d> <o%d> }" i (i mod 3) i)
   in
-  let saved = !Relsql.Database.default_compress in
-  Relsql.Database.default_compress := true;
-  Fun.protect ~finally:(fun () -> Relsql.Database.default_compress := saved)
-  @@ fun () ->
   let merges db =
     List.fold_left
       (fun acc n ->
@@ -314,10 +310,10 @@ let test_baseline_stores_merge_under_compress () =
       statements;
     Alcotest.(check bool) (name ^ ": writes merged") true (merges db > loaded)
   in
-  let ts = Triple_store.create () in
+  let ts = Triple_store.create ~compress:true () in
   Triple_store.load ts initial;
   check "TripleStore" ts.Triple_store.db (Triple_store.to_store ts);
-  let vs = Vertical_store.create () in
+  let vs = Vertical_store.create ~compress:true () in
   Vertical_store.load vs initial;
   check "VertStore" vs.Vertical_store.db (Vertical_store.to_store vs)
 
