@@ -576,39 +576,45 @@ let sql_cmd =
 (* load                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Build the store; the seconds spent coloring and in {!Engine.load}
+   (Loader.load, the DICT sync and, for a compressed store, the
+   merge). *)
 let build_engine k no_coloring triples =
   let layout = Db2rdf.Layout.make ~dph_cols:k ~rph_cols:k in
-  if no_coloring then begin
-    let e = Db2rdf.Engine.create ~layout () in
-    Db2rdf.Engine.load e triples;
-    e
-  end
-  else begin
-    let e, _, _ = Db2rdf.Engine.create_colored ~layout triples in
-    e
-  end
+  let t0 = Unix.gettimeofday () in
+  let e =
+    if no_coloring then Db2rdf.Engine.create ~layout ()
+    else
+      let direct_map, reverse_map, _, _ = Db2rdf.Engine.color_predicates ~layout triples in
+      Db2rdf.Engine.create ~layout ~direct_map ~reverse_map ()
+  in
+  let t1 = Unix.gettimeofday () in
+  Db2rdf.Engine.load e triples;
+  (e, t1 -. t0, Unix.gettimeofday () -. t1)
 
-let print_load_stats ~parse_s (s : Db2rdf.Loader.load_stats) =
-  Printf.printf "triples:  %d in, %d new\n" s.Db2rdf.Loader.triples_in
+let print_load_stats ~parse_s ~coloring_s ~load_s (s : Db2rdf.Loader.load_stats) =
+  let line name secs = Printf.printf "%-11s %8.1f ms\n" (name ^ ":") (1000.0 *. secs) in
+  Printf.printf "triples:    %d in, %d new\n" s.Db2rdf.Loader.triples_in
     s.Db2rdf.Loader.triples_new;
-  Printf.printf "parse:    %8.1f ms\n" (1000.0 *. parse_s);
-  Printf.printf "load:     %8.1f ms\n" (1000.0 *. s.Db2rdf.Loader.total_s);
-  Printf.printf "total:    %8.1f ms\n"
-    (1000.0 *. (parse_s +. s.Db2rdf.Loader.total_s))
+  line "parse" parse_s;
+  line "coloring" coloring_s;
+  line "load" s.Db2rdf.Loader.total_s;
+  line "dict+merge" (load_s -. s.Db2rdf.Loader.total_s);
+  line "total" (parse_s +. coloring_s +. load_s)
 
 let run_load data k no_coloring verify =
   let t0 = Unix.gettimeofday () in
   let triples = load_triples data in
   let parse_s = Unix.gettimeofday () -. t0 in
-  let e = build_engine k no_coloring triples in
+  let e, coloring_s, load_s = build_engine k no_coloring triples in
   (match Db2rdf.Engine.load_stats e with
-   | Some s -> print_load_stats ~parse_s s
+   | Some s -> print_load_stats ~parse_s ~coloring_s ~load_s s
    | None -> print_endline "no load ran");
   if verify then begin
     match (Db2rdf.Engine.to_store e).Db2rdf.Store.check () with
-    | () -> print_endline "verify:   OK (Table.check and Loader.check)"
+    | () -> print_endline "verify:     OK (Table.check and Loader.check)"
     | exception Failure msg ->
-      Printf.printf "verify:   FAILED: %s\n" msg;
+      Printf.printf "verify:     FAILED: %s\n" msg;
       exit 1
   end
 
@@ -622,7 +628,8 @@ let load_cmd =
   in
   let info =
     Cmd.info "load"
-      ~doc:"Bulk-load data and print its timings (parse, load, total)."
+      ~doc:"Bulk-load data and print its timings (parse, coloring, load, \
+            DICT sync and merge, total)."
   in
   Cmd.v info
     Term.(const run_load $ data_arg $ columns_arg $ no_color_arg $ verify)

@@ -202,29 +202,6 @@ let build_reductions t =
           preds)
       preds
 
-(** Create an engine whose predicate mappings come from graph-coloring
-    (a sample of) [triples], then bulk-load them (Section 2.2/2.3).
-    [sample] < 1.0 colors only that fraction of the data first. *)
-let create_colored ?(layout = Layout.default) ?(options = default_options)
-    ?(sample = 1.0) (triples : Rdf.Triple.t list) =
-  let sampled = Coloring.sample_triples ~fraction:sample triples in
-  (* One scan of the sample builds both interference graphs. *)
-  let dgraph, rgraph = Coloring.interference_graphs sampled in
-  let dcol = Coloring.color ~max_colors:layout.Layout.dph_cols dgraph in
-  let rcol = Coloring.color ~max_colors:layout.Layout.rph_cols rgraph in
-  let direct_map = Coloring.to_pred_map ~m:layout.Layout.dph_cols dcol in
-  let reverse_map = Coloring.to_pred_map ~m:layout.Layout.rph_cols rcol in
-  let e = create ~layout ~options ~direct_map ~reverse_map () in
-  Loader.load e.loader triples;
-  Dict_table.sync e.dict_state (Loader.dictionary e.loader);
-  (* Merge after the DICT sync so the dictionary table compresses
-     too; later writes land in the touched tables' deltas. *)
-  if options.compress then
-    ignore (Relsql.Database.merge_all (Loader.database e.loader));
-  (* After the merge, so eager reductions inherit the packed form. *)
-  if options.extvp && options.extvp_build then build_reductions e;
-  (e, dcol, rcol)
-
 let loader t = t.loader
 let dictionary t = Loader.dictionary t.loader
 
@@ -245,6 +222,29 @@ let load ?parse_s t triples =
 
 (** Timings of the most recent bulk load. *)
 let load_stats t = Loader.last_load_stats t.loader
+
+(** Graph-color (a sample of) [triples] into direct and reverse
+    predicate mappings (Sections 2.2/2.3). [sample] < 1.0 colors only
+    that fraction of the data. *)
+let color_predicates ?(layout = Layout.default) ?(sample = 1.0)
+    (triples : Rdf.Triple.t list) =
+  let sampled = Coloring.sample_triples ~fraction:sample triples in
+  (* One scan of the sample builds both interference graphs. *)
+  let dgraph, rgraph = Coloring.interference_graphs sampled in
+  let dcol = Coloring.color ~max_colors:layout.Layout.dph_cols dgraph in
+  let rcol = Coloring.color ~max_colors:layout.Layout.rph_cols rgraph in
+  ( Coloring.to_pred_map ~m:layout.Layout.dph_cols dcol,
+    Coloring.to_pred_map ~m:layout.Layout.rph_cols rcol,
+    dcol,
+    rcol )
+
+(** Create an engine whose predicate mappings come from graph-coloring
+    (a sample of) [triples], then bulk-load them. *)
+let create_colored ?(layout = Layout.default) ?options ?sample triples =
+  let direct_map, reverse_map, dcol, rcol = color_predicates ~layout ?sample triples in
+  let e = create ~layout ?options ~direct_map ~reverse_map () in
+  load e triples;
+  (e, dcol, rcol)
 
 let insert t triple =
   Loader.insert t.loader triple;
@@ -366,9 +366,12 @@ let apply_exec_options t (options : options) =
 (* Query evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* Decode [r], then give its arrays back for the next statement. *)
 let decode_results t (q : Sparql.Ast.query) (r : Relsql.Executor.result) :
   Sparql.Ref_eval.results =
-  Results.decode (Loader.dictionary t.loader) q r
+  let res = Results.decode (Loader.dictionary t.loader) q r in
+  Relsql.Batch.release r;
+  res
 
 (** Evaluate a parsed query end to end. *)
 let query ?timeout ?options t (q : Sparql.Ast.query) : Sparql.Ref_eval.results =

@@ -60,8 +60,17 @@ val create :
   unit ->
   t
 
+(** Graph-color (a sample of) the triples into the direct and reverse
+    predicate mappings {!create} takes (Sections 2.2/2.3), plus the two
+    coloring results. [sample < 1.0] colors only that fraction. *)
+val color_predicates :
+  ?layout:Layout.t ->
+  ?sample:float ->
+  Rdf.Triple.t list ->
+  Pred_map.t * Pred_map.t * Coloring.result * Coloring.result
+
 (** Create an engine whose predicate mappings come from graph-coloring
-    (a sample of) the triples, then bulk-load them (Sections 2.2/2.3).
+    (a sample of) the triples, then bulk-load them ({!load}).
     [sample < 1.0] colors only that fraction of the data first. Returns
     the engine plus the direct and reverse coloring results. *)
 val create_colored :

@@ -10,10 +10,13 @@
     value to the target's ({!Cell.import}), so per-morsel batches of a
     parallel operator never share one, and {!concat} re-bases them.
     Ownership is linear: a batch produced by one operator is consumed
-    by exactly one parent, which may mutate it in place (see {!retain}).
-    A batch kept for reuse — a scan-cache entry, a CTE result — is
-    {!share}d instead of copied: its holders read the same arrays, and
-    the first mutation through any of them copies first. *)
+    by exactly one parent, which may mutate it in place (see {!retain})
+    and {!release}s it once it has read it. A batch kept for reuse — a
+    CTE result — hands its readers {!share}d holders instead of
+    copies: a holder reads the owner's arrays, copies them before its
+    first write, and never gives them back. Cell arrays above the minor
+    heap's limit come from a per-domain free list that {!release} and
+    growth refill. *)
 
 type t = {
   layout : Expr_eval.layout;
@@ -21,11 +24,88 @@ type t = {
   mutable data : int array;  (* row-major; capacity = length / width *)
   mutable nrows : int;
   mutable side : Cell.side;
-  mutable shared : bool;  (* [data] and [side] may have other holders *)
+  mutable shared : bool;
+      (* a holder: [data] and [side] are another batch's or nobody's,
+         copied before a write and never given back *)
 }
 
 (* Cells an array may have and still be allocated in the minor heap. *)
 let young_cells = 256
+
+(* ------------------------------------------------------------------ *)
+(* Recycled cell arrays                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* A larger array is a major-heap block, and a materializing executor
+   makes one per large operator output and per growth step, most of
+   which die as soon as the parent has read them. Each domain keeps
+   them on a free list instead, in power-of-two size classes: class [c]
+   holds arrays of [young_cells lsl (c + 1)] cells, at most
+   [class_depth] of them, and the list holds at most [pool_words] words
+   in all. Arrays above the largest class, and every array at or under
+   [young_cells], are allocated to size and never kept. A recycled
+   array keeps its last holder's cells: a batch writes every cell of a
+   row it adds, and nothing reads past its rows. Taking and giving back
+   allocate nothing, and their list updates are straight-line code, in
+   which no thread switch can fall. *)
+let pool_classes = 11
+let class_depth = 8
+let pool_words = 1 lsl 20
+let max_pooled = young_cells lsl pool_classes
+
+type pool = {
+  free : int array array;  (* class [c]'s stack at [c * class_depth] *)
+  top : int array;  (* arrays held per class *)
+  mutable words : int;  (* cells held in all *)
+}
+
+let pool =
+  Domain.DLS.new_key (fun () ->
+      { free = Array.make (pool_classes * class_depth) [||];
+        top = Array.make pool_classes 0; words = 0 })
+
+(* The class of an array of more than [young_cells] and at most
+   [max_pooled] cells. *)
+let class_of cells =
+  let c = ref 0 in
+  while young_cells lsl (!c + 1) < cells do
+    incr c
+  done;
+  !c
+
+(* An array of at least [cells] cells: a recycled one when the list
+   has one of [cells]' class. *)
+let take cells =
+  if cells <= young_cells || cells > max_pooled then Array.make cells Cell.null
+  else begin
+    let c = class_of cells in
+    let p = Domain.DLS.get pool in
+    let k = p.top.(c) in
+    if k = 0 then Array.make (young_cells lsl (c + 1)) Cell.null
+    else begin
+      let i = (c * class_depth) + k - 1 in
+      let a = p.free.(i) in
+      p.free.(i) <- [||];
+      p.top.(c) <- k - 1;
+      p.words <- p.words - Array.length a;
+      a
+    end
+  end
+
+(* Put [a], which nothing reads any more, on the list, unless it is
+   not of a class or the list is full. *)
+let give (a : int array) =
+  let n = Array.length a in
+  if n > young_cells && n <= max_pooled && n land (n - 1) = 0 then begin
+    let c = class_of n in
+    let p = Domain.DLS.get pool in
+    let k = p.top.(c) in
+    if k < class_depth && p.words + n <= pool_words then begin
+      p.free.((c * class_depth) + k) <- a;
+      p.top.(c) <- k + 1;
+      p.words <- p.words + n
+    end
+  end
 
 let create ?(capacity = 16) ?upto (layout : Expr_eval.layout) =
   let width = Array.length layout in
@@ -36,8 +116,8 @@ let create ?(capacity = 16) ?upto (layout : Expr_eval.layout) =
     match upto with Some n -> min n (young_cells / max 1 width) | None -> capacity
   in
   let capacity = max 1 capacity in
-  { layout; width; data = Array.make (capacity * width) Cell.null; nrows = 0;
-    side = Cell.side (); shared = false }
+  { layout; width; data = take (capacity * width); nrows = 0; side = Cell.side ();
+    shared = false }
 
 let layout b = b.layout
 let width b = b.width
@@ -70,26 +150,53 @@ let[@inline] copy_ints (src : int array) so (dst : int array) d n =
     Array.unsafe_set dst (d + j) (Array.unsafe_get src (so + j))
   done
 
+(* Only a released batch of a non-zero width has no cells. *)
+let check_live b =
+  if Array.length b.data = 0 then invalid_arg "Batch: used after release"
+
 let grow b needed =
-  let cap = max needed (max min_grow_cells (2 * Array.length b.data)) in
-  let bigger = Array.make cap Cell.null in
+  check_live b;
+  let bigger = take (max needed (max min_grow_cells (2 * Array.length b.data))) in
   copy_ints b.data 0 bigger 0 (b.nrows * b.width);
+  give b.data;
   b.data <- bigger
 
 (* Give a shared batch arrays of its own before it is written. *)
 let detach b =
   let n = b.nrows * b.width in
-  let data = Array.make (max 1 n) Cell.null in
+  let data = take (max 1 n) in
   copy_ints b.data 0 data 0 n;
   b.data <- data;
   b.side <- Cell.copy b.side;
   b.shared <- false
 
-(** A holder of [b]'s rows that shares its arrays: [b] and the result
-    both read them, and either copies them before its first write. *)
-let share b =
-  b.shared <- true;
-  { b with shared = true }
+(** A holder of [b]'s rows that reads its arrays: it copies them
+    before its first write, and {!release} of it gives nothing back.
+    [b] stays their owner, and must be neither written nor released
+    while a holder reads them. *)
+let share b = { b with shared = true }
+
+(** A holder of an exact-size copy of [b]'s rows that has no owner:
+    nothing ever gives its arrays back. What a cache keeps. *)
+let freeze b =
+  let n = b.nrows * b.width in
+  let data = Array.make n Cell.null in
+  copy_ints b.data 0 data 0 n;
+  { b with data; side = Cell.copy b.side; shared = true }
+
+(** Give [b]'s cell array back for reuse, unless [b] is a holder
+    ({!share}, {!freeze}); a holder is left as it is. A released batch
+    has no rows, and reading a cell of it, adding a row to it or
+    copying a row from it raises. *)
+let release b =
+  if not b.shared then begin
+    give b.data;
+    b.data <- [||];
+    b.nrows <- 0
+  end
+
+(** [aliases a b]: [a] and [b] read the same cell array. *)
+let aliases a b = a.data == b.data
 
 (* Room for [extra] more rows; the offset of the first of them. *)
 let[@inline] reserve b extra =
@@ -149,12 +256,19 @@ let push_sel b (cells : int array) (side : Cell.side) (sel : int array) =
   done;
   b.nrows <- b.nrows + 1
 
+(* The offset of row [i] of [src], which must exist: a released batch
+   has no rows, so copying from it raises instead of reading past its
+   empty array. *)
+let[@inline] row_at src i =
+  if i < 0 || i >= src.nrows then invalid_arg "Batch: no such row";
+  i * src.width
+
 (** [push_join b ~src i cells side iw] appends row [i] of [src]
     followed by the first [iw] codes of [cells] (context [side]) — an
     index-join output row written straight into the batch. *)
 let push_join b ~(src : t) i (cells : int array) (side : Cell.side) iw =
   let base = reserve b 1 in
-  import_ints b src.side src.data (i * src.width) base src.width;
+  import_ints b src.side src.data (row_at src i) base src.width;
   import_ints b side cells 0 (base + src.width) iw;
   b.nrows <- b.nrows + 1
 
@@ -163,7 +277,7 @@ let push_join b ~(src : t) i (cells : int array) (side : Cell.side) iw =
     pruning). *)
 let push_join_sel b ~(src : t) i (cells : int array) (side : Cell.side) (sel : int array) =
   let base = reserve b 1 in
-  import_ints b src.side src.data (i * src.width) base src.width;
+  import_ints b src.side src.data (row_at src i) base src.width;
   let off = base + src.width and data = b.data in
   for j = 0 to Array.length sel - 1 do
     data.(off + j) <- Cell.import b.side side cells.(sel.(j))
@@ -174,15 +288,15 @@ let push_join_sel b ~(src : t) i (cells : int array) (side : Cell.side) (sel : i
     by row [j] of [right] (a join output row). *)
 let push_pair b ~(left : t) i ~(right : t) j =
   let base = reserve b 1 in
-  import_ints b left.side left.data (i * left.width) base left.width;
-  import_ints b right.side right.data (j * right.width) (base + left.width) right.width;
+  import_ints b left.side left.data (row_at left i) base left.width;
+  import_ints b right.side right.data (row_at right j) (base + left.width) right.width;
   b.nrows <- b.nrows + 1
 
 (** Append row [i] of [src], right-padded with NULLs to this batch's
     width (the unmatched side of a left outer join). *)
 let push_padded b ~(src : t) i =
   let base = reserve b 1 in
-  import_ints b src.side src.data (i * src.width) base src.width;
+  import_ints b src.side src.data (row_at src i) base src.width;
   let data = b.data in
   for j = base + src.width to base + b.width - 1 do
     data.(j) <- Cell.null
@@ -252,7 +366,7 @@ let permute b (idx : int array) =
   let n = Array.length idx and w = b.width in
   let out = create ~capacity:n b.layout in
   for k = 0 to n - 1 do
-    import_ints out b.side b.data (idx.(k) * w) (k * w) w
+    import_ints out b.side b.data (row_at b idx.(k)) (k * w) w
   done;
   out.nrows <- n;
   out

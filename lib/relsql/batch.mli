@@ -7,9 +7,10 @@
     a side cell copied into another batch has its value appended to the
     target's buffer, so every batch owns its buffer. Ownership is
     linear: each batch has a single consumer, which may mutate it in
-    place — except that a batch kept for reuse is {!share}d: its
-    holders read the same arrays, and the first write through any of
-    them copies first. *)
+    place and {!release}s it once done. A batch kept for reuse hands
+    out {!share}d holders: they read its arrays and copy them before
+    their first write. Cell arrays of more than 256 cells are drawn
+    from a per-domain free list, which {!release} and growth refill. *)
 
 type t
 
@@ -36,10 +37,28 @@ val column_names : t -> string list
     array; the original batch must not be used afterwards. *)
 val with_layout : t -> Expr_eval.layout -> t
 
-(** [share b] marks [b] shared and returns another holder of its rows
-    (for a cache or a CTE): neither copies anything until it is
-    written. *)
+(** [share b] is a holder of [b]'s rows (a CTE's reader): it reads
+    [b]'s arrays, copies them before its first write, and gives nothing
+    back on {!release}. [b] stays their owner and must be neither
+    written nor released while a holder reads them. *)
 val share : t -> t
+
+(** [freeze b] is a holder of an exact-size copy of [b]'s rows that has
+    no owner, so its arrays are never given back (a cache entry). *)
+val freeze : t -> t
+
+(** [release b] gives [b]'s cell array back for reuse by a later batch
+    of the same domain, unless [b] is a holder ({!share}, {!freeze}),
+    which it leaves as it is. [b] then has no rows: {!cell} and {!get}
+    on it raise, and so do adding rows to it and copying rows from it
+    ({!permute}, the [push_*] calls). Nothing else may read
+    the array afterwards: not a row view of [b], nor a batch made from
+    it by {!with_layout}. *)
+val release : t -> unit
+
+(** [aliases a b] is true when [a] and [b] read the same cell array
+    (one was made from the other by {!share} or {!with_layout}). *)
+val aliases : t -> t -> bool
 
 (** [cell b i j] is the code of cell [j] of row [i] (unchecked); a side
     code indexes {!side}. *)

@@ -310,7 +310,11 @@ let finalize ticker pool stats ~distinct ~(sort_keys : sort_key list) ~limit ~of
       match limit with Some l -> min len (start + max 0 l) | None -> len
     in
     if (not distinct) && sort_keys = [] && start = 0 && stop = len then out
-    else Batch.permute out (Array.sub arr start (stop - start))
+    else begin
+      let kept = Batch.permute out (Array.sub arr start (stop - start)) in
+      Batch.release out;
+      kept
+    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -495,9 +499,10 @@ let add_counts (dst : Opstats.t) (src : Opstats.t) =
     covers the whole range into one batch and counts into [stats]. On
     the pool, each morsel appends to a private batch and counts into a
     private record; the batches are concatenated in morsel order (the
-    inline output) and the records summed into [stats]. [body] returns
-    the row operations it did; their sum is ticked once, the same on
-    both paths. [align] rounds morsels to whole multiples of it. *)
+    inline output), then released, and the records summed into
+    [stats]. [body] returns the row operations it did; their sum is
+    ticked once, the same on both paths. [align] rounds morsels to
+    whole multiples of it. *)
 let drive ctx (stats : Opstats.t) ?align ~n layout body =
   let out, ops =
     match morsels_for ?align ctx.pool n with
@@ -515,7 +520,9 @@ let drive ctx (stats : Opstats.t) ?align ~n layout body =
           ops.(i) <- body counts.(i) out lo hi;
           parts.(i) <- out);
       Array.iter (add_counts stats) counts;
-      (Batch.concat layout parts, Array.fold_left ( + ) 0 ops)
+      let out = Batch.concat layout parts in
+      Array.iter Batch.release parts;
+      (out, Array.fold_left ( + ) 0 ops)
   in
   tick_bulk ctx.ticker ops;
   out
@@ -567,8 +574,10 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
           the key embeds the table epoch, so a hit is valid by
           construction and a stale entry simply ages out. Raw full
           scans are not cached (the entry would be a copy of the
-          table). Both the stored and the served batch are private
-          copies — batch ownership stays linear. *)
+          table). The cache keeps a frozen copy of a miss's batch and
+          serves holders of it, so the batch a miss returns stays
+          this scan's to hand on, and no release gives a cached array
+          back. *)
        let scache = Database.scan_cache db in
        let ckey =
          if filter = None && cols = None then None
@@ -727,8 +736,9 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
       | None -> Batch.push_join out ~src:o i c.cells c.side iw
       | Some sel -> Batch.push_join_sel out ~src:o i c.cells c.side sel
     in
-    (match cross, key with
-     | None, Col (q, n) ->
+    let out =
+      match cross, key with
+      | None, Col (q, n) ->
        (* Fused path (the shape of all generated star-join SQL): plain
           column key and no cross-side residual. Probe straight off the
           outer batch's key cell and write each match directly into the
@@ -766,7 +776,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
                Batch.push_padded out ~src:o i
            done;
            !rids)
-     | _ ->
+      | _ ->
        let out = Batch.create ~upto:no layout in
        (* One probe callback for the whole batch — allocating it (and
           the [matched] flag) per outer row showed up in join-heavy
@@ -802,7 +812,10 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
          end;
          if (not !matched) && kind = Left_outer then Batch.push_padded out ~src:o i
        done;
-       out)
+       out
+    in
+    Batch.release o;
+    out
   | Planner.Hash_join { left; right; left_keys; right_keys; kind; residual } ->
     let l = child left in
     let r = child right in
@@ -919,7 +932,8 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        read it, each with a private view. A residual is tested on the
        joined row once it is written, which is popped again when it
        fails. *)
-    drive ctx stats ~n:(Batch.length l) layout (fun _ out lo hi ->
+    let out =
+      drive ctx stats ~n:(Batch.length l) layout (fun _ out lo hi ->
         let lv = Batch.view l and jv = Batch.view out in
         let matched = ref false and cur = ref 0 in
         let emit j =
@@ -942,6 +956,10 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
           if (not !matched) && kind = Left_outer then Batch.push_padded out ~src:l i
         done;
         hi - lo)
+    in
+    Batch.release l;
+    Batch.release r;
+    out
   | Planner.Nl_join { left; right; kind; cond } ->
     let l = child left in
     let r = child right in
@@ -964,6 +982,8 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
       done;
       if (not !matched) && kind = Left_outer then Batch.push_padded out ~src:l i
     done;
+    Batch.release l;
+    Batch.release r;
     out
   | Planner.Values_join { outer; rows; alias; cols } ->
     let o = child outer in
@@ -990,6 +1010,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
           done)
         compiled
     done;
+    Batch.release o;
     out
   | Planner.Wcoj { atoms; var_order; n_vars; outputs; est_rows = _ } ->
     (* Leapfrog runs sequentially against base tables only (the planner
@@ -1029,6 +1050,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        in
        tick_bulk ticker (Batch.length b);
        let out = Batch.project b out_layout cols in
+       Batch.release b;
        finalize ticker ctx.pool stats ~distinct ~sort_keys:[] ~limit ~offset out
      | None ->
     let ops =
@@ -1071,6 +1093,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
                operand_cell k.kside f ov))
         sort_srcs
     done;
+    Batch.release b;
     finalize ticker ctx.pool stats ~distinct ~sort_keys:(List.map snd sort_srcs) ~limit
       ~offset out)
   | Planner.Aggregate { input; keys; items; distinct; order_by; limit; offset } ->
@@ -1379,6 +1402,7 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
           out
         end
     in
+    Batch.release b;
     (* Distinct / order / limit over the aggregated output. *)
     let sort_keys =
       match order_by with
@@ -1407,8 +1431,13 @@ let rec exec_plan ctx (stats : Opstats.t) (plan : Planner.plan) : Batch.t =
        let total = List.fold_left (fun a b -> a + Batch.length b) 0 batches in
        let out = Batch.create ~capacity:total (Batch.layout first) in
        List.iter (fun b -> Batch.append out b) batches;
+       List.iter Batch.release batches;
        if all then out
-       else Batch.permute out (first_occurrences ticker out (Array.init total Fun.id)))
+       else begin
+         let kept = Batch.permute out (first_occurrences ticker out (Array.init total Fun.id)) in
+         Batch.release out;
+         kept
+       end)
 
 (* Run [plan] as an input of [parent]. Unanalyzed, that is all: the
    node counts into [parent]'s record, so every node of the statement
@@ -1433,9 +1462,10 @@ and exec ctx parent plan =
 (* ------------------------------------------------------------------ *)
 
 (** Run a full statement: evaluate each CTE in order into a resident
-    batch, then the body. Analyzed, the returned tree has the statement
-    at its root and a [CTE <name>] / [body] wrapper over each part's
-    operator tree; unanalyzed, the returned record is scratch.
+    batch, then the body, then release the CTE batches the result does
+    not read. Analyzed, the returned tree has the statement at its root
+    and a [CTE <name>] / [body] wrapper over each part's operator tree;
+    unanalyzed, the returned record is scratch.
     [timeout] is in seconds of wall time for the whole statement.
     [domains] caps the worker domains hot operators may fan out over
     (default: the database's {!Database.parallelism}; 1 keeps every
@@ -1479,6 +1509,8 @@ let run_with_stats ~analyze ?timeout ?domains db (stmt : stmt)
       Hashtbl.replace ctx.ctes name (run_part (Some name) scope plan))
     ctes;
   let b = run_part None body_scope body in
+  (* Every reader of a CTE is done by the end of its statement. *)
+  Hashtbl.iter (fun _ c -> if not (Batch.aliases c b) then Batch.release c) ctx.ctes;
   if analyze then
     Opstats.finish root ~rows_out:(Batch.length b)
       ~seconds:(Unix.gettimeofday () -. t0);

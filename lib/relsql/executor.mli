@@ -21,7 +21,9 @@ val par_min_rows : int ref
 val column_names : result -> string list
 
 (** Run a full statement: evaluate each CTE in order into a resident
-    batch, then the body. It pays only for its operators: per-node
+    batch, then the body. The result is the caller's: it may
+    {!Batch.release} it once read, and no later statement reuses its
+    arrays before then. It pays only for its operators: per-node
     labels, estimates and clock reads are made by {!run_analyzed}
     alone. [timeout] is wall-clock seconds for the whole statement;
     raises {!Timeout} on expiry. [domains] is

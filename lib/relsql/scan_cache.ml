@@ -9,10 +9,11 @@
     compute a different key, and the stale entry simply ages out of
     the LRU — no clear-on-write hook to forget.
 
-    Batches have linear ownership (the consumer mutates them in place),
-    so the cache keeps a {!Batch.share}d holder of the result on miss
-    and hands out another on hit: nothing is copied unless a holder
-    writes, and then only that holder copies. Results that fit
+    Batches have linear ownership (the consumer mutates them in place
+    and releases their arrays for reuse), so on a miss the cache keeps
+    a {!Batch.freeze}d exact-size copy of the result, which no release
+    ever gives back, and on a hit hands out a {!Batch.share}d holder of
+    it: a holder that writes copies first. Results that fit
     {!max_cells} cells are kept as plain batches. Larger results get a
     second chance: they are bit-packed ({!Packed.pack}, no zone maps)
     and kept when the packed image itself fits the budget — a hit then
@@ -69,12 +70,12 @@ let find t k =
   | Some (Boxed b) -> Some (Batch.share b)
   | Some (Compressed (pk, layout)) -> Some (unpack pk layout)
 
-(** Keep [b]'s rows under [k] — shared when the cell count fits
+(** Keep [b]'s rows under [k] — a frozen copy when the cell count fits
     {!max_cells}, bit-packed when the packed image does, dropped
-    otherwise. The caller keeps using [b]; a later write to it copies. *)
+    otherwise. The caller keeps [b] and may write or release it. *)
 let add t k (b : Batch.t) =
   let rows = Batch.length b and cols = max 1 (Batch.width b) in
-  if rows * cols <= max_cells then Plan_cache.add t.cache k (Boxed (Batch.share b))
+  if rows * cols <= max_cells then Plan_cache.add t.cache k (Boxed (Batch.freeze b))
   else
     let pk =
       Packed.pack ~zones:false ~ncols:(Batch.width b) ~nrows:rows

@@ -24,6 +24,7 @@ let () =
       ("join", Test_join.suite);
       ("compress", Test_compress.suite);
       ("cell", Test_cell.suite);
+      ("batch", Test_batch.suite);
       ("wcoj", Test_wcoj.suite);
       ("extvp", Test_extvp.suite);
       ("bench", Test_bench.suite) ]
